@@ -19,9 +19,10 @@ special casing; results are mapped back to [0, 2pi) at the solver surface.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
     ConvexPolygon,
@@ -41,6 +42,7 @@ _ANGLE_MERGE = 1e-12
 class AngularOrder(NamedTuple):
     sorted_angles: Tuple[float, ...]
     vertex_order: Tuple[int, ...]
+    ray_of: Tuple[int, ...]
 
 
 def _unwrapped_angles(poly: ConvexPolygon, apex: Point) -> List[float]:
@@ -53,13 +55,14 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     """Vertex rays sorted by angle, with collinear rays merged.
 
     Vertices whose rays coincide within 1e-12 rad share one entry; the
-    vertex nearer to the apex represents the merged ray. Raises when the
-    apex is inside or on the polygon.
+    vertex nearer to the apex represents the merged ray. ray_of gives
+    every polygon vertex its ray (see _ray_ids). Raises when the apex is
+    inside or on the polygon.
     """
     if poly.contains(apex):
         raise UnsupportedSceneError("apex inside or on polygon")
     angles = _unwrapped_angles(poly, apex)
-    order = sorted(range(len(angles)), key=lambda i: angles[i])
+    order = sorted(range(len(angles)), key=angles.__getitem__)
 
     def dist2(i: int) -> float:
         vx, vy = poly.vertices[i]
@@ -74,19 +77,26 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
             continue
         sorted_angles.append(angles[i])
         reps.append(i)
-    return AngularOrder(tuple(sorted_angles), tuple(reps))
+    return AngularOrder(tuple(sorted_angles), tuple(reps), _ray_ids(angles, sorted_angles))
 
 
-def _ray_groups(poly: ConvexPolygon, apex: Point, sorted_angles: Sequence[float]) -> List[int]:
-    """Ray index for every polygon vertex (nearest sorted angle)."""
-    angles = _unwrapped_angles(poly, apex)
+def _ray_ids(angles: Sequence[float], sorted_angles: Sequence[float]) -> Tuple[int, ...]:
+    """Index of the nearest sorted angle for every angle, by bisection.
+
+    Ties go to the lower index. This is not the ray a vertex was merged
+    into: a vertex up to 1e-12 rad past its group's first angle can lie
+    nearer the next ray, and then belongs to that one.
+    """
+    m = len(sorted_angles)
     out = []
     for a in angles:
-        j = min(range(len(sorted_angles)), key=lambda k: abs(sorted_angles[k] - a))
-        if abs(sorted_angles[j] - a) > 1e-9:
+        k = bisect_left(sorted_angles, a)
+        if k == m or (k > 0 and a - sorted_angles[k - 1] <= sorted_angles[k] - a):
+            k -= 1
+        if abs(sorted_angles[k] - a) > 1e-9:
             raise InvalidInputError("vertex ray does not match any sorted angle")
-        out.append(j)
-    return out
+        out.append(k)
+    return tuple(out)
 
 
 def _walk_chain(
@@ -123,11 +133,10 @@ def section_edges(
     farthest vertex on that ray. An edge may serve several consecutive
     sections when no chain vertex falls on an interior ray.
     """
-    sorted_angles, _ = order
-    m_rays = len(sorted_angles)
+    m_rays = len(order.sorted_angles)
     if m_rays < 2:
         raise InvalidInputError("polygon subtends a single ray from the apex")
-    ray_of = _ray_groups(poly, apex, sorted_angles)
+    ray_of = order.ray_of
 
     def dist2(i: int) -> float:
         vx, vy = poly.vertices[i]
@@ -158,13 +167,19 @@ def section_edges(
 
 @dataclass(frozen=True)
 class SectionPartition:
-    """Angular sections of a polygon from an outside apex."""
+    """Angular sections of a polygon from an outside apex.
+
+    area_prefix[j] is the sum of the first j section areas; it serves the
+    cell bounds only, since its differences round differently from a
+    left-to-right sum over the same sections.
+    """
 
     sorted_angles: Tuple[float, ...]
     vertex_order: Tuple[int, ...]
     near_edges: Tuple[int, ...]
     far_edges: Tuple[int, ...]
     section_areas: Tuple[float, ...]
+    area_prefix: Tuple[float, ...]
     apex: Point
 
     @property
@@ -176,16 +191,19 @@ class SectionPartition:
 
     def locate(self, gamma: float) -> Optional[int]:
         """Section index whose closed angular range holds gamma, else None."""
+        return self._section_at(gamma, bisect_right(self.sorted_angles, gamma))
+
+    def _section_at(self, gamma: float, rank: int) -> Optional[int]:
+        """locate(gamma), given rank = the number of rays at or below gamma."""
         if gamma < self.sorted_angles[0] - _ANGLE_MERGE:
             return None
         if gamma > self.sorted_angles[-1] + _ANGLE_MERGE:
             return None
-        j = bisect_right(self.sorted_angles, gamma) - 1
-        return min(max(j, 0), self.num_sections - 1)
+        return min(max(rank - 1, 0), self.num_sections - 1)
 
 
-def _ray_on_line(apex: Point, gamma: float, ln: Line) -> Point:
-    ux, uy = math.cos(gamma), math.sin(gamma)
+def _ray_on_line(apex: Point, u: Tuple[float, float], ln: Line) -> Point:
+    ux, uy = u
     denom = ux * ln.dy - uy * ln.dx
     if denom == 0.0:
         raise InvalidInputError("section ray parallel to its edge line")
@@ -195,17 +213,23 @@ def _ray_on_line(apex: Point, gamma: float, ln: Line) -> Point:
 
 
 def _section_area(
-    poly: ConvexPolygon, apex: Point, a0: float, a1: float, near_edge: int, far_edge: int
+    poly: ConvexPolygon,
+    apex: Point,
+    u0: Tuple[float, float],
+    u1: Tuple[float, float],
+    near_edge: int,
+    far_edge: int,
 ) -> float:
+    """Area between the rays with unit directions u0 < u1 and the two edges."""
     near_ln = poly.edge_line(near_edge)
     far_ln = poly.edge_line(far_edge)
     # counter-clockwise ring: out along the low ray, across the far edge,
     # back along the high ray, home along the near edge
     quad = (
-        _ray_on_line(apex, a0, near_ln),
-        _ray_on_line(apex, a0, far_ln),
-        _ray_on_line(apex, a1, far_ln),
-        _ray_on_line(apex, a1, near_ln),
+        _ray_on_line(apex, u0, near_ln),
+        _ray_on_line(apex, u0, far_ln),
+        _ray_on_line(apex, u1, far_ln),
+        _ray_on_line(apex, u1, near_ln),
     )
     return shoelace_area(quad)
 
@@ -214,15 +238,9 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     """Full partition: sorted rays, per-section edges and section areas."""
     order = angular_order(poly, apex)
     near_edges, far_edges = section_edges(poly, apex, order)
+    units = [(math.cos(a), math.sin(a)) for a in order.sorted_angles]
     areas = tuple(
-        _section_area(
-            poly,
-            apex,
-            order.sorted_angles[j],
-            order.sorted_angles[j + 1],
-            near_edges[j],
-            far_edges[j],
-        )
+        _section_area(poly, apex, units[j], units[j + 1], near_edges[j], far_edges[j])
         for j in range(len(near_edges))
     )
     return SectionPartition(
@@ -231,6 +249,7 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
         near_edges=near_edges,
         far_edges=far_edges,
         section_areas=areas,
+        area_prefix=tuple(accumulate(areas, initial=0.0)),
         apex=(float(apex[0]), float(apex[1])),
     )
 
@@ -256,44 +275,19 @@ def breakpoints(
         hi = min(hi, float(domain[1]))
         if hi - lo <= _ANGLE_MERGE:
             return []
-    cands = [lo, hi]
-    for a in sorted_angles:
-        for v in (a, a - phi):
-            if lo - _ANGLE_MERGE < v < hi + _ANGLE_MERGE:
-                cands.append(min(max(v, lo), hi))
-    cands.sort()
+
+    def clamped(values: Sequence[float]) -> List[float]:
+        return [min(max(v, lo), hi) for v in values if lo - _ANGLE_MERGE < v < hi + _ANGLE_MERGE]
+
+    # [lo] + rays and rays - phi + [hi] are two ascending runs; the sort
+    # detects them and merges them in one linear pass
+    cands = sorted([lo] + clamped(sorted_angles) + clamped([a - phi for a in sorted_angles]) + [hi])
     out: List[float] = []
     for v in cands:
         if out and v - out[-1] <= _ANGLE_MERGE:
             continue
         out.append(v)
     return out
-
-
-@dataclass(frozen=True)
-class RotationCell:
-    """One maximal direction interval with fixed combinatorial structure.
-
-    right_section / left_section give the section holding the right/left
-    boundary ray for interior directions (None when that ray is outside
-    the polygon's angular span, so the boundary is not moving). Equal
-    indices mean the whole intersection lives in one section. middle_area
-    is the constant area of fully covered sections. The cell carries its
-    scene (polygon, apex, opening) so it can be solved standalone.
-    """
-
-    interval: Tuple[float, float]
-    right_section: Optional[int]
-    left_section: Optional[int]
-    middle_area: float
-    right_wedge: Optional[StaticWedge]
-    left_wedge: Optional[StaticWedge]
-    right_section_end: Optional[float]
-    left_section_start: Optional[float]
-    poly: ConvexPolygon
-    apex: Point
-    opening: float
-    empty: bool = False
 
 
 def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> StaticWedge:
@@ -303,6 +297,122 @@ def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> Static
         poly.edge_line(part.far_edges[j]),
         poly.edge_line(part.near_edges[j]),
     )
+
+
+@dataclass(eq=False, slots=True)
+class CellScene:
+    """What the cells of one scene share: the scene itself, its partition
+    and the section wedges built so far. A section's wedge is built when a
+    cell first asks for it, so sections of unsolved cells cost nothing."""
+
+    poly: ConvexPolygon
+    apex: Point
+    part: SectionPartition
+    opening: float
+    _wedges: Dict[int, StaticWedge] = field(default_factory=dict, init=False, repr=False)
+
+    def wedge(self, j: int) -> StaticWedge:
+        w = self._wedges.get(j)
+        if w is None:
+            w = self._wedges[j] = section_wedge(self.poly, self.part, j)
+        return w
+
+
+@dataclass(eq=False, slots=True)
+class RotationCell:
+    """One maximal direction interval with fixed combinatorial structure.
+
+    right_section / left_section give the section holding the right/left
+    boundary ray for interior directions (None when that ray is outside
+    the polygon's angular span, so the boundary is not moving). Equal
+    indices mean the whole intersection lives in one section. middle_area
+    is the constant area of fully covered sections. bound is an upper
+    bound on the cell's area: the intersection never leaves the sections
+    the cell touches. The cell carries its scene (polygon, apex, opening)
+    so it can be solved standalone; its wedges and middle area are worked
+    out on first use.
+    """
+
+    interval: Tuple[float, float]
+    right_section: Optional[int]
+    left_section: Optional[int]
+    bound: float
+    scene: CellScene = field(repr=False)
+    empty: bool = False
+    _middle: Optional[float] = field(default=None, init=False, repr=False)
+
+    @property
+    def poly(self) -> ConvexPolygon:
+        return self.scene.poly
+
+    @property
+    def apex(self) -> Point:
+        return self.scene.apex
+
+    @property
+    def opening(self) -> float:
+        return self.scene.opening
+
+    @property
+    def middle_area(self) -> float:
+        if self._middle is None:
+            r, l = self.right_section, self.left_section
+            if self.empty or (r is not None and r == l):
+                self._middle = 0.0
+            else:
+                part = self.scene.part
+                self._middle = sum(part.section_areas[slice(*_covered(part, r, l))])
+        return self._middle
+
+    @property
+    def right_wedge(self) -> Optional[StaticWedge]:
+        return None if self.right_section is None else self.scene.wedge(self.right_section)
+
+    @property
+    def left_wedge(self) -> Optional[StaticWedge]:
+        return None if self.left_section is None else self.scene.wedge(self.left_section)
+
+    @property
+    def right_section_end(self) -> Optional[float]:
+        r = self.right_section
+        return None if r is None else self.scene.part.sorted_angles[r + 1]
+
+    @property
+    def left_section_start(self) -> Optional[float]:
+        l = self.left_section
+        return None if l is None else self.scene.part.sorted_angles[l]
+
+
+def _covered(part: SectionPartition, right_sec: Optional[int], left_sec: Optional[int]) -> Tuple[int, int]:
+    """Start and stop of the sections strictly between the boundary rays."""
+    start = 0 if right_sec is None else right_sec + 1
+    stop = part.num_sections if left_sec is None else left_sec
+    return start, stop
+
+
+def _make_cell(
+    scene: CellScene,
+    interval: Tuple[float, float],
+    probe: float,
+    right_sec: Optional[int],
+    left_sec: Optional[int],
+) -> RotationCell:
+    part = scene.part
+    if right_sec is None and left_sec is None:
+        first, last = part.span()
+        if not (probe < first and probe + scene.opening > last):
+            return RotationCell(interval, None, None, 0.0, scene, empty=True)
+    areas = part.section_areas
+    if right_sec is not None and right_sec == left_sec:
+        bound = areas[right_sec]
+    else:
+        start, stop = _covered(part, right_sec, left_sec)
+        bound = part.area_prefix[stop] - part.area_prefix[start]
+        if right_sec is not None:
+            bound += areas[right_sec]
+        if left_sec is not None:
+            bound += areas[left_sec]
+    return RotationCell(interval, right_sec, left_sec, bound, scene)
 
 
 def cell_descriptor(
@@ -322,56 +432,8 @@ def cell_descriptor(
     if not hi > lo:
         raise InvalidInputError("cell interval must have positive width")
     probe = 0.5 * (lo + hi)
-    right_sec = part.locate(probe)
-    left_sec = part.locate(probe + phi)
-
-    first, last = part.span()
-    if right_sec is None and left_sec is None:
-        straddles = probe < first and probe + phi > last
-        if not straddles:
-            return RotationCell(
-                interval=(lo, hi),
-                right_section=None,
-                left_section=None,
-                middle_area=0.0,
-                right_wedge=None,
-                left_wedge=None,
-                right_section_end=None,
-                left_section_start=None,
-                poly=poly,
-                apex=apex,
-                opening=phi,
-                empty=True,
-            )
-
-    m_start = 0 if right_sec is None else right_sec + 1
-    m_end = part.num_sections - 1 if left_sec is None else left_sec - 1
-    if right_sec is not None and right_sec == left_sec:
-        middle = 0.0
-    else:
-        middle = sum(part.section_areas[j] for j in range(m_start, m_end + 1))
-
-    right_wedge = left_wedge = None
-    if right_sec is not None:
-        right_wedge = section_wedge(poly, part, right_sec)
-    if left_sec is not None:
-        if left_sec == right_sec:
-            left_wedge = right_wedge
-        else:
-            left_wedge = section_wedge(poly, part, left_sec)
-
-    return RotationCell(
-        interval=(lo, hi),
-        right_section=right_sec,
-        left_section=left_sec,
-        middle_area=middle,
-        right_wedge=right_wedge,
-        left_wedge=left_wedge,
-        right_section_end=None if right_sec is None else part.sorted_angles[right_sec + 1],
-        left_section_start=None if left_sec is None else part.sorted_angles[left_sec],
-        poly=poly,
-        apex=apex,
-        opening=phi,
+    return _make_cell(
+        CellScene(poly, apex, part, phi), (lo, hi), probe, part.locate(probe), part.locate(probe + phi)
     )
 
 
@@ -382,9 +444,33 @@ def build_cells(
     phi: float,
     bps: Sequence[float],
 ) -> List[RotationCell]:
-    """Cells for every positive-width consecutive breakpoint pair."""
+    """Cells for every positive-width consecutive breakpoint pair.
+
+    The probes rise from cell to cell, so one pointer per boundary ray
+    walks the sorted rays once instead of bisecting for every cell.
+    """
+    scene = CellScene(poly, apex, part, phi)
+    angles = part.sorted_angles
+    m = len(angles)
+    r = l = 0  # rays at or below the right / left probe
     cells = []
     for i in range(len(bps) - 1):
-        if bps[i + 1] - bps[i] > _ANGLE_MERGE:
-            cells.append(cell_descriptor(poly, apex, part, phi, (bps[i], bps[i + 1])))
+        lo, hi = float(bps[i]), float(bps[i + 1])
+        if not hi - lo > _ANGLE_MERGE:
+            continue
+        probe = 0.5 * (lo + hi)
+        left_probe = probe + phi
+        while r < m and angles[r] <= probe:
+            r += 1
+        while l < m and angles[l] <= left_probe:
+            l += 1
+        cells.append(
+            _make_cell(
+                scene,
+                (lo, hi),
+                probe,
+                part._section_at(probe, r),
+                part._section_at(left_probe, l),
+            )
+        )
     return cells

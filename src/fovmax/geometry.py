@@ -136,7 +136,7 @@ class ConvexPolygon:
     turns (collinear triples are tolerated) and strictly positive area.
     """
 
-    __slots__ = ("vertices", "_area")
+    __slots__ = ("vertices", "_area", "_lines")
 
     def __init__(self, vertices: Sequence[Point], _validate: bool = True):
         vs = tuple((float(p[0]), float(p[1])) for p in vertices)
@@ -144,6 +144,7 @@ class ConvexPolygon:
             self._validate(vs)
         self.vertices = vs
         self._area: Optional[float] = None
+        self._lines: Optional[Tuple[Line, ...]] = None
 
     @staticmethod
     def _validate(vs: Tuple[Point, ...]) -> None:
@@ -180,8 +181,12 @@ class ConvexPolygon:
         return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
 
     def edge_line(self, i: int) -> Line:
-        a, b = self.edge(i)
-        return Line.from_points(a, b)
+        """Line through edge i; every edge's line is built once per polygon."""
+        if self._lines is None:
+            self._lines = tuple(
+                Line.from_points(*self.edge(k)) for k in range(len(self.vertices))
+            )
+        return self._lines[i]
 
     def centroid(self) -> Point:
         xs = sum(v[0] for v in self.vertices) / len(self.vertices)

@@ -10,15 +10,16 @@ chunk is rewritten as anchor area plus left sliver minus right sliver, the
 slivers' analytic opening-extrema bound the derivative's sign changes, and
 a bracketed Newton iteration polishes each root to the requested number of
 digits. Near-singular closed-form evaluations (boundary rays through
-polygon vertices) fall back to direct clipping. The global maximum is the
-best cell result; ties within the area tolerance resolve to the smallest
-direction.
+polygon vertices) fall back to direct clipping. Cells are solved best
+first by an upper bound on their area, and the search stops once no
+remaining cell can come within the tie tolerance of the best area found.
+The global maximum is the best cell result; ties within the area
+tolerance resolve to the smallest direction.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -38,6 +39,7 @@ from .wedge import CellPieces, _area_raw, opening_extrema, rotation_pieces
 
 _TINY_OPENING = 1e-13
 _MIN_WIDTH = 1e-12
+_BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,6 @@ def solve_scene(
     phi: float,
     prec=8.0,
     domain: Optional[Tuple[float, float]] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[SolveResult, SceneDetails]:
     """maximize_global plus the partition diagnostics the CLI reports."""
     precision = _as_precision(prec)
@@ -355,18 +356,23 @@ def solve_scene(
         raise InvalidInputError("empty direction domain")
     cells = build_cells(poly, apex, part, phi, bps)
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: maximize_cell(c, precision), cells))
-    else:
-        results = [maximize_cell(c, precision) for c in cells]
+    # best first: a cell whose bound (plus rounding slack) lies below the
+    # incumbent by more than the tie tolerance can neither win nor tie, and
+    # neither can any cell after it in descending bound order
+    tie_tol = precision.xtol
+    slack = _BOUND_SLACK * poly.area
+    results = {}
+    best_area = -math.inf
+    for i in sorted(range(len(cells)), key=lambda i: cells[i].bound, reverse=True):
+        if cells[i].bound + slack < best_area - tie_tol:
+            break
+        results[i] = maximize_cell(cells[i], precision)
+        best_area = max(best_area, results[i].area)
 
     # deterministic reduction: max area, ties within 10^-digits of the best
     # resolve to the smallest direction (then lowest cell index)
-    best_area = max(r.area for r in results)
-    tie_tol = precision.xtol
     winner_idx = min(
-        (i for i, r in enumerate(results) if r.area >= best_area - tie_tol),
+        (i for i, r in results.items() if r.area >= best_area - tie_tol),
         key=lambda i: (results[i].theta, i),
     )
     win = results[winner_idx]
@@ -374,7 +380,7 @@ def solve_scene(
         theta_star=normalize_angle(win.theta),
         area=win.area,
         cell_index=winner_idx,
-        candidates_evaluated=sum(r.candidates_evaluated for r in results),
+        candidates_evaluated=sum(r.candidates_evaluated for r in results.values()),
         achieved_bracket=win.achieved_bracket,
     )
     details = SceneDetails(
@@ -389,13 +395,13 @@ def maximize_global(
     phi: float,
     prec=8.0,
     domain: Optional[Tuple[float, float]] = None,
-    workers: Optional[int] = None,
 ) -> SolveResult:
     """Direction maximizing the polygon/sector intersection area.
 
-    Builds the vertex partition and rotation cells, solves each cell and
-    returns the best result; when the opening covers the polygon's whole
-    angular span the containment direction is returned immediately.
+    Builds the vertex partition and rotation cells, solves the cells best
+    first by their area bounds and returns the best result; when the
+    opening covers the polygon's whole angular span the containment
+    direction is returned immediately.
     """
-    result, _ = solve_scene(poly, apex, phi, prec, domain, workers)
+    result, _ = solve_scene(poly, apex, phi, prec, domain)
     return result

@@ -8,6 +8,8 @@ from fovmax.geometry import (
     UnsupportedSceneError,
 )
 from fovmax.cells import (
+    _ray_ids,
+    _unwrapped_angles,
     angular_order,
     breakpoints,
     build_cells,
@@ -17,7 +19,7 @@ from fovmax.cells import (
 )
 from fovmax.oracle import clip_area_at
 from fovmax.wedge import _area_raw
-from conftest import external_apex, random_convex_polygon
+from conftest import external_apex, random_convex_polygon, random_scene
 
 ORIGIN = (0.0, 0.0)
 SMALL_SQUARE = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -53,6 +55,45 @@ def test_angular_order_no_dedup_keeps_all(rng):
         # generic apexes see every vertex on its own ray
         if len(order.sorted_angles) == len(poly):
             assert sorted(order.vertex_order) == list(range(len(poly)))
+
+
+def _nearest_ray_scan(angles, sorted_angles):
+    # the linear scan the bisection replaced: nearest sorted angle, ties
+    # to the lower index
+    return tuple(
+        min(range(len(sorted_angles)), key=lambda k: abs(sorted_angles[k] - a)) for a in angles
+    )
+
+
+def _near_ray_polygon(gap):
+    """Apex beyond edge 0's end, off its line so that the edge's two
+    vertex rays are about gap rad apart."""
+    poly = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (0.2, 0.8)])
+    return poly, (2.0, 2.0 * gap)
+
+
+def test_ray_ids_match_nearest_angle_scan(rng):
+    polys = [random_scene(rng, n_max=40)[:2] for _ in range(60)]
+    polys += [_near_ray_polygon(gap) for gap in (4e-13, 1e-12, 1.3e-12, 3e-12, 1e-10, 1e-9)]
+    for poly, apex in polys:
+        order = angular_order(poly, apex)
+        angles = _unwrapped_angles(poly, apex)
+        assert order.ray_of == _nearest_ray_scan(angles, order.sorted_angles)
+
+
+def test_ray_ids_ties_and_near_rays():
+    rays = [1.0, 1.0 + 2.0**-39]
+    # exact tie: 2**-40 from both rays goes to the lower one
+    assert _ray_ids([1.0 + 2.0**-40], rays) == (0,)
+    # a vertex merged into ray 0 (within 1e-12 of it) but nearer ray 1
+    angles = [0.0, 1e-12, 1.5e-12]
+    assert _ray_ids(angles, [0.0, 1.5e-12]) == (0, 1, 1)
+    for gap in (1e-12 * 1.01, 1e-11, 1e-10, 1e-9):
+        rays = [0.3, 0.3 + gap]
+        angles = [0.3, 0.3 + 0.4 * gap, 0.3 + 0.5 * gap, 0.3 + 0.6 * gap, 0.3 + gap]
+        assert _ray_ids(angles, rays) == _nearest_ray_scan(angles, rays)
+    with pytest.raises(InvalidInputError, match="sorted angle"):
+        _ray_ids([0.5], [0.0, 1.0])
 
 
 def test_angular_order_apex_inside_raises():

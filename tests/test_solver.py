@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovmax.geometry import ConvexPolygon, InvalidInputError
+from fovmax.geometry import ConvexPolygon, InvalidInputError, normalize_angle
 from fovmax.cells import breakpoints, build_cells, cell_descriptor, vertex_partition
 from fovmax.oracle import clip_area_at, grid_scan_max
 from fovmax.solver import (
@@ -237,10 +238,79 @@ def test_bad_opening_raises():
             maximize_global(SMALL_SQUARE, ORIGIN, phi, 8)
 
 
-def test_workers_parity():
-    serial = maximize_global(SMALL_SQUARE, ORIGIN, 0.1, 8)
-    parallel = maximize_global(SMALL_SQUARE, ORIGIN, 0.1, 8, workers=4)
-    assert parallel == serial
+def _exhaustive_solve(poly, apex, phi, prec, domain=None):
+    """Reference for the best-first search: every cell of the scene solved,
+    then solve_scene's reduction rule (max area, ties within 10**-prec to
+    the smallest direction, then the lowest cell index)."""
+    part = vertex_partition(poly, apex)
+    bps = breakpoints(part.sorted_angles, phi, domain)
+    cells = build_cells(poly, apex, part, phi, bps)
+    results = [maximize_cell(c, prec) for c in cells]
+    best = max(r.area for r in results)
+    tie_tol = Precision(prec).xtol
+    win = min(
+        (i for i, r in enumerate(results) if r.area >= best - tie_tol),
+        key=lambda i: (results[i].theta, i),
+    )
+    return win, cells, results
+
+
+def _span_scene(seed, n, frac, window=None):
+    """Random scene whose opening is frac of the polygon's angular span;
+    window = (start, width) as fractions of the admissible domain."""
+    rng = np.random.default_rng(seed)
+    poly = random_convex_polygon(rng, n, rx=float(rng.uniform(0.8, 2.5)))
+    apex = external_apex(rng, poly)
+    first, last = vertex_partition(poly, apex).span()
+    phi = frac * (last - first)
+    domain = None
+    if window is not None:
+        lo, width = first - phi, last - first + phi
+        domain = (lo + window[0] * width, lo + (window[0] + window[1]) * width)
+    return poly, apex, phi, domain
+
+
+def _assert_pruning_keeps_answer(poly, apex, phi, domain, prec=8):
+    res = maximize_global(poly, apex, phi, prec, domain)
+    win, cells, results = _exhaustive_solve(poly, apex, phi, prec, domain)
+    assert res.cell_index == win
+    assert res.theta_star == normalize_angle(results[win].theta)
+    assert res.area == results[win].area
+    slack = 1e-9 * poly.area
+    for cell, r in zip(cells, results):
+        assert r.area <= cell.bound + slack
+    return res, results
+
+
+@pytest.mark.parametrize("with_domain", [False, True])
+@pytest.mark.parametrize("frac_range", [(0.05, 0.25), (0.6, 0.95)], ids=["narrow", "wide"])
+def test_pruning_matches_exhaustive_seeded(frac_range, with_domain):
+    rng = np.random.default_rng(606)
+    for k in range(12):
+        n = int(rng.integers(3, 65))
+        frac = float(rng.uniform(*frac_range))
+        window = (float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.15, 0.4))) if with_domain else None
+        _assert_pruning_keeps_answer(*_span_scene(k, n, frac, window))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 64),
+    frac=st.floats(0.05, 0.95),
+    window=st.none() | st.tuples(st.floats(0.0, 0.6), st.floats(0.15, 0.4)),
+)
+def test_pruning_matches_exhaustive_hypothesis(seed, n, frac, window):
+    _assert_pruning_keeps_answer(*_span_scene(seed, n, frac, window))
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.75], ids=["narrow", "wide"])
+def test_best_first_solves_a_fraction_of_cells_at_n1024(frac):
+    # a count, not a timer: a return to solving every cell fails here
+    poly, apex, phi, _ = _span_scene(1024, 1024, frac)
+    res, results = _assert_pruning_keeps_answer(poly, apex, phi, None)
+    exhaustive = sum(r.candidates_evaluated for r in results)
+    assert res.candidates_evaluated < exhaustive / 4
 
 
 def test_random_scenes_beat_refined_grid(rng):
