@@ -11,6 +11,12 @@ same angles shifted by -phi. Between consecutive breakpoints the covered
 middle area is constant and only the two boundary sections contribute
 moving terms.
 
+Every area comes from one closed form: an edge line at distance d from
+the apex, whose perpendicular points at angle psi, cuts the area
+d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at angles a < b.
+A section, or the part of it a boundary ray cuts off, is its far line's
+cut minus its near line's.
+
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
 special casing; results are mapped back to [0, 2pi) at the solver surface.
@@ -22,15 +28,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
     ConvexPolygon,
     InvalidInputError,
-    Line,
     Point,
     UnsupportedSceneError,
-    shoelace_area,
     vertex_angle,
     wrap_to_pi,
 )
@@ -169,6 +173,7 @@ def section_edges(
 class SectionPartition:
     """Angular sections of a polygon from an outside apex.
 
+    edge_lines[k] is edge k's line as (d**2 / 2, psi) (see _edge_lines).
     area_prefix[j] is the sum of the first j section areas; it serves the
     cell bounds only, since its differences round differently from a
     left-to-right sum over the same sections.
@@ -178,6 +183,7 @@ class SectionPartition:
     vertex_order: Tuple[int, ...]
     near_edges: Tuple[int, ...]
     far_edges: Tuple[int, ...]
+    edge_lines: Tuple[Tuple[float, float], ...]
     section_areas: Tuple[float, ...]
     area_prefix: Tuple[float, ...]
     apex: Point
@@ -188,6 +194,18 @@ class SectionPartition:
 
     def span(self) -> Tuple[float, float]:
         return self.sorted_angles[0], self.sorted_angles[-1]
+
+    def cut(self, j: int, a: float, b: float) -> float:
+        """Area of section j between the rays at angles a and b."""
+        lines = self.edge_lines
+        return _cut(lines[self.far_edges[j]], a, b) - _cut(lines[self.near_edges[j]], a, b)
+
+    def cut_slopes(self, j: int, shift: float) -> List[Tuple[float, float]]:
+        """(w, beta) for section j's far and near lines: the derivative of
+        cut(j, a, theta + shift) in theta is sum(w / cos(theta + beta)**2)."""
+        c_far, psi_far = self.edge_lines[self.far_edges[j]]
+        c_near, psi_near = self.edge_lines[self.near_edges[j]]
+        return [(c_far, shift - psi_far), (-c_near, shift - psi_near)]
 
     def locate(self, gamma: float) -> Optional[int]:
         """Section index whose closed angular range holds gamma, else None."""
@@ -202,52 +220,47 @@ class SectionPartition:
         return min(max(rank - 1, 0), self.num_sections - 1)
 
 
-def _ray_on_line(apex: Point, u: Tuple[float, float], ln: Line) -> Point:
-    ux, uy = u
-    denom = ux * ln.dy - uy * ln.dx
-    if denom == 0.0:
-        raise InvalidInputError("section ray parallel to its edge line")
-    wx, wy = ln.px - apex[0], ln.py - apex[1]
-    t = (wx * ln.dy - wy * ln.dx) / denom
-    return (apex[0] + t * ux, apex[1] + t * uy)
+def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, float], ...]:
+    """(d**2 / 2, psi) for every polygon edge's line: d is its distance
+    from the apex and psi the direction of the perpendicular from the apex
+    to it. Edge k runs from vertex k to vertex k+1."""
+    ax, ay = apex
+    vs = poly.vertices
+    out = []
+    for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
+        ex, ey = qx - px, qy - py
+        d = (ey * (px - ax) - ex * (py - ay)) / math.hypot(ex, ey)
+        psi = math.atan2(-ex, ey)
+        if d < 0.0:
+            d, psi = -d, psi + math.pi
+        out.append((0.5 * d * d, psi))
+    return tuple(out)
 
 
-def _section_area(
-    poly: ConvexPolygon,
-    apex: Point,
-    u0: Tuple[float, float],
-    u1: Tuple[float, float],
-    near_edge: int,
-    far_edge: int,
-) -> float:
-    """Area between the rays with unit directions u0 < u1 and the two edges."""
-    near_ln = poly.edge_line(near_edge)
-    far_ln = poly.edge_line(far_edge)
-    # counter-clockwise ring: out along the low ray, across the far edge,
-    # back along the high ray, home along the near edge
-    quad = (
-        _ray_on_line(apex, u0, near_ln),
-        _ray_on_line(apex, u0, far_ln),
-        _ray_on_line(apex, u1, far_ln),
-        _ray_on_line(apex, u1, near_ln),
-    )
-    return shoelace_area(quad)
+def _cut(line: Tuple[float, float], a: float, b: float) -> float:
+    """Area between the rays at angles a and b and a line (d**2 / 2, psi):
+    d**2 / 2 * (tan(b - psi) - tan(a - psi)), written without the
+    cancellation of the two tangents."""
+    c, psi = line
+    return c * math.sin(b - a) / (math.cos(a - psi) * math.cos(b - psi))
 
 
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     """Full partition: sorted rays, per-section edges and section areas."""
     order = angular_order(poly, apex)
     near_edges, far_edges = section_edges(poly, apex, order)
-    units = [(math.cos(a), math.sin(a)) for a in order.sorted_angles]
+    lines = _edge_lines(poly, apex)
+    rays = order.sorted_angles
     areas = tuple(
-        _section_area(poly, apex, units[j], units[j + 1], near_edges[j], far_edges[j])
-        for j in range(len(near_edges))
+        _cut(lines[far], a, b) - _cut(lines[near], a, b)
+        for near, far, a, b in zip(near_edges, far_edges, rays, rays[1:])
     )
     return SectionPartition(
-        sorted_angles=order.sorted_angles,
+        sorted_angles=rays,
         vertex_order=order.vertex_order,
         near_edges=near_edges,
         far_edges=far_edges,
+        edge_lines=lines,
         section_areas=areas,
         area_prefix=tuple(accumulate(areas, initial=0.0)),
         apex=(float(apex[0]), float(apex[1])),
@@ -291,31 +304,13 @@ def breakpoints(
 
 
 def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> StaticWedge:
-    """StaticWedge backed by section j's near and far edge lines."""
+    """StaticWedge backed by section j's near and far edge lines: the
+    paper's A_theta(phi) for the section. The solve path does not use it."""
     return wedge_from_lines(
         part.apex,
         poly.edge_line(part.far_edges[j]),
         poly.edge_line(part.near_edges[j]),
     )
-
-
-@dataclass(eq=False, slots=True)
-class CellScene:
-    """What the cells of one scene share: the scene itself, its partition
-    and the section wedges built so far. A section's wedge is built when a
-    cell first asks for it, so sections of unsolved cells cost nothing."""
-
-    poly: ConvexPolygon
-    apex: Point
-    part: SectionPartition
-    opening: float
-    _wedges: Dict[int, StaticWedge] = field(default_factory=dict, init=False, repr=False)
-
-    def wedge(self, j: int) -> StaticWedge:
-        w = self._wedges.get(j)
-        if w is None:
-            w = self._wedges[j] = section_wedge(self.poly, self.part, j)
-        return w
 
 
 @dataclass(eq=False, slots=True)
@@ -326,32 +321,20 @@ class RotationCell:
     boundary ray for interior directions (None when that ray is outside
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. middle_area
-    is the constant area of fully covered sections. bound is an upper
-    bound on the cell's area: the intersection never leaves the sections
-    the cell touches. The cell carries its scene (polygon, apex, opening)
-    so it can be solved standalone; its wedges and middle area are worked
-    out on first use.
+    is the constant area of fully covered sections, summed on first use.
+    bound is an upper bound on the cell's area: the intersection never
+    leaves the sections the cell touches. The cell carries the scene's
+    partition and the opening, so it can be solved standalone.
     """
 
     interval: Tuple[float, float]
     right_section: Optional[int]
     left_section: Optional[int]
     bound: float
-    scene: CellScene = field(repr=False)
+    part: SectionPartition = field(repr=False)
+    opening: float
     empty: bool = False
     _middle: Optional[float] = field(default=None, init=False, repr=False)
-
-    @property
-    def poly(self) -> ConvexPolygon:
-        return self.scene.poly
-
-    @property
-    def apex(self) -> Point:
-        return self.scene.apex
-
-    @property
-    def opening(self) -> float:
-        return self.scene.opening
 
     @property
     def middle_area(self) -> float:
@@ -360,27 +343,19 @@ class RotationCell:
             if self.empty or (r is not None and r == l):
                 self._middle = 0.0
             else:
-                part = self.scene.part
-                self._middle = sum(part.section_areas[slice(*_covered(part, r, l))])
+                start, stop = _covered(self.part, r, l)
+                self._middle = sum(self.part.section_areas[start:stop])
         return self._middle
-
-    @property
-    def right_wedge(self) -> Optional[StaticWedge]:
-        return None if self.right_section is None else self.scene.wedge(self.right_section)
-
-    @property
-    def left_wedge(self) -> Optional[StaticWedge]:
-        return None if self.left_section is None else self.scene.wedge(self.left_section)
 
     @property
     def right_section_end(self) -> Optional[float]:
         r = self.right_section
-        return None if r is None else self.scene.part.sorted_angles[r + 1]
+        return None if r is None else self.part.sorted_angles[r + 1]
 
     @property
     def left_section_start(self) -> Optional[float]:
         l = self.left_section
-        return None if l is None else self.scene.part.sorted_angles[l]
+        return None if l is None else self.part.sorted_angles[l]
 
 
 def _covered(part: SectionPartition, right_sec: Optional[int], left_sec: Optional[int]) -> Tuple[int, int]:
@@ -391,17 +366,17 @@ def _covered(part: SectionPartition, right_sec: Optional[int], left_sec: Optiona
 
 
 def _make_cell(
-    scene: CellScene,
+    part: SectionPartition,
+    phi: float,
     interval: Tuple[float, float],
     probe: float,
     right_sec: Optional[int],
     left_sec: Optional[int],
 ) -> RotationCell:
-    part = scene.part
     if right_sec is None and left_sec is None:
         first, last = part.span()
-        if not (probe < first and probe + scene.opening > last):
-            return RotationCell(interval, None, None, 0.0, scene, empty=True)
+        if not (probe < first and probe + phi > last):
+            return RotationCell(interval, None, None, 0.0, part, phi, empty=True)
     areas = part.section_areas
     if right_sec is not None and right_sec == left_sec:
         bound = areas[right_sec]
@@ -412,7 +387,7 @@ def _make_cell(
             bound += areas[right_sec]
         if left_sec is not None:
             bound += areas[left_sec]
-    return RotationCell(interval, right_sec, left_sec, bound, scene)
+    return RotationCell(interval, right_sec, left_sec, bound, part, phi)
 
 
 def cell_descriptor(
@@ -426,15 +401,14 @@ def cell_descriptor(
 
     Inside a cell the structure is constant, so one interior probe settles
     which sections hold the boundary rays and which are fully covered; the
-    covered ones contribute a constant middle area.
+    covered ones contribute a constant middle area. The partition carries
+    everything the cell needs from poly and apex.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise InvalidInputError("cell interval must have positive width")
     probe = 0.5 * (lo + hi)
-    return _make_cell(
-        CellScene(poly, apex, part, phi), (lo, hi), probe, part.locate(probe), part.locate(probe + phi)
-    )
+    return _make_cell(part, phi, (lo, hi), probe, part.locate(probe), part.locate(probe + phi))
 
 
 def build_cells(
@@ -449,7 +423,6 @@ def build_cells(
     The probes rise from cell to cell, so one pointer per boundary ray
     walks the sorted rays once instead of bisecting for every cell.
     """
-    scene = CellScene(poly, apex, part, phi)
     angles = part.sorted_angles
     m = len(angles)
     r = l = 0  # rays at or below the right / left probe
@@ -466,7 +439,8 @@ def build_cells(
             l += 1
         cells.append(
             _make_cell(
-                scene,
+                part,
+                phi,
                 (lo, hi),
                 probe,
                 part._section_at(probe, r),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import json
+import math
 import sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -105,7 +106,9 @@ def _parse_domain_flag(text: str) -> Tuple[float, float]:
         raise InvalidInputError("domain flag must be two comma-separated radians: a,b")
 
 
-def _solve(args) -> Tuple[dict, "ConvexPolygon", Tuple[float, float], float, object]:
+def _solve(args) -> Tuple[dict, "ConvexPolygon", Tuple[float, float], float, object, object]:
+    """Solve (or, with --at-theta, evaluate) the scenario; the direction
+    domain is resolved here once, the flag before the scenario's."""
     scenario = load_scenario(args.scenario)
     poly = ConvexPolygon(scenario["polygon"])
     apex = scenario["apex"]
@@ -132,7 +135,7 @@ def _solve(args) -> Tuple[dict, "ConvexPolygon", Tuple[float, float], float, obj
     if not args.no_breakpoints:
         record["breakpoints"] = [float(b) for b in details.breakpoints]
     record["runtime_ms"] = runtime_ms
-    return record, poly, apex, phi, details
+    return record, poly, apex, phi, domain, details
 
 
 def _evaluate_fixed(poly, apex, phi, theta, domain):
@@ -160,18 +163,11 @@ def _evaluate_fixed(poly, apex, phi, theta, domain):
 
 
 def run_solve(args) -> int:
-    record, poly, apex, phi, details = _solve(args)
+    record, poly, apex, phi, domain, _ = _solve(args)
     code = 0
     if args.verify:
-        scan = grid_scan_max(
-            poly,
-            apex,
-            phi,
-            step=args.oracle_step,
-            refine_rounds=3,
-            domain=_parse_domain_flag(args.domain) if args.domain else None,
-        )
-        delta_theta = abs(record["theta_star"] - scan.best_theta)
+        scan = grid_scan_max(poly, apex, phi, step=args.oracle_step, refine_rounds=3, domain=domain)
+        delta_theta = abs(math.remainder(record["theta_star"] - scan.best_theta, 2.0 * math.pi))
         delta_area = abs(record["area"] - scan.best_area)
         record["verify"] = {
             "oracle_theta": scan.best_theta,
@@ -186,7 +182,7 @@ def run_solve(args) -> int:
 
 
 def run_render(args) -> int:
-    record, poly, apex, phi, details = _solve(args)
+    record, poly, apex, phi, _, details = _solve(args)
     svg = render_svg(
         poly,
         apex,

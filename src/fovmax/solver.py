@@ -4,40 +4,41 @@ Within one rotation cell the objective is
 
     f(theta) = middle_area + right_term(theta) + left_term(theta)
 
-where the moving terms are closed-form wedge areas of the boundary
-sections. The cell is split into chunks no wider than the opening, each
-chunk is rewritten as anchor area plus left sliver minus right sliver, the
-slivers' analytic opening-extrema bound the derivative's sign changes, and
-a bracketed Newton iteration polishes each root to the requested number of
-digits. Near-singular closed-form evaluations (boundary rays through
-polygon vertices) fall back to direct clipping. Cells are solved best
-first by an upper bound on their area, and the search stops once no
-remaining cell can come within the tie tolerance of the best area found.
-The global maximum is the best cell result; ties within the area
-tolerance resolve to the smallest direction.
+where each moving term is a boundary section's far-line cut minus its
+near-line cut, d**2/2 * (tan(b - psi) - tan(a - psi)) between the section
+ray and the sector's boundary ray (see cells). Its derivative is
+f'(theta) = sum_k w_k / cos(theta + beta_k)**2 with at most four terms,
+and its sign is that of a polynomial of degree at most 6 in
+tan(theta - mid), so a cell has at most 6 critical points. They are
+isolated exactly by recursing on the polynomial's derivatives and
+polished by a bracketed Newton iteration on the true f' to the requested
+number of digits; there is no chunking and no clipping fallback. Cells
+are solved best first by an upper bound on their area, and the search
+stops once no remaining cell can come within the tie tolerance
+(10**-digits times the polygon area) of the best area found. The global
+maximum is the best cell result; ties within that tolerance resolve to
+the smallest direction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .geometry import (
     ConvexPolygon,
     InvalidInputError,
-    NearSingularError,
     Point,
     Sector,
-    TWO_PI,
     normalize_angle,
     overlap_interval,
     sector_clip,
 )
 from .cells import RotationCell, SectionPartition, breakpoints, build_cells, vertex_partition
-from .wedge import CellPieces, _area_raw, opening_extrema, rotation_pieces
+# not used here: perfbench/spans.py wraps these names in traced runs
+from .wedge import opening_extrema, rotation_pieces  # noqa: F401
 
-_TINY_OPENING = 1e-13
 _MIN_WIDTH = 1e-12
 _BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
 
@@ -116,10 +117,7 @@ def _bracketed_newton(
             return 0.5 * (lo + hi), hi - lo, it
         nxt = None
         if gprime is not None:
-            try:
-                d = gprime(x)
-            except NearSingularError:
-                d = 0.0
+            d = gprime(x)
             if d != 0.0 and math.isfinite(d):
                 step = gx / d
                 cand = x - step
@@ -153,41 +151,118 @@ def safeguarded_root(
 
 
 def objective_by_clipping(poly: ConvexPolygon, apex: Point, theta: float, phi: float) -> float:
-    """Reference objective by sector clipping; the fallback evaluator."""
+    """Reference objective by sector clipping."""
     clipped = sector_clip(poly, Sector(apex, theta, phi))
     return 0.0 if clipped is None else clipped.area
 
 
 def cell_objective(cell: RotationCell, theta: float) -> float:
-    """Objective inside a cell, analytic with clipping fallback."""
+    """Objective inside a cell: the middle area plus the closed-form parts
+    of the boundary sections the sector's rays cut."""
     if cell.empty:
         return 0.0
-    try:
-        return _cell_objective_analytic(cell, theta)
-    except NearSingularError:
-        return objective_by_clipping(cell.poly, cell.apex, theta, cell.opening)
-
-
-def _cell_objective_analytic(cell: RotationCell, theta: float) -> float:
-    phi = cell.opening
-    if cell.right_section is not None and cell.right_section == cell.left_section:
-        return _area_raw(cell.right_wedge, theta, phi)
+    part, phi = cell.part, cell.opening
+    r, l = cell.right_section, cell.left_section
+    if r is not None and r == l:
+        return part.cut(r, theta, theta + phi)
     total = cell.middle_area
-    if cell.right_section is not None:
-        opening = cell.right_section_end - theta
-        if opening > _TINY_OPENING:
-            total += _area_raw(cell.right_wedge, theta, opening)
-    if cell.left_section is not None:
-        opening = theta + phi - cell.left_section_start
-        if opening > _TINY_OPENING:
-            total += _area_raw(cell.left_wedge, cell.left_section_start, opening)
+    if r is not None:
+        total += part.cut(r, theta, cell.right_section_end)
+    if l is not None:
+        total += part.cut(l, cell.left_section_start, theta + phi)
     return total
 
 
-def _cell_pieces(cell: RotationCell, theta0: float, base: float) -> CellPieces:
-    if cell.right_section is not None and cell.right_section == cell.left_section:
-        return rotation_pieces(cell.right_wedge, cell.right_wedge, theta0, cell.opening, base)
-    return rotation_pieces(cell.left_wedge, cell.right_wedge, theta0, cell.opening, base)
+def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
+    """(w, beta) pairs with f'(theta) = sum of w / cos(theta + beta)**2,
+    one far/near pair per moving boundary ray.
+
+    The left ray at theta + phi ends its section's cut; the right ray at
+    theta starts its section's cut, so its derivative enters negated. A
+    single-section cell has both rays in one section and so all four terms.
+    """
+    part = cell.part
+    terms = []
+    if cell.right_section is not None:
+        terms += [(-w, beta) for w, beta in part.cut_slopes(cell.right_section, 0.0)]
+    if cell.left_section is not None:
+        terms += part.cut_slopes(cell.left_section, cell.opening)
+    return terms
+
+
+def _pmul(p: List[float], q: List[float]) -> List[float]:
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _horner(p: List[float], x: float) -> float:
+    v = 0.0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _slope_polynomial(terms: List[Tuple[float, float]], mid: float) -> List[float]:
+    """Coefficients, constant first, of a polynomial in t = tan(theta - mid)
+    with the sign of f'(theta) wherever |theta - mid| < pi/2.
+
+    cos(theta + beta) = cos(theta - mid) * (cos(a) - t sin(a)) with
+    a = mid + beta, so f' times cos(theta - mid)**2 times every
+    q_k = (cos(a_k) - t sin(a_k))**2, all positive inside a cell, is
+    sum_k w_k prod_{j != k} q_j. Per far/near pair that is A = w_0 q_1 +
+    w_1 q_0 over Q = q_0 q_1, and two pairs give A_0 Q_1 + A_1 Q_0.
+    """
+    pairs = []
+    for (w0, b0), (w1, b1) in zip(terms[::2], terms[1::2]):
+        q0, q1 = (
+            [math.cos(a) ** 2, -math.sin(2.0 * a), math.sin(a) ** 2] for a in (mid + b0, mid + b1)
+        )
+        pairs.append(([w0 * x + w1 * y for x, y in zip(q1, q0)], _pmul(q0, q1)))
+    if len(pairs) == 1:
+        return pairs[0][0]
+    (a0, s0), (a1, s1) = pairs
+    return [x + y for x, y in zip(_pmul(a0, s1), _pmul(a1, s0))]
+
+
+def _sign_changes(p: List[float], nodes: List[float]) -> List[Tuple[float, float, float, float]]:
+    """(a, b, p(a), p(b)) for consecutive nodes across which p changes sign;
+    nodes where p is exactly 0 are skipped, so a root there is still
+    bracketed by its neighbours."""
+    out = []
+    prev = None
+    for x in nodes:
+        v = _horner(p, x)
+        if v == 0.0:
+            continue
+        if prev is not None and (v > 0.0) != (prev[1] > 0.0):
+            out.append((prev[0], x, prev[1], v))
+        prev = (x, v)
+    return out
+
+
+def _monotone_nodes(p: List[float], lo: float, hi: float) -> List[float]:
+    """lo, the real roots of p' inside (lo, hi), and hi, ascending.
+
+    p is monotone between consecutive nodes, so each of its sign changes
+    there brackets exactly one root. The roots of p' come the same way
+    from the roots of p'', down to a linear derivative (Collins and Loos,
+    Real zeros of polynomials, 1982).
+    """
+    dp = [k * c for k, c in enumerate(p)][1:]
+    if len(dp) < 2:
+        return [lo, hi]
+    ddp = [k * c for k, c in enumerate(dp)][1:]
+    tol = 1e-13 * (hi - lo)
+    roots = []
+    for a, b, va, vb in _sign_changes(dp, _monotone_nodes(dp, lo, hi)):
+        res = _bracketed_newton(
+            lambda t: _horner(dp, t), lambda t: _horner(ddp, t), a, b, tol, va, vb
+        )
+        roots.append(res[0])
+    return [lo] + roots + [hi]
 
 
 @dataclass(frozen=True)
@@ -201,11 +276,14 @@ class CellBest:
 def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     """Best direction inside one cell.
 
-    Chunks wider than the opening are subdivided; per chunk, the analytic
-    opening-extrema of both slivers (at most four) split it into at most
-    five subintervals, a safeguarded Newton run resolves each derivative
-    sign change, and the best of roots, split points and chunk endpoints
-    wins. Ties go to the smallest direction.
+    The sign of f' is the sign of a polynomial of degree at most 6 in
+    tan(theta - mid), so the cell has at most 6 critical points. Each sign
+    change of the polynomial, isolated exactly, maps back to a bracket in
+    theta, and a safeguarded Newton run on the true f' polishes its root.
+    When rounding erases the sign change of f' at the mapped ends, the end
+    at the polynomial's root (where the two signs disagree) stands in for
+    it. The best of the roots and the two cell ends wins; ties go to the
+    smallest direction.
     """
     precision = _as_precision(prec)
     lo, hi = cell.interval
@@ -217,86 +295,36 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
             theta=lo, area=cell.middle_area, candidates_evaluated=1, achieved_bracket=0.0
         )
 
-    width = hi - lo
-    chunk_count = max(1, math.ceil(width / cell.opening))
-    chunk_len = width / chunk_count
+    terms = _slope_terms(cell)
 
-    best_theta = lo
-    best_area = -math.inf
-    best_bracket = 0.0
-    evaluated = 0
+    def slope(theta: float) -> float:
+        return sum(w / math.cos(theta + beta) ** 2 for w, beta in terms)
 
-    def consider(theta: float, area: float, bracket: float) -> None:
-        nonlocal best_theta, best_area, best_bracket
+    def curvature(theta: float) -> float:
+        return sum(2.0 * w * math.tan(theta + b) / math.cos(theta + b) ** 2 for w, b in terms)
+
+    candidates = [(lo, 0.0), (hi, 0.0)]
+    mid = 0.5 * (lo + hi)
+    p = _slope_polynomial(terms, mid)
+    for a, b, pa, _ in _sign_changes(p, _monotone_nodes(p, math.tan(lo - mid), math.tan(hi - mid))):
+        ta = min(max(mid + math.atan(a), lo), hi)
+        tb = min(max(mid + math.atan(b), lo), hi)
+        ga, gb = slope(ta), slope(tb)
+        res = _bracketed_newton(slope, curvature, ta, tb, precision.xtol, ga, gb)
+        if res is None:
+            candidates.append((ta if (ga > 0.0) != (pa > 0.0) else tb, 0.0))
+        else:
+            candidates.append(res[:2])
+
+    best_theta, best_area, best_bracket = lo, -math.inf, 0.0
+    for theta, bracket in candidates:
+        area = cell_objective(cell, theta)
         if area > best_area or (area == best_area and theta < best_theta):
             best_theta, best_area, best_bracket = theta, area, bracket
-
-    for ci in range(chunk_count):
-        c0 = lo + ci * chunk_len
-        c1 = hi if ci == chunk_count - 1 else c0 + chunk_len
-        length = c1 - c0
-        base = cell_objective(cell, c0)
-        evaluated += 1
-        consider(c0, base, 0.0)
-
-        pieces = _cell_pieces(cell, c0, base)
-
-        knots: List[float] = []
-        if pieces.left is not None:
-            ex = opening_extrema(pieces.left, c0 + cell.opening, phi_window=(0.0, length))
-            knots.extend(ex.values())
-        if pieces.right is not None:
-            ex = opening_extrema(pieces.right, c0, phi_window=(0.0, length))
-            knots.extend(ex.values())
-        knots = sorted(set(knots))
-
-        def e_val(delta: float) -> float:
-            try:
-                return pieces.evaluate(delta)
-            except NearSingularError:
-                return objective_by_clipping(cell.poly, cell.apex, c0 + delta, cell.opening)
-
-        def e_prime(delta: float) -> float:
-            try:
-                return pieces.derivative(delta)
-            except NearSingularError:
-                inset = 1e-9 * max(length, 1.0)
-                d = delta + (inset if delta < 0.5 * length else -inset)
-                return pieces.derivative(d)
-
-        for k in knots:
-            evaluated += 1
-            consider(c0 + k, e_val(k), 0.0)
-        evaluated += 1
-        consider(c1, e_val(length), 0.0)
-
-        nodes = [0.0] + knots + [length]
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            if b - a <= _MIN_WIDTH:
-                continue
-            try:
-                ga = e_prime(a)
-                gb = e_prime(b)
-            except NearSingularError:
-                continue
-            if (ga > 0.0) == (gb > 0.0) and ga != 0.0 and gb != 0.0:
-                continue
-            try:
-                res = _bracketed_newton(
-                    e_prime, pieces.second_derivative, a, b, precision.xtol, ga, gb
-                )
-            except NearSingularError:
-                continue
-            if res is None:
-                continue
-            root, bracket_width, _ = res
-            evaluated += 1
-            consider(c0 + root, e_val(root), bracket_width)
-
     return CellBest(
         theta=best_theta,
         area=best_area,
-        candidates_evaluated=evaluated,
+        candidates_evaluated=len(candidates),
         achieved_bracket=best_bracket,
     )
 
@@ -359,7 +387,7 @@ def solve_scene(
     # best first: a cell whose bound (plus rounding slack) lies below the
     # incumbent by more than the tie tolerance can neither win nor tie, and
     # neither can any cell after it in descending bound order
-    tie_tol = precision.xtol
+    tie_tol = precision.xtol * poly.area
     slack = _BOUND_SLACK * poly.area
     results = {}
     best_area = -math.inf

@@ -15,6 +15,7 @@ from fovmax.cells import (
     build_cells,
     cell_descriptor,
     section_edges,
+    section_wedge,
     vertex_partition,
 )
 from fovmax.oracle import clip_area_at
@@ -185,7 +186,6 @@ def test_cell_descriptor_single_section(square_partition):
     )
     assert cell.right_section == cell.left_section == 0
     assert cell.middle_area == 0.0
-    assert cell.right_wedge is cell.left_wedge
 
 
 def test_cell_descriptor_left_ray_outside(square_partition):
@@ -222,17 +222,19 @@ def test_cells_tile_admissible_domain(square_partition):
         assert all(c.interval[1] > c.interval[0] for c in cells)
 
 
-def _moving_area(cell, theta):
+def _moving_area(poly, part, cell, theta):
+    # the boundary sections' parts from the wedge closed form, independent
+    # of the tan form the cells and the solver use
     phi = cell.opening
-    if cell.right_section is not None and cell.left_section == cell.right_section:
-        return _area_raw(cell.right_wedge, theta, phi)
+    r, l = cell.right_section, cell.left_section
+    if r is not None and l == r:
+        return _area_raw(section_wedge(poly, part, r), theta, phi)
     total = 0.0
-    if cell.right_section is not None:
-        total += _area_raw(cell.right_wedge, theta, cell.right_section_end - theta)
-    if cell.left_section is not None:
-        total += _area_raw(
-            cell.left_wedge, cell.left_section_start, theta + phi - cell.left_section_start
-        )
+    if r is not None:
+        total += _area_raw(section_wedge(poly, part, r), theta, cell.right_section_end - theta)
+    if l is not None:
+        start = cell.left_section_start
+        total += _area_raw(section_wedge(poly, part, l), start, theta + phi - start)
     return total
 
 
@@ -251,7 +253,7 @@ def test_middle_area_constant_per_cell(rng):
             for u in rng.uniform(0.02, 0.98, size=10):
                 theta = lo + (hi - lo) * float(u)
                 clip = clip_area_at(poly, apex, theta, phi)
-                assert clip - _moving_area(cell, theta) == pytest.approx(
+                assert clip - _moving_area(poly, part, cell, theta) == pytest.approx(
                     cell.middle_area, abs=1e-8
                 )
 

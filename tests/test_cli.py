@@ -107,6 +107,27 @@ def test_verify_agrees(tmp_path, capsys):
     assert verify["delta_area"] <= 1e-6 * verify["oracle_area"]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"domain": [0.0, 0.5]},
+        # straddles the 0/2pi seam: the solver reports 2pi - 0.3, the
+        # oracle -0.3
+        {"polygon": [[1, -0.5], [2, -0.5], [2, 0.5], [1, 0.5]], "domain": [-0.6, -0.3]},
+    ],
+    ids=["square", "seam"],
+)
+def test_verify_uses_scenario_domain(tmp_path, capsys, overrides):
+    # the scenario's domain excludes the global optimum; the oracle must
+    # scan the same domain the solver searched
+    path = write_scenario(tmp_path, **overrides)
+    code, out, _ = run_main(capsys, ["solve", path, "--verify"])
+    assert code == 0
+    verify = json.loads(out)["verify"]
+    assert verify["delta_theta"] < 1e-3
+    assert verify["delta_area"] <= 1e-6 * verify["oracle_area"]
+
+
 def test_verify_flags_suboptimal_direction(tmp_path, capsys):
     # pinning theta far from the optimum must trip the cross-check
     path = write_scenario(tmp_path)
