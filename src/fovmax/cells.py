@@ -17,6 +17,11 @@ d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at angles a < b.
 A section, or the part of it a boundary ray cuts off, is its far line's
 cut minus its near line's.
 
+build_cells returns the cells as a CellTable: flat per-scene lists of
+each cell's interval, boundary sections, area bound and empty flag.
+Indexing it builds a RotationCell on demand, so the solver, which reads
+the bounds first, builds objects only for the cells it visits.
+
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
 special casing; results are mapped back to [0, 2pi) at the solver surface.
@@ -25,7 +30,7 @@ special casing; results are mapped back to [0, 2pi) at the solver surface.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -207,18 +212,6 @@ class SectionPartition:
         c_near, psi_near = self.edge_lines[self.near_edges[j]]
         return [(c_far, shift - psi_far), (-c_near, shift - psi_near)]
 
-    def locate(self, gamma: float) -> Optional[int]:
-        """Section index whose closed angular range holds gamma, else None."""
-        return self._section_at(gamma, bisect_right(self.sorted_angles, gamma))
-
-    def _section_at(self, gamma: float, rank: int) -> Optional[int]:
-        """locate(gamma), given rank = the number of rays at or below gamma."""
-        if gamma < self.sorted_angles[0] - _ANGLE_MERGE:
-            return None
-        if gamma > self.sorted_angles[-1] + _ANGLE_MERGE:
-            return None
-        return min(max(rank - 1, 0), self.num_sections - 1)
-
 
 def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, float], ...]:
     """(d**2 / 2, psi) for every polygon edge's line: d is its distance
@@ -343,7 +336,9 @@ class RotationCell:
             if self.empty or (r is not None and r == l):
                 self._middle = 0.0
             else:
-                start, stop = _covered(self.part, r, l)
+                # the sections strictly between the boundary rays
+                start = 0 if r is None else r + 1
+                stop = self.part.num_sections if l is None else l
                 self._middle = sum(self.part.section_areas[start:stop])
         return self._middle
 
@@ -358,38 +353,6 @@ class RotationCell:
         return None if l is None else self.part.sorted_angles[l]
 
 
-def _covered(part: SectionPartition, right_sec: Optional[int], left_sec: Optional[int]) -> Tuple[int, int]:
-    """Start and stop of the sections strictly between the boundary rays."""
-    start = 0 if right_sec is None else right_sec + 1
-    stop = part.num_sections if left_sec is None else left_sec
-    return start, stop
-
-
-def _make_cell(
-    part: SectionPartition,
-    phi: float,
-    interval: Tuple[float, float],
-    probe: float,
-    right_sec: Optional[int],
-    left_sec: Optional[int],
-) -> RotationCell:
-    if right_sec is None and left_sec is None:
-        first, last = part.span()
-        if not (probe < first and probe + phi > last):
-            return RotationCell(interval, None, None, 0.0, part, phi, empty=True)
-    areas = part.section_areas
-    if right_sec is not None and right_sec == left_sec:
-        bound = areas[right_sec]
-    else:
-        start, stop = _covered(part, right_sec, left_sec)
-        bound = part.area_prefix[stop] - part.area_prefix[start]
-        if right_sec is not None:
-            bound += areas[right_sec]
-        if left_sec is not None:
-            bound += areas[left_sec]
-    return RotationCell(interval, right_sec, left_sec, bound, part, phi)
-
-
 def cell_descriptor(
     poly: ConvexPolygon,
     apex: Point,
@@ -397,7 +360,8 @@ def cell_descriptor(
     phi: float,
     interval: Tuple[float, float],
 ) -> RotationCell:
-    """Classify one breakpoint interval by probing its midpoint.
+    """Classify one breakpoint interval, wider than 1e-12 rad, as
+    build_cells classifies it: by probing its midpoint.
 
     Inside a cell the structure is constant, so one interior probe settles
     which sections hold the boundary rays and which are fully covered; the
@@ -405,10 +369,41 @@ def cell_descriptor(
     everything the cell needs from poly and apex.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise InvalidInputError("cell interval must have positive width")
-    probe = 0.5 * (lo + hi)
-    return _make_cell(part, phi, (lo, hi), probe, part.locate(probe), part.locate(probe + phi))
+    if not hi - lo > _ANGLE_MERGE:
+        raise InvalidInputError("cell interval must be wider than 1e-12 rad")
+    return build_cells(poly, apex, part, phi, (lo, hi))[0]
+
+
+class CellTable(Sequence[RotationCell]):
+    """The cells of one scene as flat per-scene lists, one entry per cell:
+    interval, right and left section, bound and empty flag. Indexing and
+    iteration build RotationCell objects on demand, so a solver that reads
+    the bounds first builds objects only for the cells it visits."""
+
+    def __init__(self, part: SectionPartition, opening: float) -> None:
+        self.part = part
+        self.opening = opening
+        self.interval: List[Tuple[float, float]] = []
+        self.right: List[Optional[int]] = []
+        self.left: List[Optional[int]] = []
+        self.bound: List[float] = []
+        self.empty: List[bool] = []
+
+    def __len__(self) -> int:
+        return len(self.interval)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return RotationCell(
+            self.interval[i],
+            self.right[i],
+            self.left[i],
+            self.bound[i],
+            self.part,
+            self.opening,
+            self.empty[i],
+        )
 
 
 def build_cells(
@@ -417,7 +412,7 @@ def build_cells(
     part: SectionPartition,
     phi: float,
     bps: Sequence[float],
-) -> List[RotationCell]:
+) -> CellTable:
     """Cells for every positive-width consecutive breakpoint pair.
 
     The probes rise from cell to cell, so one pointer per boundary ray
@@ -425,8 +420,14 @@ def build_cells(
     """
     angles = part.sorted_angles
     m = len(angles)
+    first, last = angles[0], angles[-1]
+    low, high = first - _ANGLE_MERGE, last + _ANGLE_MERGE
+    top = m - 2  # the last section
+    areas, prefix = part.section_areas, part.area_prefix
     r = l = 0  # rays at or below the right / left probe
-    cells = []
+    table = CellTable(part, phi)
+    interval, right, left = table.interval, table.right, table.left
+    bound, empty = table.bound, table.empty
     for i in range(len(bps) - 1):
         lo, hi = float(bps[i]), float(bps[i + 1])
         if not hi - lo > _ANGLE_MERGE:
@@ -437,14 +438,27 @@ def build_cells(
             r += 1
         while l < m and angles[l] <= left_probe:
             l += 1
-        cells.append(
-            _make_cell(
-                part,
-                phi,
-                (lo, hi),
-                probe,
-                part._section_at(probe, r),
-                part._section_at(left_probe, l),
-            )
-        )
-    return cells
+        # the section whose closed range holds each ray, None outside the span
+        rs = min(max(r - 1, 0), top) if low <= probe <= high else None
+        ls = min(max(l - 1, 0), top) if low <= left_probe <= high else None
+        # the middle from prefix sums plus the whole of each boundary section
+        e = False
+        if rs is None:
+            if ls is not None:
+                b = prefix[ls] + areas[ls]
+            elif probe < first and left_probe > last:
+                b = prefix[-1]
+            else:
+                b, e = 0.0, True
+        elif ls is None:
+            b = prefix[-1] - prefix[rs + 1] + areas[rs]
+        elif rs == ls:
+            b = areas[rs]
+        else:
+            b = prefix[ls] - prefix[rs + 1] + areas[rs] + areas[ls]
+        interval.append((lo, hi))
+        right.append(rs)
+        left.append(ls)
+        bound.append(b)
+        empty.append(e)
+    return table

@@ -21,7 +21,13 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import ConvexPolygon, InvalidInputError, UnsupportedSceneError
+from .geometry import (
+    TWO_PI,
+    ConvexPolygon,
+    InvalidInputError,
+    UnsupportedSceneError,
+    overlap_interval,
+)
 from .cells import breakpoints as compute_breakpoints
 from .cells import vertex_partition
 from .oracle import grid_scan_max
@@ -139,15 +145,23 @@ def _solve(args) -> Tuple[dict, "ConvexPolygon", Tuple[float, float], float, obj
 
 
 def _evaluate_fixed(poly, apex, phi, theta, domain):
-    """Fixed-direction evaluation: clip area plus the cell the direction hits."""
+    """Fixed-direction evaluation: clip area plus the cell the direction hits.
+
+    The domain is resolved as solve_scene resolves it, and theta is moved
+    by whole turns into the breakpoints' range, so every spelling of one
+    direction lands in the same cell.
+    """
     part = vertex_partition(poly, apex)
-    dom = None
+    first, last = part.span()
+    dom = (first - phi, last)
     if domain is not None:
-        dom = (float(domain[0]), float(domain[1]))
-    bps = compute_breakpoints(part.sorted_angles, phi, domain=dom)
+        dom = overlap_interval(dom, (float(domain[0]), float(domain[1])))
+    bps = [] if dom is None else compute_breakpoints(part.sorted_angles, phi, domain=dom)
     cell_index = -2
-    if len(bps) >= 2 and bps[0] <= theta <= bps[-1]:
-        cell_index = min(max(bisect.bisect_right(bps, theta) - 1, 0), len(bps) - 2)
+    if len(bps) >= 2:
+        turned = bps[0] + (theta - bps[0]) % TWO_PI
+        if turned <= bps[-1]:
+            cell_index = min(max(bisect.bisect_right(bps, turned) - 1, 0), len(bps) - 2)
     area = objective_by_clipping(poly, apex, theta, phi)
     record = {
         "theta_star": theta,

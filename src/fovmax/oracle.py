@@ -21,7 +21,11 @@ import numpy as np
 
 from .geometry import ConvexPolygon, Point, angular_span, overlap_interval
 
-_CHUNK = 8192
+# Polygon vertices times directions clipped in one batch. The second clip
+# pads every direction to 4n points, so a batch's largest array holds
+# 8 * _CHUNK_ELEMENTS floats (2 MiB) whatever n is; on a 2-vCPU Xeon,
+# 2**15 scanned fastest of 2**14..2**18 at n = 8, 64, 1024 and 4096.
+_CHUNK_ELEMENTS = 1 << 15
 _SIDE_EPS = 1e-12
 
 
@@ -86,13 +90,19 @@ def _sector_areas(verts: np.ndarray, apex: Point, thetas: np.ndarray, phi: float
     return _shoelace_batch(stage)
 
 
+def _chunk(n: int) -> int:
+    """Directions per clipping batch for an n-vertex polygon."""
+    return max(1, _CHUNK_ELEMENTS // n)
+
+
 def sweep_areas(poly: ConvexPolygon, apex: Point, thetas, phi: float) -> np.ndarray:
     """Clip areas of poly against sectors (apex, theta, phi) for each theta."""
     verts = np.asarray(poly.vertices, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64).ravel()
     out = np.empty(thetas.shape[0], dtype=np.float64)
-    for start in range(0, thetas.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, thetas.shape[0])
+    size = _chunk(len(verts))
+    for start in range(0, thetas.shape[0], size):
+        stop = min(start + size, thetas.shape[0])
         out[start:stop] = _sector_areas(verts, apex, thetas[start:stop], phi)
     return out
 
@@ -144,8 +154,9 @@ def grid_scan_max(
 
     best_theta = float(thetas[0])
     best_area = -1.0
-    for start in range(0, thetas.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, thetas.shape[0])
+    size = _chunk(len(poly))
+    for start in range(0, thetas.shape[0], size):
+        stop = min(start + size, thetas.shape[0])
         chunk = thetas[start:stop]
         areas = sweep_areas(poly, apex, chunk, phi)
         i = int(np.argmax(areas))

@@ -13,11 +13,14 @@ tan(theta - mid), so a cell has at most 6 critical points. They are
 isolated exactly by recursing on the polynomial's derivatives and
 polished by a bracketed Newton iteration on the true f' to the requested
 number of digits; there is no chunking and no clipping fallback. Cells
-are solved best first by an upper bound on their area, and the search
-stops once no remaining cell can come within the tie tolerance
-(10**-digits times the polygon area) of the best area found. The global
-maximum is the best cell result; ties within that tolerance resolve to
-the smallest direction.
+are visited best first by an upper bound on their area from prefix sums
+of the section areas, and the search stops once no remaining cell can
+come within the tie tolerance (10**-digits times the polygon area) of the
+best area found. A visited cell is solved only when a second bound,
+end_bound, still reaches that far: the larger end value plus a
+curvature term from a lower bound on f'' (f'' is a sum of monotone
+terms). The global maximum is the best cell result; ties within the
+tolerance resolve to the smallest direction.
 """
 
 from __future__ import annotations
@@ -86,11 +89,16 @@ def _bracketed_newton(
     """Root of g in [lo, hi] by Newton steps safeguarded with bisection.
 
     Requires a sign change; returns (root, final bracket width, iterations)
-    or None without one. Newton steps are taken only when they stay inside
-    the bracket, shrink |g| and are at most half the previous step;
-    anything else bisects. The last rule keeps slowly converging Newton
-    sequences (multiple roots) from starving the bracket, so the width
-    halves at least every other iteration and the cap is just a backstop.
+    or None without one. A Newton point is taken when it lies inside the
+    bracket, is at most half the previous step (a bisection counts as a
+    step of the bracket's old width) and shrinks |g| or changes its sign;
+    anything else bisects. The step rule keeps slowly converging Newton
+    sequences (multiple roots) from starving the bracket; the cap is just a
+    backstop. Newton tends to close in on a root from one side and leave
+    the far end of the bracket for bisection to walk down to xtol, so a
+    Newton point within xtol / 2 of an end, or past it by less than the
+    bracket's width, moves to xtol / 2 inside the bracket: when the root
+    lies within xtol / 2 of that end, one evaluation closes the bracket.
     """
     if glo is None:
         glo = g(lo)
@@ -103,6 +111,7 @@ def _bracketed_newton(
     if (glo > 0.0) == (ghi > 0.0):
         return None
 
+    h = 0.5 * xtol
     x = 0.5 * (lo + hi)
     gx = g(x)
     last_step = hi - lo
@@ -119,15 +128,18 @@ def _bracketed_newton(
         if gprime is not None:
             d = gprime(x)
             if d != 0.0 and math.isfinite(d):
-                step = gx / d
-                cand = x - step
-                if lo < cand < hi and 2.0 * abs(step) <= last_step:
+                cand = x - gx / d
+                width = hi - lo
+                if lo - width < cand < hi + width:
+                    cand = min(max(cand, lo + h), hi - h)
+                step = abs(cand - x)
+                if lo < cand < hi and 2.0 * step <= last_step:
                     gc = g(cand)
-                    if abs(gc) < abs(gx):
-                        nxt = (cand, gc, abs(step))
+                    if abs(gc) < abs(gx) or (gc > 0.0) != (gx > 0.0):
+                        nxt = (cand, gc, step)
         if nxt is None:
             mid = 0.5 * (lo + hi)
-            nxt = (mid, g(mid), 0.5 * (hi - lo))
+            nxt = (mid, g(mid), hi - lo)
         x, gx, last_step = nxt
     return 0.5 * (lo + hi), hi - lo, max_iter
 
@@ -273,7 +285,9 @@ class CellBest:
     achieved_bracket: float
 
 
-def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
+def maximize_cell(
+    cell: RotationCell, prec=8.0, ends: Optional[Tuple[float, float]] = None
+) -> CellBest:
     """Best direction inside one cell.
 
     The sign of f' is the sign of a polynomial of degree at most 6 in
@@ -283,7 +297,8 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     When rounding erases the sign change of f' at the mapped ends, the end
     at the polynomial's root (where the two signs disagree) stands in for
     it. The best of the roots and the two cell ends wins; ties go to the
-    smallest direction.
+    smallest direction. ends, when given, holds cell_objective at the two
+    cell ends, as end_bound computed them.
     """
     precision = _as_precision(prec)
     lo, hi = cell.interval
@@ -303,7 +318,9 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     def curvature(theta: float) -> float:
         return sum(2.0 * w * math.tan(theta + b) / math.cos(theta + b) ** 2 for w, b in terms)
 
-    candidates = [(lo, 0.0), (hi, 0.0)]
+    if ends is None:
+        ends = (cell_objective(cell, lo), cell_objective(cell, hi))
+    candidates = [(lo, 0.0, ends[0]), (hi, 0.0, ends[1])]
     mid = 0.5 * (lo + hi)
     p = _slope_polynomial(terms, mid)
     for a, b, pa, _ in _sign_changes(p, _monotone_nodes(p, math.tan(lo - mid), math.tan(hi - mid))):
@@ -312,13 +329,13 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
         ga, gb = slope(ta), slope(tb)
         res = _bracketed_newton(slope, curvature, ta, tb, precision.xtol, ga, gb)
         if res is None:
-            candidates.append((ta if (ga > 0.0) != (pa > 0.0) else tb, 0.0))
+            theta, bracket = ta if (ga > 0.0) != (pa > 0.0) else tb, 0.0
         else:
-            candidates.append(res[:2])
+            theta, bracket = res[:2]
+        candidates.append((theta, bracket, cell_objective(cell, theta)))
 
     best_theta, best_area, best_bracket = lo, -math.inf, 0.0
-    for theta, bracket in candidates:
-        area = cell_objective(cell, theta)
+    for theta, bracket, area in candidates:
         if area > best_area or (area == best_area and theta < best_theta):
             best_theta, best_area, best_bracket = theta, area, bracket
     return CellBest(
@@ -327,6 +344,31 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
         candidates_evaluated=len(candidates),
         achieved_bracket=best_bracket,
     )
+
+
+def end_bound(cell: RotationCell) -> Tuple[float, float, float]:
+    """(f(lo), f(hi), an upper bound on f over the cell's interval).
+
+    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
+    cos(x) keeps its sign across a cell, since every line is cut at a
+    finite distance there, and tan(x) / cos(x)**2 increases with x on such
+    a branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
+    sum with each term taken at lo when w_k > 0 and at hi otherwise, is a
+    lower bound on f''. Then f - m/2 (theta - lo)(theta - hi) is convex,
+    so f never exceeds the larger end value plus max(-m, 0) * width**2 / 8
+    (Breiman and Cutler, A deterministic algorithm for global
+    optimization, 1993). The bound is inf when m is not finite. The upper
+    bound on f'' in its place, with the chord, would not bound f.
+    """
+    lo, hi = cell.interval
+    m = 0.0
+    for w, beta in _slope_terms(cell):
+        x = (lo if w > 0.0 else hi) + beta
+        m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
+    f_lo, f_hi = cell_objective(cell, lo), cell_objective(cell, hi)
+    if not math.isfinite(m):
+        return f_lo, f_hi, math.inf
+    return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
 
 
 @dataclass(frozen=True)
@@ -386,15 +428,21 @@ def solve_scene(
 
     # best first: a cell whose bound (plus rounding slack) lies below the
     # incumbent by more than the tie tolerance can neither win nor tie, and
-    # neither can any cell after it in descending bound order
+    # neither can any cell after it in descending bound order; a visited
+    # cell whose end_bound falls below it the same way is skipped
     tie_tol = precision.xtol * poly.area
     slack = _BOUND_SLACK * poly.area
     results = {}
     best_area = -math.inf
-    for i in sorted(range(len(cells)), key=lambda i: cells[i].bound, reverse=True):
-        if cells[i].bound + slack < best_area - tie_tol:
+    bounds = cells.bound
+    for i in sorted(range(len(cells)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] + slack < best_area - tie_tol:
             break
-        results[i] = maximize_cell(cells[i], precision)
+        cell = cells[i]
+        f_lo, f_hi, top = end_bound(cell)
+        if top + slack < best_area - tie_tol:
+            continue
+        results[i] = maximize_cell(cell, precision, (f_lo, f_hi))
         best_area = max(best_area, results[i].area)
 
     # deterministic reduction: max area, ties within 10^-digits of the best

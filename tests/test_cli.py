@@ -156,6 +156,23 @@ def test_at_theta_outside_domain(tmp_path, capsys):
     assert record["area"] == 0.0
 
 
+SEAM_SQUARE = {"polygon": [[1, -0.5], [2, -0.5], [2, 0.5], [1, 0.5]], "phi": 0.2}
+
+
+@pytest.mark.parametrize("domain", [None, [6.0, 6.5]], ids=["plain", "turned_domain"])
+def test_at_theta_same_cell_across_the_seam(tmp_path, capsys, domain):
+    # -0.1 and 2*pi - 0.1 are one direction; the square straddles direction 0
+    path = write_scenario(tmp_path, domain=domain, **SEAM_SQUARE)
+    records = []
+    for theta in ("-0.1", "6.183185307179586", "-6.383185307179586"):
+        _, out, _ = run_main(capsys, ["solve", path, "--at-theta", theta])
+        records.append(json.loads(out))
+    assert records[0]["cell_index"] >= 0
+    for record in records[1:]:
+        assert record["cell_index"] == records[0]["cell_index"]
+        assert record["area"] == pytest.approx(records[0]["area"], rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "overrides,fragment",
     [

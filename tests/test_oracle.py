@@ -5,6 +5,7 @@ import pytest
 
 from fovmax.cells import breakpoints, vertex_partition
 from fovmax.geometry import ConvexPolygon
+from fovmax import oracle
 from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
 from conftest import external_apex, random_convex_polygon
 
@@ -70,6 +71,26 @@ def test_grid_scan_refinement_never_worse():
 def test_grid_scan_disjoint_domain():
     scan = grid_scan_max(SMALL_SQUARE, ORIGIN, 0.1, step=1e-3, domain=(3.0, 4.0))
     assert scan.best_area == 0.0
+
+
+def test_chunk_bounded_at_n4096():
+    # the second clip pads every direction to 4n points of 2 floats: a
+    # fixed 8192-direction chunk needed 2.1 GB per array at n = 4096
+    assert oracle._chunk(4096) * 4 * 4096 * 2 * 8 <= 2 * 2**20
+    assert oracle._chunk(8) == 4096
+    assert oracle._chunk(10**7) == 1
+
+
+def test_grid_scan_does_not_depend_on_chunk(rng, monkeypatch):
+    poly = random_convex_polygon(rng, 40, rx=2.0)
+    apex = external_apex(rng, poly)
+    whole = grid_scan_max(poly, apex, 0.4, step=1e-3, refine_rounds=2)
+    thetas = np.linspace(-1.0, 7.0, 5001)
+    swept = sweep_areas(poly, apex, thetas, 0.4)
+    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 40 * 7)
+    assert oracle._chunk(40) == 7
+    assert grid_scan_max(poly, apex, 0.4, step=1e-3, refine_rounds=2) == whole
+    assert np.array_equal(sweep_areas(poly, apex, thetas, 0.4), swept)
 
 
 def test_grid_scan_restricted_domain():

@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from fovmax.geometry import ConvexPolygon, InvalidInputError, normalize_angle
 from fovmax.cells import breakpoints, build_cells, cell_descriptor, vertex_partition
 from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
+from fovmax import solver
 from fovmax.solver import (
     Precision,
+    _bracketed_newton,
     cell_objective,
+    end_bound,
     maximize_cell,
     maximize_global,
     objective_by_clipping,
     safeguarded_root,
     solve_scene,
 )
-from conftest import external_apex, random_convex_polygon
+from conftest import external_apex, random_convex_polygon, random_scene
 
 ORIGIN = (0.0, 0.0)
 SMALL_SQUARE = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -308,6 +311,97 @@ def test_best_first_solves_a_fraction_of_cells_at_n1024(frac):
     res, results = _assert_pruning_keeps_answer(poly, apex, phi, None)
     exhaustive = sum(r.candidates_evaluated for r in results)
     assert res.candidates_evaluated < exhaustive / 4
+
+
+def _prefix_bound_candidates(poly, apex, phi, prec=8):
+    """Candidates evaluated by best-first solving on the prefix-sum bounds
+    alone: solve_scene's loop without end_bound."""
+    part = vertex_partition(poly, apex)
+    cells = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
+    tie_tol = Precision(prec).xtol * poly.area
+    slack = 1e-9 * poly.area
+    best, total = -math.inf, 0
+    for i in sorted(range(len(cells)), key=cells.bound.__getitem__, reverse=True):
+        if cells.bound[i] + slack < best - tie_tol:
+            break
+        r = maximize_cell(cells[i], prec)
+        total += r.candidates_evaluated
+        best = max(best, r.area)
+    return total
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.75], ids=["narrow", "wide"])
+def test_end_bound_cuts_candidates_at_n1024(frac):
+    # a count, not a timer: most cells that reach the incumbent on their
+    # prefix-sum bound fall short of it on end_bound
+    poly, apex, phi, _ = _span_scene(1024, 1024, frac)
+    res = maximize_global(poly, apex, phi, 8)
+    assert res.candidates_evaluated < _prefix_bound_candidates(poly, apex, phi) / 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 10),
+    kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
+)
+def test_end_bound_covers_cell_maximum(seed, n, kind):
+    # end_bound is at least the cell's solved maximum and every value on a
+    # 65-point grid, near-line triangles and restricted domains included
+    rng = np.random.default_rng(seed)
+    domain = None
+    if kind == "plain":
+        poly = random_convex_polygon(rng, n, rx=2.0)
+        apex = external_apex(rng, poly)
+        phi = float(rng.uniform(0.05, 2.0))
+    elif kind == "domain":
+        window = (float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.15, 0.4)))
+        poly, apex, phi, domain = _span_scene(seed, n, float(rng.uniform(0.05, 0.95)), window)
+    else:
+        poly, apex, phi = _near_line_scene(rng, 1.0 if kind == "inner" else -1.0, n)
+    part = vertex_partition(poly, apex)
+    tol = 1e-12 * poly.area
+    for cell in build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain)):
+        lo, hi = cell.interval
+        f_lo, f_hi, top = end_bound(cell)
+        assert (f_lo, f_hi) == (cell_objective(cell, lo), cell_objective(cell, hi))
+        grid = max(cell_objective(cell, lo + (hi - lo) * k / 64) for k in range(65))
+        assert top + tol >= grid
+        assert top + tol >= maximize_cell(cell, 8).area
+
+
+def test_newton_closes_the_far_side():
+    # a count, not a timer: Newton reaches sqrt(2) from above, and bisection
+    # alone walked the lower end up to xtol (36 iterations)
+    root, width, iterations = _bracketed_newton(
+        lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, 1e-10
+    )
+    assert width < 1e-10
+    assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert iterations <= 6
+
+
+def test_polish_iterations_per_root(monkeypatch):
+    # a count, not a timer: every polish of every cell of seeded scenes,
+    # including roots at a cell's end, where Newton points past the bracket
+    polishes = []
+
+    def counted(g, gprime, lo, hi, xtol, *args):
+        res = _bracketed_newton(g, gprime, lo, hi, xtol, *args)
+        if res is not None and xtol == 1e-10:
+            polishes.append(res[2])
+        return res
+
+    monkeypatch.setattr(solver, "_bracketed_newton", counted)
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        poly, apex, phi = random_scene(rng)
+        part = vertex_partition(poly, apex)
+        for cell in build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi)):
+            maximize_cell(cell, 10)
+    assert len(polishes) > 100
+    assert sum(polishes) / len(polishes) < 6
+    assert max(polishes) <= 12
 
 
 def test_random_scenes_beat_refined_grid(rng):
