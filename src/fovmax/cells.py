@@ -11,6 +11,15 @@ same angles shifted by -phi. Between consecutive breakpoints the covered
 middle area is constant and only the two boundary sections contribute
 moving terms.
 
+The partition takes linear time after the angles. Seen from an outside
+apex, a convex polygon's boundary splits at its vertices of smallest and
+largest angle into a near chain and a far chain, each already in angular
+order (Preparata and Shamos, Computational Geometry, 1985). One merge of
+the two chains sorts the rays, merges collinear ones and gives every
+vertex its ray; one walk along each chain gives every section its near
+and far edge. The breakpoints are one linear merge of two sorted runs,
+and build_cells finds each cell's boundary sections with two pointers.
+
 Every area comes from one closed form: an edge line at distance d from
 the apex, whose perpendicular points at angle psi, cuts the area
 d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at angles a < b.
@@ -30,7 +39,7 @@ special casing; results are mapped back to [0, 2pi) at the solver surface.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -38,10 +47,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .geometry import (
     ConvexPolygon,
     InvalidInputError,
+    TWO_PI,
     Point,
     UnsupportedSceneError,
-    vertex_angle,
-    wrap_to_pi,
+    normalize_angle,
 )
 from .wedge import StaticWedge, wedge_from_lines
 
@@ -55,79 +64,109 @@ class AngularOrder(NamedTuple):
 
 
 def _unwrapped_angles(poly: ConvexPolygon, apex: Point) -> List[float]:
+    """Every vertex's ray angle, moved by whole turns to within pi of the
+    apex-to-centroid direction."""
+    ax, ay = apex[0], apex[1]
     cx, cy = poly.centroid()
-    mu = math.atan2(cy - apex[1], cx - apex[0])
-    return [mu + wrap_to_pi(vertex_angle(apex, v) - mu) for v in poly.vertices]
+    mu = math.atan2(cy - ay, cx - ax)
+    atan2, remainder = math.atan2, math.remainder
+    return [
+        mu + remainder(normalize_angle(atan2(y - ay, x - ax)) - mu, TWO_PI)
+        for x, y in poly.vertices
+    ]
 
 
 def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     """Vertex rays sorted by angle, with collinear rays merged.
 
+    Seen from an outside apex, the boundary walked counter-clockwise from
+    the vertex of smallest angle to the vertex of largest angle (the far
+    chain) and walked clockwise between the same two (the near chain) are
+    both in angular order, so one merge of the two chains sorts the rays.
     Vertices whose rays coincide within 1e-12 rad share one entry; the
     vertex nearer to the apex represents the merged ray. ray_of gives
-    every polygon vertex its ray (see _ray_ids). Raises when the apex is
-    inside or on the polygon.
+    every polygon vertex the nearest ray, ties to the lower one: a vertex
+    merged up to 1e-12 rad past its ray's angle can lie nearer the next
+    ray, and then belongs to that one. Raises when the apex is inside or
+    on the polygon, and when a chain turns back by more than 1e-12 rad,
+    which a convex polygon's boundary cannot.
     """
     if poly.contains(apex):
         raise UnsupportedSceneError("apex inside or on polygon")
     angles = _unwrapped_angles(poly, apex)
-    order = sorted(range(len(angles)), key=angles.__getitem__)
+    n = len(angles)
+    lo = angles.index(min(angles))
+    hi = angles.index(max(angles))
+    # index n is a sentinel at +inf that ends either chain
+    if lo <= hi:
+        far = [*range(lo, hi + 1), n]
+        near = [*range(lo - 1, -1, -1), *range(n - 1, hi, -1), n]
+    else:
+        far = [*range(lo, n), *range(hi + 1), n]
+        near = [*range(lo - 1, hi, -1), n]
+    key = angles + [math.inf]
 
     def dist2(i: int) -> float:
         vx, vy = poly.vertices[i]
         return (vx - apex[0]) ** 2 + (vy - apex[1]) ** 2
 
-    sorted_angles: List[float] = []
+    rays: List[float] = []
     reps: List[int] = []
-    for i in order:
-        if sorted_angles and angles[i] - sorted_angles[-1] <= _ANGLE_MERGE:
-            if dist2(i) < dist2(reps[-1]):
-                reps[-1] = i
-            continue
-        sorted_angles.append(angles[i])
-        reps.append(i)
-    return AngularOrder(tuple(sorted_angles), tuple(reps), _ray_ids(angles, sorted_angles))
-
-
-def _ray_ids(angles: Sequence[float], sorted_angles: Sequence[float]) -> Tuple[int, ...]:
-    """Index of the nearest sorted angle for every angle, by bisection.
-
-    Ties go to the lower index. This is not the ray a vertex was merged
-    into: a vertex up to 1e-12 rad past its group's first angle can lie
-    nearer the next ray, and then belongs to that one.
-    """
-    m = len(sorted_angles)
-    out = []
-    for a in angles:
-        k = bisect_left(sorted_angles, a)
-        if k == m or (k > 0 and a - sorted_angles[k - 1] <= sorted_angles[k] - a):
-            k -= 1
-        if abs(sorted_angles[k] - a) > 1e-9:
-            raise InvalidInputError("vertex ray does not match any sorted angle")
-        out.append(k)
-    return tuple(out)
-
-
-def _walk_chain(
-    poly: ConvexPolygon,
-    ray_of: Sequence[int],
-    start: int,
-    last_ray: int,
-    step: int,
-) -> List[int]:
-    """Follow polygon indices from start (step -1 = clockwise, +1 = ccw)
-    until a vertex on the last ray is reached."""
-    n = len(poly)
-    chain = [start]
-    cur = start
+    merged: List[int] = []  # vertices merged into a ray they did not start
+    ray_of = [0] * n
+    g = -math.inf  # the last ray's angle
+    i = j = 0
     for _ in range(n):
-        if ray_of[cur] == last_ray:
-            return chain
-        nxt = (cur + step) % n
-        if ray_of[nxt] == ray_of[cur]:
+        if key[near[j]] < key[far[i]]:
+            v = near[j]
+            j += 1
+        else:
+            v = far[i]
+            i += 1
+        a = key[v]
+        if a - g <= _ANGLE_MERGE:
+            if g - a > _ANGLE_MERGE:  # the boundary turns back
+                raise InvalidInputError("polygon not convex")
+            g = rays[-1] = min(g, a)  # rounding can make a chain dip by an ulp
+            if dist2(v) < dist2(reps[-1]):
+                reps[-1] = v
+            merged.append(v)
+        else:
+            g = a
+            rays.append(a)
+            reps.append(v)
+        ray_of[v] = len(rays) - 1
+    for v in merged:
+        k, a = ray_of[v], angles[v]
+        if k + 1 < len(rays) and a - rays[k] > rays[k + 1] - a:
+            ray_of[v] = k + 1
+    return AngularOrder(tuple(rays), tuple(reps), tuple(ray_of))
+
+
+def _chain_edges(ray_of: Sequence[int], start: int, last: int, step: int) -> List[int]:
+    """Edge index for every section along one chain.
+
+    Follows polygon indices from start (step -1 = clockwise, +1 = ccw)
+    until a vertex on the last ray. A step from ray rc to ray rn crosses
+    one edge, which serves every section from the first one still open up
+    to rn - 1 (polygon edge k runs from vertex k to vertex k+1).
+    """
+    n = len(ray_of)
+    if step > 0:
+        walk = [*range(start + 1, n), *range(start)]
+    else:
+        walk = [*range(start - 1, -1, -1), *range(n - 1, start, -1)]
+    edges: List[int] = []
+    cur, rc = start, ray_of[start]
+    for nxt in walk:
+        rn = ray_of[nxt]
+        if rn == rc:
             raise UnsupportedSceneError("polygon edge collinear with the apex")
-        chain.append(nxt)
-        cur = nxt
+        if rn > len(edges):
+            edges += [nxt if step < 0 else cur] * (rn - len(edges))
+        if rn == last:
+            return edges
+        cur, rc = nxt, rn
     raise UnsupportedSceneError("boundary chain did not terminate")
 
 
@@ -139,8 +178,9 @@ def section_edges(
     The near chain (edges crossed first by rays from the apex) is the
     polygon boundary walked clockwise from the nearest vertex on the
     minimum ray; the far chain is walked counter-clockwise from the
-    farthest vertex on that ray. An edge may serve several consecutive
-    sections when no chain vertex falls on an interior ray.
+    farthest vertex on that ray. Each chain is walked once. An edge may
+    serve several consecutive sections when no chain vertex falls on an
+    interior ray.
     """
     m_rays = len(order.sorted_angles)
     if m_rays < 2:
@@ -151,27 +191,12 @@ def section_edges(
         vx, vy = poly.vertices[i]
         return (vx - apex[0]) ** 2 + (vy - apex[1]) ** 2
 
-    first_group = [i for i in range(len(poly)) if ray_of[i] == 0]
+    first_group = [i for i, r in enumerate(ray_of) if r == 0]
     near_start = min(first_group, key=dist2)
     far_start = max(first_group, key=dist2)
-
-    near_chain = _walk_chain(poly, ray_of, near_start, m_rays - 1, -1)
-    far_chain = _walk_chain(poly, ray_of, far_start, m_rays - 1, +1)
-
-    def per_section(chain: List[int], clockwise: bool) -> List[int]:
-        edges = []
-        pos = 0
-        for j in range(m_rays - 1):
-            while pos + 1 < len(chain) - 0 and ray_of[chain[pos + 1]] <= j:
-                pos += 1
-            a, b = chain[pos], chain[pos + 1]
-            # polygon edge k runs from vertex k to vertex k+1
-            edges.append(b if clockwise else a)
-        return edges
-
-    near_edges = per_section(near_chain, clockwise=True)
-    far_edges = per_section(far_chain, clockwise=False)
-    return tuple(near_edges), tuple(far_edges)
+    near = _chain_edges(ray_of, near_start, m_rays - 1, -1)
+    far = _chain_edges(ray_of, far_start, m_rays - 1, +1)
+    return tuple(near), tuple(far)
 
 
 @dataclass(frozen=True)
@@ -219,11 +244,12 @@ def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, float], 
     to it. Edge k runs from vertex k to vertex k+1."""
     ax, ay = apex
     vs = poly.vertices
+    hypot, atan2 = math.hypot, math.atan2
     out = []
     for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
         ex, ey = qx - px, qy - py
-        d = (ey * (px - ax) - ex * (py - ay)) / math.hypot(ex, ey)
-        psi = math.atan2(-ex, ey)
+        d = (ey * (px - ax) - ex * (py - ay)) / hypot(ex, ey)
+        psi = atan2(-ex, ey)
         if d < 0.0:
             d, psi = -d, psi + math.pi
         out.append((0.5 * d * d, psi))
@@ -244,17 +270,21 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     near_edges, far_edges = section_edges(poly, apex, order)
     lines = _edge_lines(poly, apex)
     rays = order.sorted_angles
-    areas = tuple(
-        _cut(lines[far], a, b) - _cut(lines[near], a, b)
-        for near, far, a, b in zip(near_edges, far_edges, rays, rays[1:])
-    )
+    sin, cos = math.sin, math.cos
+    areas = []
+    for near, far, a, b in zip(near_edges, far_edges, rays, rays[1:]):
+        # _cut of the far line minus _cut of the near line
+        cf, pf = lines[far]
+        cn, pn = lines[near]
+        s = sin(b - a)
+        areas.append(cf * s / (cos(a - pf) * cos(b - pf)) - cn * s / (cos(a - pn) * cos(b - pn)))
     return SectionPartition(
         sorted_angles=rays,
         vertex_order=order.vertex_order,
         near_edges=near_edges,
         far_edges=far_edges,
         edge_lines=lines,
-        section_areas=areas,
+        section_areas=tuple(areas),
         area_prefix=tuple(accumulate(areas, initial=0.0)),
         apex=(float(apex[0]), float(apex[1])),
     )
@@ -282,17 +312,25 @@ def breakpoints(
         if hi - lo <= _ANGLE_MERGE:
             return []
 
-    def clamped(values: Sequence[float]) -> List[float]:
-        return [min(max(v, lo), hi) for v in values if lo - _ANGLE_MERGE < v < hi + _ANGLE_MERGE]
-
+    # of each sorted run only a slice lies within 1e-12 rad of [lo, hi],
+    # and only its ends can need clamping
+    low, high = lo - _ANGLE_MERGE, hi + _ANGLE_MERGE
+    runs = []
+    for values in (sorted_angles, [a - phi for a in sorted_angles]):
+        run = list(values[bisect_right(values, low):bisect_left(values, high)])
+        k = bisect_left(run, lo)
+        run[:k] = [lo] * k
+        k = bisect_right(run, hi)
+        run[k:] = [hi] * (len(run) - k)
+        runs.append(run)
     # [lo] + rays and rays - phi + [hi] are two ascending runs; the sort
     # detects them and merges them in one linear pass
-    cands = sorted([lo] + clamped(sorted_angles) + clamped([a - phi for a in sorted_angles]) + [hi])
-    out: List[float] = []
-    for v in cands:
-        if out and v - out[-1] <= _ANGLE_MERGE:
-            continue
-        out.append(v)
+    out = [lo]
+    last = lo
+    for v in sorted([lo, *runs[0], *runs[1], hi]):
+        if v - last > _ANGLE_MERGE:
+            out.append(v)
+            last = v
     return out
 
 
@@ -422,40 +460,39 @@ def build_cells(
     m = len(angles)
     first, last = angles[0], angles[-1]
     low, high = first - _ANGLE_MERGE, last + _ANGLE_MERGE
-    top = m - 2  # the last section
-    areas, prefix = part.section_areas, part.area_prefix
+    prefix = part.area_prefix
+    # section[r]: the section whose closed range holds a ray with r sorted
+    # rays at or below it, clamped to the first and the last section
+    section = [0, *range(m - 1), m - 2]
+    rays = [*angles, math.inf]
     r = l = 0  # rays at or below the right / left probe
     table = CellTable(part, phi)
     interval, right, left = table.interval, table.right, table.left
     bound, empty = table.bound, table.empty
-    for i in range(len(bps) - 1):
-        lo, hi = float(bps[i]), float(bps[i + 1])
+    for lo, hi in zip(bps, bps[1:]):
         if not hi - lo > _ANGLE_MERGE:
             continue
         probe = 0.5 * (lo + hi)
         left_probe = probe + phi
-        while r < m and angles[r] <= probe:
+        while rays[r] <= probe:
             r += 1
-        while l < m and angles[l] <= left_probe:
+        while rays[l] <= left_probe:
             l += 1
-        # the section whose closed range holds each ray, None outside the span
-        rs = min(max(r - 1, 0), top) if low <= probe <= high else None
-        ls = min(max(l - 1, 0), top) if low <= left_probe <= high else None
-        # the middle from prefix sums plus the whole of each boundary section
+        rs, ls = section[r], section[l]
+        # the whole of every section the cell touches; a ray outside the
+        # span clamps to the first or the last section
+        b = prefix[ls + 1] - prefix[rs]
         e = False
-        if rs is None:
-            if ls is not None:
-                b = prefix[ls] + areas[ls]
-            elif probe < first and left_probe > last:
-                b = prefix[-1]
-            else:
-                b, e = 0.0, True
-        elif ls is None:
-            b = prefix[-1] - prefix[rs + 1] + areas[rs]
-        elif rs == ls:
-            b = areas[rs]
-        else:
-            b = prefix[ls] - prefix[rs + 1] + areas[rs] + areas[ls]
+        if probe < low:
+            rs = None
+            if left_probe > high:  # the sector contains the polygon
+                ls = None
+            elif left_probe < low:
+                ls, b, e = None, 0.0, True
+        elif probe > high:
+            rs, ls, b, e = None, None, 0.0, True
+        elif left_probe > high:
+            ls = None
         interval.append((lo, hi))
         right.append(rs)
         left.append(ls)

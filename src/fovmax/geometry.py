@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import chain
+from operator import eq
 from typing import Iterable, Optional, Sequence, Tuple
 
 Point = Tuple[float, float]
@@ -119,11 +121,8 @@ def shoelace_area(poly) -> float:
     points contribute nothing, so degenerate quadrilaterals are fine.
     """
     pts = poly.vertices if isinstance(poly, ConvexPolygon) else list(poly)
-    n = len(pts)
     acc = 0.0
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         acc += x0 * y1 - x1 * y0
     return 0.5 * acc
 
@@ -139,33 +138,31 @@ class ConvexPolygon:
     __slots__ = ("vertices", "_area", "_lines")
 
     def __init__(self, vertices: Sequence[Point], _validate: bool = True):
-        vs = tuple((float(p[0]), float(p[1])) for p in vertices)
-        if _validate:
-            self._validate(vs)
+        vs = tuple([(float(p[0]), float(p[1])) for p in vertices])
         self.vertices = vs
-        self._area: Optional[float] = None
+        self._area: Optional[float] = self._validate(vs) if _validate else None
         self._lines: Optional[Tuple[Line, ...]] = None
 
     @staticmethod
-    def _validate(vs: Tuple[Point, ...]) -> None:
+    def _validate(vs: Tuple[Point, ...]) -> float:
+        """Raise on invalid vertices; return the shoelace area."""
         if len(vs) < 3:
             raise InvalidInputError("polygon needs at least 3 vertices")
-        for x, y in vs:
-            if not _finite(x, y):
-                raise InvalidInputError("polygon coordinates must be finite")
-        n = len(vs)
-        for i in range(n):
-            if vs[i] == vs[(i + 1) % n]:
-                raise InvalidInputError("polygon has duplicate consecutive vertices")
+        if not all(map(math.isfinite, chain.from_iterable(vs))):
+            raise InvalidInputError("polygon coordinates must be finite")
+        nxt = vs[1:] + vs[:1]
+        if any(map(eq, vs, nxt)):
+            raise InvalidInputError("polygon has duplicate consecutive vertices")
         area = shoelace_area(vs)
         if area < 0.0:
             raise InvalidInputError("polygon not counter-clockwise")
         if area <= ORIENT_EPS:
             raise InvalidInputError("polygon area not strictly positive")
-        for i in range(n):
-            turn = cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n])
-            if turn < -ORIENT_EPS:
+        # cross(a, b, c) of every consecutive triple
+        for (ax, ay), (bx, by), (cx, cy) in zip(vs, nxt, vs[2:] + vs[:2]):
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -ORIENT_EPS:
                 raise InvalidInputError("polygon not convex")
+        return area
 
     @property
     def area(self) -> float:

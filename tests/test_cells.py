@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fovmax.geometry import (
@@ -7,8 +8,8 @@ from fovmax.geometry import (
     InvalidInputError,
     UnsupportedSceneError,
 )
+from fovmax import cells
 from fovmax.cells import (
-    _ray_ids,
     _unwrapped_angles,
     angular_order,
     breakpoints,
@@ -82,19 +83,55 @@ def test_ray_ids_match_nearest_angle_scan(rng):
         assert order.ray_of == _nearest_ray_scan(angles, order.sorted_angles)
 
 
-def test_ray_ids_ties_and_near_rays():
-    rays = [1.0, 1.0 + 2.0**-39]
-    # exact tie: 2**-40 from both rays goes to the lower one
-    assert _ray_ids([1.0 + 2.0**-40], rays) == (0,)
+def _ray_of(monkeypatch, angles):
+    """angular_order's ray ids for a convex polygon whose vertices have
+    the given angles, in counter-clockwise order from the smallest."""
+    poly = random_convex_polygon(np.random.default_rng(len(angles)), len(angles))
+    monkeypatch.setattr(cells, "_unwrapped_angles", lambda p, a: list(angles))
+    order = angular_order(poly, (10.0, 0.0))
+    assert list(order.sorted_angles) == sorted(order.sorted_angles)
+    return order
+
+
+def test_ray_ids_ties_and_near_rays(monkeypatch):
+    # exact tie: merged 2**-40 past ray 0 and 2**-40 short of ray 1, it goes
+    # to the lower ray
+    order = _ray_of(monkeypatch, [1.0, 1.0 + 2.0**-40, 1.0 + 2.0**-39])
+    assert order.sorted_angles == (1.0, 1.0 + 2.0**-39)
+    assert order.ray_of == (0, 0, 1)
     # a vertex merged into ray 0 (within 1e-12 of it) but nearer ray 1
-    angles = [0.0, 1e-12, 1.5e-12]
-    assert _ray_ids(angles, [0.0, 1.5e-12]) == (0, 1, 1)
+    order = _ray_of(monkeypatch, [0.0, 1e-12, 1.5e-12])
+    assert order.sorted_angles == (0.0, 1.5e-12)
+    assert order.ray_of == (0, 1, 1)
     for gap in (1e-12 * 1.01, 1e-11, 1e-10, 1e-9):
-        rays = [0.3, 0.3 + gap]
         angles = [0.3, 0.3 + 0.4 * gap, 0.3 + 0.5 * gap, 0.3 + 0.6 * gap, 0.3 + gap]
-        assert _ray_ids(angles, rays) == _nearest_ray_scan(angles, rays)
-    with pytest.raises(InvalidInputError, match="sorted angle"):
-        _ray_ids([0.5], [0.0, 1.0])
+        order = _ray_of(monkeypatch, angles)
+        assert order.ray_of == _nearest_ray_scan(angles, order.sorted_angles)
+
+
+def test_angular_order_dipping_chain_stays_sorted(monkeypatch):
+    # rounding can make a chain's angles fall by an ulp; the merged ray
+    # takes the smaller angle and the rays stay sorted
+    up = math.nextafter(0.5, 1.0)
+    order = _ray_of(monkeypatch, [0.0, up, 0.5, 1.0])
+    assert order.sorted_angles == (0.0, 0.5, 1.0)
+    assert order.ray_of == (0, 1, 1, 2)
+
+
+def test_angular_order_rejects_a_boundary_that_turns_back(monkeypatch):
+    # a chain whose angles fall by more than the 1e-12 rad merge tolerance
+    # is not the boundary of a convex polygon
+    with pytest.raises(InvalidInputError, match="not convex"):
+        _ray_of(monkeypatch, [0.0, 0.5, 0.5 - 1e-9, 1.0])
+
+
+def test_notched_polygon_below_the_orientation_tolerance_is_rejected():
+    # the notch's turn, -2e-13, passes ConvexPolygon's absolute 1e-12 test at
+    # this scale; from beside the notch the boundary turns back
+    s = 1.4e-6
+    poly = ConvexPolygon([(0.0, 0.0), (s, 0.0), (s, s), (0.5 * s, 0.9 * s), (0.0, s)])
+    with pytest.raises(InvalidInputError, match="not convex"):
+        vertex_partition(poly, (2.5 * s, 1.2 * s))
 
 
 def test_angular_order_apex_inside_raises():

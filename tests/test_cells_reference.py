@@ -1,0 +1,273 @@
+"""The linear passes of `cells` against test-only copies of the algorithms
+they replaced.
+
+* `vertex_partition`: a key sort of the vertex angles, the nearest sorted
+  ray for every vertex by a scan over all rays, and chain walks that list
+  the chain vertices first and give each section its edge in a second pass.
+* `breakpoints`: every ray and every ray - phi within 1e-12 rad of the
+  domain, clamped one by one, sorted and deduplicated.
+* `build_cells`: each cell's boundary sections by bisection at its
+  midpoint, and its bound as the sum of the sections it touches.
+
+Rays, edges, section areas and breakpoints must match exactly; bounds
+differ only by rounding.
+"""
+
+import math
+from bisect import bisect_right
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+from fovmax.cells import (
+    _ANGLE_MERGE,
+    _cut,
+    _edge_lines,
+    _unwrapped_angles,
+    angular_order,
+    breakpoints,
+    build_cells,
+    vertex_partition,
+)
+from fovmax.geometry import ConvexPolygon, InvalidInputError, UnsupportedSceneError
+from conftest import external_apex, random_convex_polygon
+
+
+def _sorted_rays(poly, apex):
+    angles = _unwrapped_angles(poly, apex)
+    order = sorted(range(len(angles)), key=angles.__getitem__)
+
+    def dist2(i):
+        vx, vy = poly.vertices[i]
+        return (vx - apex[0]) ** 2 + (vy - apex[1]) ** 2
+
+    rays, reps = [], []
+    for i in order:
+        if rays and angles[i] - rays[-1] <= _ANGLE_MERGE:
+            if dist2(i) < dist2(reps[-1]):
+                reps[-1] = i
+            continue
+        rays.append(angles[i])
+        reps.append(i)
+    ray_of = tuple(
+        min(range(len(rays)), key=lambda k: abs(rays[k] - a)) for a in angles
+    )
+    return tuple(rays), tuple(reps), ray_of, dist2
+
+
+def _walk_chain(n, ray_of, start, last_ray, step):
+    chain = [start]
+    cur = start
+    for _ in range(n):
+        if ray_of[cur] == last_ray:
+            return chain
+        nxt = (cur + step) % n
+        if ray_of[nxt] == ray_of[cur]:
+            raise UnsupportedSceneError("polygon edge collinear with the apex")
+        chain.append(nxt)
+        cur = nxt
+    raise UnsupportedSceneError("boundary chain did not terminate")
+
+
+def _per_section(chain, ray_of, m_rays, clockwise):
+    edges = []
+    pos = 0
+    for j in range(m_rays - 1):
+        while pos + 1 < len(chain) and ray_of[chain[pos + 1]] <= j:
+            pos += 1
+        a, b = chain[pos], chain[pos + 1]
+        edges.append(b if clockwise else a)
+    return tuple(edges)
+
+
+def reference_partition(poly, apex):
+    """(rays, reps, ray_of, near, far, lines, areas, prefix) the old way."""
+    if poly.contains(apex):
+        raise UnsupportedSceneError("apex inside or on polygon")
+    rays, reps, ray_of, dist2 = _sorted_rays(poly, apex)
+    m = len(rays)
+    if m < 2:
+        raise InvalidInputError("polygon subtends a single ray from the apex")
+    n = len(poly)
+    first_group = [i for i in range(n) if ray_of[i] == 0]
+    near_chain = _walk_chain(n, ray_of, min(first_group, key=dist2), m - 1, -1)
+    far_chain = _walk_chain(n, ray_of, max(first_group, key=dist2), m - 1, +1)
+    near = _per_section(near_chain, ray_of, m, clockwise=True)
+    far = _per_section(far_chain, ray_of, m, clockwise=False)
+    lines = _edge_lines(poly, apex)
+    areas = tuple(
+        _cut(lines[f], a, b) - _cut(lines[e], a, b)
+        for e, f, a, b in zip(near, far, rays, rays[1:])
+    )
+    return rays, reps, ray_of, near, far, lines, areas, tuple(accumulate(areas, initial=0.0))
+
+
+def _line_apex(poly, i, along, off):
+    """Apex `along` edge lengths past edge i's end (before its start when
+    along < 0) and `off` edge lengths off its line, on the polygon's side
+    when off > 0."""
+    (ax, ay), (bx, by) = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
+    ex, ey = bx - ax, by - ay
+    px, py = (bx, by) if along > 0 else (ax, ay)
+    return (px + along * ex - off * ey, py + along * ey + off * ex)
+
+
+def _near_ray_polygon(gap):
+    """Apex beyond edge 0's end, off its line so that the edge's two
+    vertex rays are about gap rad apart."""
+    poly = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (0.2, 0.8)])
+    return poly, (2.0, 2.0 * gap)
+
+
+def _partition_scenes():
+    rng = np.random.default_rng(4242)
+    scenes = []
+    for _ in range(60):
+        poly = random_convex_polygon(rng, int(rng.integers(3, 41)), rx=float(rng.uniform(0.8, 2.5)))
+        scenes.append((poly, external_apex(rng, poly)))
+    for off in (1e-8, 1e-10, 1e-13, 1e-15, 0.0, -1e-15, -1e-13, -1e-10, -1e-8):
+        for n in (3, 3, 5, 9):
+            poly = random_convex_polygon(rng, n, rx=float(rng.uniform(0.8, 2.5)))
+            along = float(rng.uniform(0.5, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+            scenes.append((poly, _line_apex(poly, int(rng.integers(n)), along, off)))
+    scenes += [_near_ray_polygon(gap) for gap in (4e-13, 1e-12, 1.3e-12, 3e-12, 1e-11, 1e-10, 1e-9)]
+    # collinear vertices along an edge whose line passes through the apex
+    square = ConvexPolygon([(1, 1), (1.5, 1), (2, 1), (2, 2), (1.5, 2), (1, 2)])
+    scenes += [(square, (0.0, 1.0)), (square, (0.0, 2.0)), (square, (0.0, 0.0)), (square, (3.0, 1.0))]
+    scenes.append((ConvexPolygon([(1, 0), (2, 0), (1, 1)]), (0.0, 0.0)))
+    # vertex rays at 0, 0.9e-12 and 1.2e-12: the middle one merges into the
+    # first ray but lies nearer the next; in bent the vertex on that next
+    # ray follows it along the same chain, which raises
+    sliver = ConvexPolygon([(0, 0), (1, 0), (2, 2.7e-12), (3, 1), (0, 1), (0, 1.2e-12)])
+    bent = ConvexPolygon([(0, 0), (1, 0), (2, 2.7e-12), (3, 4.8e-12), (2, 1), (0, 1)])
+    scenes += [(sliver, (-1.0, 0.0)), (bent, (-1.0, 0.0))]
+    # every vertex ray within 1e-12 rad of one direction
+    scenes.append((ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), (-1e13, 0.0)))
+    scenes.append((ConvexPolygon([(-1, 1), (1, 1), (1, 3), (-1, 3)]), (0.0, 0.0)))
+    return scenes
+
+
+PARTITION_SCENES = _partition_scenes()
+
+
+@pytest.mark.parametrize("k", range(len(PARTITION_SCENES)))
+def test_vertex_partition_matches_sort_and_walk(k):
+    poly, apex = PARTITION_SCENES[k]
+    try:
+        expected = reference_partition(poly, apex)
+    except (InvalidInputError, UnsupportedSceneError) as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            vertex_partition(poly, apex)
+        return
+    rays, reps, ray_of, near, far, lines, areas, prefix = expected
+    part = vertex_partition(poly, apex)
+    assert angular_order(poly, apex).ray_of == ray_of
+    assert (part.sorted_angles, part.vertex_order) == (rays, reps)
+    assert (part.near_edges, part.far_edges) == (near, far)
+    assert (part.edge_lines, part.section_areas, part.area_prefix) == (lines, areas, prefix)
+
+
+def reference_breakpoints(sorted_angles, phi, domain=None):
+    lo = sorted_angles[0] - phi
+    hi = sorted_angles[-1]
+    if domain is not None:
+        lo = max(lo, float(domain[0]))
+        hi = min(hi, float(domain[1]))
+        if hi - lo <= _ANGLE_MERGE:
+            return []
+
+    def clamped(values):
+        return [min(max(v, lo), hi) for v in values if lo - _ANGLE_MERGE < v < hi + _ANGLE_MERGE]
+
+    cands = sorted([lo] + clamped(sorted_angles) + clamped([a - phi for a in sorted_angles]) + [hi])
+    out = []
+    for v in cands:
+        if out and v - out[-1] <= _ANGLE_MERGE:
+            continue
+        out.append(v)
+    return out
+
+
+def _domains(rays, phi, rng):
+    """Random windows, windows that start or end on a ray or a ray - phi,
+    and windows within 1e-12 rad of one."""
+    lo, hi = rays[0] - phi, rays[-1]
+    yield None
+    for _ in range(4):
+        a = lo + float(rng.uniform(0.0, 0.7)) * (hi - lo)
+        yield (a, a + float(rng.uniform(0.1, 0.5)) * (hi - lo))
+    for k in (0, len(rays) // 2, len(rays) - 1):
+        for edge in (rays[k], rays[k] - phi):
+            for nudge in (0.0, 3e-13, -3e-13, 7e-13, -7e-13, 1e-12, -1e-12, 1.3e-12, -1.3e-12):
+                yield (edge + nudge, hi)
+                yield (lo, edge + nudge)
+
+
+def test_breakpoints_match_clamp_sort_dedupe():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for poly, apex in PARTITION_SCENES:
+        try:
+            rays = vertex_partition(poly, apex).sorted_angles
+        except (InvalidInputError, UnsupportedSceneError):
+            continue
+        for phi in (float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.3, 2.5)), rays[-1] - rays[0]):
+            if not 0.0 < phi < math.pi:
+                continue
+            for domain in _domains(rays, phi, rng):
+                assert breakpoints(rays, phi, domain) == reference_breakpoints(rays, phi, domain)
+                checked += 1
+    assert checked > 3000
+
+
+def reference_cells(part, phi, bps):
+    """(interval, right, left, empty, bound) per cell by bisection."""
+    angles = part.sorted_angles
+    top = len(angles) - 2
+    low, high = angles[0] - _ANGLE_MERGE, angles[-1] + _ANGLE_MERGE
+
+    def section(x):
+        if not low <= x <= high:
+            return None
+        return min(max(bisect_right(angles, x) - 1, 0), top)
+
+    out = []
+    for lo, hi in zip(bps, bps[1:]):
+        if not hi - lo > _ANGLE_MERGE:
+            continue
+        probe = 0.5 * (lo + hi)
+        rs, ls = section(probe), section(probe + phi)
+        contains = probe < angles[0] and probe + phi > angles[-1]
+        empty = rs is None and ls is None and not contains
+        first = 0 if rs is None else rs
+        last = top if ls is None else ls
+        bound = 0.0 if empty else math.fsum(part.section_areas[first:last + 1])
+        out.append(((lo, hi), rs, ls, empty, bound))
+    return out
+
+
+def test_build_cells_match_bisection():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for poly, apex in PARTITION_SCENES:
+        try:
+            part = vertex_partition(poly, apex)
+        except (InvalidInputError, UnsupportedSceneError):
+            continue
+        rays = part.sorted_angles
+        for phi in (float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.3, 2.5))):
+            lo, hi = rays[0] - phi, rays[-1]
+            # the breakpoints, and also a grid wider than the domain, so
+            # that empty cells on both sides show up
+            grids = [breakpoints(rays, phi), list(np.linspace(lo - 0.5, hi + 0.5, 41))]
+            for bps in grids:
+                table = build_cells(poly, apex, part, phi, bps)
+                expected = reference_cells(part, phi, bps)
+                assert len(table) == len(expected)
+                for k, (interval, rs, ls, empty, bound) in enumerate(expected):
+                    assert table.interval[k] == interval
+                    assert (table.right[k], table.left[k], table.empty[k]) == (rs, ls, empty)
+                    assert abs(table.bound[k] - bound) <= 1e-12 * poly.area
+                    checked += 1
+    assert checked > 5000

@@ -96,6 +96,30 @@ def test_polygon_rejects_zero_area():
         ConvexPolygon([(0, 0), (1, 1), (2, 2)])
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([(0, 0), (1, 0), (1, 0), (float("inf"), 1)], "finite"),
+        ([(0, 0), (0, 1), (0, 1), (1, 1), (1, 0)], "duplicate"),
+        ([(0, 0), (0, 4), (1, 2), (4, 4), (4, 0)], "counter-clockwise"),
+    ],
+    ids=["finite", "duplicate", "orientation"],
+)
+def test_polygon_checks_run_in_order(vertices, message):
+    # each polygon also fails a later check; the first failing check names
+    # the error
+    with pytest.raises(InvalidInputError, match=message):
+        ConvexPolygon(vertices)
+
+
+def test_polygon_area_is_the_shoelace_area(rng):
+    # validation keeps the area it computed: bit for bit the shoelace sum
+    for _ in range(50):
+        poly = random_convex_polygon(rng, int(rng.integers(3, 200)), rx=float(rng.uniform(0.1, 50.0)))
+        assert poly.area == shoelace_area(poly.vertices)
+        assert ConvexPolygon(poly.vertices, _validate=False).area == poly.area
+
+
 def test_vertex_angle_examples():
     assert vertex_angle((0, 0), (1, 1)) == pytest.approx(math.pi / 4)
     assert vertex_angle((0, 0), (-1, 0)) == pytest.approx(math.pi)
