@@ -9,12 +9,10 @@ search; an independent clipping oracle cross-checks every result.
 from .geometry import (
     ConvexPolygon,
     InvalidInputError,
-    IntersectionKind,
     Line,
     NearSingularError,
     Sector,
     UnsupportedSceneError,
-    classify,
     clip_halfplane,
     normalize_angle,
     sector_clip,
@@ -27,7 +25,6 @@ from .wedge import (
     StaticWedge,
     d_area_d_opening,
     opening_extrema,
-    parallel_strip_area,
     two_sector_area,
     wedge_from_lines,
 )
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvexPolygon",
     "GridScan",
-    "IntersectionKind",
     "InvalidInputError",
     "Line",
     "NearSingularError",
@@ -76,7 +72,6 @@ __all__ = [
     "build_cells",
     "cell_descriptor",
     "cell_objective",
-    "classify",
     "clip_area_at",
     "clip_halfplane",
     "d_area_d_opening",
@@ -86,7 +81,6 @@ __all__ = [
     "normalize_angle",
     "objective_by_clipping",
     "opening_extrema",
-    "parallel_strip_area",
     "safeguarded_root",
     "sector_clip",
     "section_edges",

@@ -20,11 +20,11 @@ vertex its ray; one walk along each chain gives every section its near
 and far edge. The breakpoints are one linear merge of two sorted runs,
 and build_cells finds each cell's boundary sections with two pointers.
 
-Every area comes from one closed form: an edge line at distance d from
-the apex, whose perpendicular points at angle psi, cuts the area
-d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at angles a < b.
-A section, or the part of it a boundary ray cuts off, is its far line's
-cut minus its near line's.
+Every area comes from one closed form, wedge._cut: an edge line at
+distance d from the apex, whose perpendicular points at angle psi, cuts
+the area d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at
+angles a < b. A section, or the part of it a boundary ray cuts off, is
+its far line's cut minus its near line's.
 
 build_cells returns the cells as a CellTable: flat per-scene lists of
 each cell's interval, boundary sections, area bound and empty flag.
@@ -52,14 +52,13 @@ from .geometry import (
     UnsupportedSceneError,
     normalize_angle,
 )
-from .wedge import StaticWedge, wedge_from_lines
+from .wedge import StaticWedge, _cut, wedge_from_lines
 
 _ANGLE_MERGE = 1e-12
 
 
 class AngularOrder(NamedTuple):
     sorted_angles: Tuple[float, ...]
-    vertex_order: Tuple[int, ...]
     ray_of: Tuple[int, ...]
 
 
@@ -83,11 +82,10 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     the vertex of smallest angle to the vertex of largest angle (the far
     chain) and walked clockwise between the same two (the near chain) are
     both in angular order, so one merge of the two chains sorts the rays.
-    Vertices whose rays coincide within 1e-12 rad share one entry; the
-    vertex nearer to the apex represents the merged ray. ray_of gives
-    every polygon vertex the nearest ray, ties to the lower one: a vertex
-    merged up to 1e-12 rad past its ray's angle can lie nearer the next
-    ray, and then belongs to that one. Raises when the apex is inside or
+    Vertices whose rays coincide within 1e-12 rad share one entry. ray_of
+    gives every polygon vertex the nearest ray, ties to the lower one: a
+    vertex merged up to 1e-12 rad past its ray's angle can lie nearer the
+    next ray, and then belongs to that one. Raises when the apex is inside or
     on the polygon, and when a chain turns back by more than 1e-12 rad,
     which a convex polygon's boundary cannot.
     """
@@ -105,13 +103,7 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
         far = [*range(lo, n), *range(hi + 1), n]
         near = [*range(lo - 1, hi, -1), n]
     key = angles + [math.inf]
-
-    def dist2(i: int) -> float:
-        vx, vy = poly.vertices[i]
-        return (vx - apex[0]) ** 2 + (vy - apex[1]) ** 2
-
     rays: List[float] = []
-    reps: List[int] = []
     merged: List[int] = []  # vertices merged into a ray they did not start
     ray_of = [0] * n
     g = -math.inf  # the last ray's angle
@@ -128,19 +120,16 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
             if g - a > _ANGLE_MERGE:  # the boundary turns back
                 raise InvalidInputError("polygon not convex")
             g = rays[-1] = min(g, a)  # rounding can make a chain dip by an ulp
-            if dist2(v) < dist2(reps[-1]):
-                reps[-1] = v
             merged.append(v)
         else:
             g = a
             rays.append(a)
-            reps.append(v)
         ray_of[v] = len(rays) - 1
     for v in merged:
         k, a = ray_of[v], angles[v]
         if k + 1 < len(rays) and a - rays[k] > rays[k + 1] - a:
             ray_of[v] = k + 1
-    return AngularOrder(tuple(rays), tuple(reps), tuple(ray_of))
+    return AngularOrder(tuple(rays), tuple(ray_of))
 
 
 def _chain_edges(ray_of: Sequence[int], start: int, last: int, step: int) -> List[int]:
@@ -210,7 +199,6 @@ class SectionPartition:
     """
 
     sorted_angles: Tuple[float, ...]
-    vertex_order: Tuple[int, ...]
     near_edges: Tuple[int, ...]
     far_edges: Tuple[int, ...]
     edge_lines: Tuple[Tuple[float, float], ...]
@@ -256,14 +244,6 @@ def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, float], 
     return tuple(out)
 
 
-def _cut(line: Tuple[float, float], a: float, b: float) -> float:
-    """Area between the rays at angles a and b and a line (d**2 / 2, psi):
-    d**2 / 2 * (tan(b - psi) - tan(a - psi)), written without the
-    cancellation of the two tangents."""
-    c, psi = line
-    return c * math.sin(b - a) / (math.cos(a - psi) * math.cos(b - psi))
-
-
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     """Full partition: sorted rays, per-section edges and section areas."""
     order = angular_order(poly, apex)
@@ -280,7 +260,6 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
         areas.append(cf * s / (cos(a - pf) * cos(b - pf)) - cn * s / (cos(a - pn) * cos(b - pn)))
     return SectionPartition(
         sorted_angles=rays,
-        vertex_order=order.vertex_order,
         near_edges=near_edges,
         far_edges=far_edges,
         edge_lines=lines,

@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import enum
 import math
 from itertools import chain
 from operator import eq
@@ -25,8 +24,10 @@ Point = Tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute tolerance for orientation (cross product) tests, documented as a
-# library constant. Coordinates are assumed to be of moderate magnitude.
+# Tolerance for orientation (cross product) tests, documented as a library
+# constant. Polygon validation scales it by the square of the polygon's
+# extent; the other tests use it as is, assuming coordinates of moderate
+# magnitude.
 ORIENT_EPS = 1e-12
 
 
@@ -70,7 +71,7 @@ class Line:
     """Infinite line stored as an anchor point plus a unit direction.
 
     Storing a direction vector instead of a slope keeps vertical lines
-    unexceptional; slope angles are derived on demand.
+    unexceptional.
     """
 
     __slots__ = ("px", "py", "dx", "dy")
@@ -93,10 +94,6 @@ class Line:
     @classmethod
     def from_points(cls, a: Point, b: Point) -> "Line":
         return cls(a, (b[0] - a[0], b[1] - a[1]))
-
-    def angle(self) -> float:
-        """Direction angle in [0, 2*pi)."""
-        return normalize_angle(math.atan2(self.dy, self.dx))
 
     def side(self, p: Point) -> float:
         """Signed offset of p; positive on the left of the direction."""
@@ -158,9 +155,17 @@ class ConvexPolygon:
             raise InvalidInputError("polygon not counter-clockwise")
         if area <= ORIENT_EPS:
             raise InvalidInputError("polygon area not strictly positive")
-        # cross(a, b, c) of every consecutive triple
-        for (ax, ay), (bx, by), (cx, cy) in zip(vs, nxt, vs[2:] + vs[:2]):
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -ORIENT_EPS:
+        # the smallest cross(a, b, c) of consecutive triples, against a
+        # tolerance that scales like cross products do, with the square of
+        # the larger side of the bounding box
+        turn = min(
+            (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            for (ax, ay), (bx, by), (cx, cy) in zip(vs, nxt, vs[2:] + vs[:2])
+        )
+        if turn < 0.0:
+            xs, ys = zip(*vs)
+            extent = max(max(xs) - min(xs), max(ys) - min(ys))
+            if turn < -ORIENT_EPS * extent * extent:
                 raise InvalidInputError("polygon not convex")
         return area
 
@@ -235,13 +240,6 @@ class Sector:
 
     def __repr__(self) -> str:
         return f"Sector(apex={self.apex}, direction={self.direction:g}, opening={self.opening:g})"
-
-
-class IntersectionKind(enum.Enum):
-    CONTAINS = "contains"
-    FULLY_INTERSECTS = "fully_intersects"
-    PARTIALLY_INTERSECTS = "partially_intersects"
-    NO_INTERSECTION = "no_intersection"
 
 
 def vertex_angle(apex: Point, p: Point) -> float:
@@ -331,50 +329,6 @@ def sector_clip(poly: ConvexPolygon, s: Sector) -> Optional[ConvexPolygon]:
         return None
     left = Line.from_point_angle(s.apex, s.direction + s.opening)
     return clip_halfplane(clipped, left, keep_left=False)
-
-
-def ray_hits_polygon(poly: ConvexPolygon, apex: Point, direction: float) -> bool:
-    """Closed test: does the half-line from apex meet the polygon boundary?"""
-    ux, uy = math.cos(direction), math.sin(direction)
-    slack = 1e-9
-    for i in range(len(poly)):
-        a, b = poly.edge(i)
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        wx, wy = a[0] - apex[0], a[1] - apex[1]
-        denom = ux * ey - uy * ex
-        if abs(denom) > ORIENT_EPS:
-            t = (wx * ey - wy * ex) / denom
-            s = (wx * uy - wy * ux) / denom
-            if t >= -slack and -slack <= s <= 1.0 + slack:
-                return True
-        else:
-            # parallel; overlapping only if the edge is collinear with the ray
-            if abs(wx * uy - wy * ux) <= ORIENT_EPS:
-                ta = wx * ux + wy * uy
-                tb = (b[0] - apex[0]) * ux + (b[1] - apex[1]) * uy
-                if max(ta, tb) >= -slack:
-                    return True
-    return False
-
-
-def classify(poly: ConvexPolygon, s: Sector) -> IntersectionKind:
-    """Classify the polygon/sector intersection under the closed convention.
-
-    Contains wins over FullyIntersects when both predicates hold (a sector
-    exactly spanning the polygon touches vertices with both rays while
-    containing every vertex).
-    """
-    if poly.contains(s.apex):
-        raise UnsupportedSceneError("apex inside or on polygon")
-    if all(s.contains(v) for v in poly.vertices):
-        return IntersectionKind.CONTAINS
-    hit_right = ray_hits_polygon(poly, s.apex, s.direction)
-    hit_left = ray_hits_polygon(poly, s.apex, s.direction + s.opening)
-    if hit_right and hit_left:
-        return IntersectionKind.FULLY_INTERSECTS
-    if hit_right or hit_left:
-        return IntersectionKind.PARTIALLY_INTERSECTS
-    return IntersectionKind.NO_INTERSECTION
 
 
 def angular_span(poly: ConvexPolygon, apex: Point) -> Tuple[float, float]:

@@ -1,90 +1,68 @@
-"""Closed-form area of a rotating sector inside a fixed pair of lines.
+"""The paper's A_theta(phi): the area a sector cuts from a wedge.
 
-A StaticWedge captures two boundary lines, labeled by crossing order from
-the apex: a ray inside the wedge's direction window first crosses the near
-line and then the far line. Both lines are expressed in a rotated local
-frame chosen so their slope angles lie strictly inside (-pi/2, pi/2); each
-line is then (slope angle, signed vertical offset above the apex), which
-keeps vertical lines out of the tangent's singularity.
+A wedge is the region between two lines, labeled by crossing order from
+the apex: a ray inside the wedge's direction window crosses the near line
+first and then the far line. Each line is (d**2 / 2, psi): d is its
+distance from the apex and psi the direction of the perpendicular from
+the apex to it. The ray at angle gamma meets the line at distance
+d / cos(gamma - psi), ahead of the apex when cos(gamma - psi) > 0, and
+the line cuts d**2 / 2 * (tan(b - psi) - tan(a - psi)) from the sector
+between the rays at angles a < b (_cut, the one area formula of the
+package; the partition in cells uses it too). A sector's area in the
+wedge is the far line's cut minus the near line's. No frame is needed,
+and lines of one direction are not a special case.
 
-For a sector at direction theta with opening phi whose rays both cross the
-pair (the full-intersection regime), the enclosed quadrilateral area has
-the closed form
-
-    far_offset^2  * sin(phi) * cos(far_slope)^2
-    ------------------------------------------------   minus the same
-    2 sin(theta+phi-far_slope) sin(theta-far_slope)     expression for the
-                                                        near line.
-
-With far/near labels assigned by crossing order the formula needs no extra
-sign bookkeeping; parallel lines are the special case of equal slopes. The
-derivative in phi and its two analytic roots come from the same expression.
+The direction window is where three open half-circles of directions
+meet, centred at psi_near and psi_far (the ray meets that line ahead of
+the apex) and at chi = arg(d_far * e^(i psi_near) - d_near * e^(i psi_far))
+(it meets the near line first: d_near / cos(gamma - psi_near) <
+d_far / cos(gamma - psi_far) is cos(gamma - chi) > 0). The area's
+derivative in the opening, far minus near d**2 / 2 / cos(gamma - psi)**2
+at the left ray gamma, vanishes at gamma = chi + pi/2 and at
+gamma = chi' + pi/2 (mod pi), chi' being the argument of the sum.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .geometry import (
-    InvalidInputError,
-    NearSingularError,
-    Point,
-    TWO_PI,
-    as_line,
-    normalize_angle,
-    wrap_to_pi,
+    InvalidInputError, NearSingularError, Point, TWO_PI, as_line, normalize_angle
 )
 
 _SIN_EPS = 1e-9        # singularity guard on closed-form denominators
 _RESIDUAL_TOL = 1e-9   # derivative residual accepted at an extremum
 _WINDOW_TOL = 1e-9     # slack for window membership checks
-_FRAME_MARGIN = 0.15   # required distance of local slopes from +-pi/2
+_COINCIDENT = 1e-12    # relative size of chi's phasor below which lines coincide
+
+LineForm = Tuple[float, float]  # (d**2 / 2, psi)
 
 
 @dataclass(frozen=True)
 class StaticWedge:
-    """Two boundary lines of a fixed wedge in a rotated local frame.
+    """The far and near lines as (d**2 / 2, psi), and the window
+    [window_lo, window_hi] of directions whose rays cross the near line
+    first and the far line second."""
 
-    far_slope / near_slope are angles in (-pi/2, pi/2) within the frame;
-    far_offset / near_offset are the lines' signed heights above the apex
-    (measured along the frame's vertical through the apex). frame_rotation
-    is the world-to-frame rotation; apex_side records on which side of the
-    line intersection point the apex sits (+1 for parallel lines). The
-    window [window_lo, window_hi] is the world-frame arc of directions
-    whose rays cross the near line first and the far line second.
-    """
-
-    far_slope: float
-    near_slope: float
-    far_offset: float
-    near_offset: float
-    frame_rotation: float
-    apex_side: float
+    far: LineForm
+    near: LineForm
     window_lo: float
     window_hi: float
-    parallel: bool
 
     def window_width(self) -> float:
         return self.window_hi - self.window_lo
 
     def direction_offset(self, theta: float) -> float:
-        """Position of theta inside the window, in [0, 2*pi)."""
-        return (theta - self.window_lo) % TWO_PI
+        """Position of theta inside the window, in [0, 2*pi); directions up
+        to 1e-9 rad before window_lo count as window_lo."""
+        off = (theta - self.window_lo) % TWO_PI
+        return 0.0 if off >= TWO_PI - _WINDOW_TOL else off
 
     def contains_direction(self, theta: float, margin: float = 0.0) -> bool:
-        off = self.direction_offset(theta)
-        if off >= TWO_PI - _WINDOW_TOL:
-            off = 0.0
-        return off <= self.window_width() - margin + _WINDOW_TOL
-
-    def max_opening(self, theta: float) -> float:
-        """Largest opening keeping both rays inside the window at theta."""
-        off = self.direction_offset(theta)
-        if off >= TWO_PI - _WINDOW_TOL:
-            off = 0.0
-        return self.window_width() - off
+        return self.direction_offset(theta) <= self.window_width() - margin + _WINDOW_TOL
 
 
 @dataclass(frozen=True)
@@ -98,32 +76,35 @@ class PhiExtrema:
         return sorted(v for v in (self.phi1, self.phi2) if v is not None)
 
 
-def _slope_margin(angle: float, rho: float) -> float:
-    """Distance of the rotated slope from +-pi/2 (modulo pi)."""
-    return 0.5 * math.pi - abs(math.remainder(angle - rho, math.pi))
+def _cut(line: LineForm, a: float, b: float) -> float:
+    """Area between the rays at angles a and b and a line (d**2 / 2, psi):
+    d**2 / 2 * (tan(b - psi) - tan(a - psi)), written without the
+    cancellation of the two tangents."""
+    c, psi = line
+    return c * math.sin(b - a) / (math.cos(a - psi) * math.cos(b - psi))
 
 
-def _choose_frame(raw_a: float, raw_b: float) -> float:
-    if min(_slope_margin(raw_a, 0.0), _slope_margin(raw_b, 0.0)) >= _FRAME_MARGIN:
-        return 0.0
-    best_rho = 0.0
-    best_score = -1.0
-    for k in range(64):
-        rho = k * math.pi / 64.0
-        score = min(_slope_margin(raw_a, rho), _slope_margin(raw_b, rho))
-        if score > best_score + 1e-15:
-            best_score = score
-            best_rho = rho
-    return best_rho
+def _line_form(apex: Point, line) -> Tuple[float, float]:
+    """(d, psi) of a line seen from the apex."""
+    ln = as_line(line)
+    rx, ry = ln.px - float(apex[0]), ln.py - float(apex[1])
+    d = ln.dy * rx - ln.dx * ry
+    if abs(d) <= 1e-12 * (1.0 + abs(rx) + abs(ry)):
+        raise InvalidInputError("apex lies on a wedge boundary line")
+    psi = math.atan2(-ln.dx, ln.dy)
+    if d < 0.0:
+        d, psi = -d, psi + math.pi
+    return d, psi
 
 
-def _ray_parameter(offset: float, slope: float, gamma: float) -> float:
-    """Distance along the local-frame ray at angle gamma to the line
-    y = tan(slope) * x + offset; negative means behind the apex."""
-    den = math.sin(gamma - slope)
-    if den == 0.0:
-        return math.inf
-    return offset * math.cos(slope) / den
+def _chi(far: LineForm, near: LineForm, sign: float) -> Optional[float]:
+    """arg(d_far * e^(i psi_near) + sign * d_near * e^(i psi_far)); None
+    when it vanishes, which for sign = -1 means the lines coincide."""
+    d_far, d_near = math.sqrt(2.0 * far[0]), math.sqrt(2.0 * near[0])
+    z = cmath.rect(d_far, near[1]) + sign * cmath.rect(d_near, far[1])
+    if abs(z) <= _COINCIDENT * (d_far + d_near):
+        return None
+    return cmath.phase(z)
 
 
 def wedge_from_lines(apex: Point, far_line, near_line) -> StaticWedge:
@@ -131,147 +112,50 @@ def wedge_from_lines(apex: Point, far_line, near_line) -> StaticWedge:
 
     The caller labels which line a ray inside the wedge crosses second
     (far) and first (near). Raises if the apex lies on either line or if no
-    direction crosses the near line before the far line (for parallel
-    lines, that means the apex sits between them).
+    direction crosses the near line before the far line, or only a window
+    narrower than 1e-9 rad does (lines of one direction with the apex
+    between them, coincident lines).
     """
-    fl = as_line(far_line)
-    nl = as_line(near_line)
-    ax, ay = float(apex[0]), float(apex[1])
-
-    raw_f = math.atan2(fl.dy, fl.dx)
-    raw_n = math.atan2(nl.dy, nl.dx)
-    rho = _choose_frame(raw_f, raw_n)
-    cr, sr = math.cos(rho), math.sin(rho)
-
-    slopes = []
-    offsets = []
-    for ln in (fl, nl):
-        # anchor relative to the apex, rotated into the frame
-        rx, ry = ln.px - ax, ln.py - ay
-        lx = rx * cr + ry * sr
-        ly = -rx * sr + ry * cr
-        sigma = math.remainder(math.atan2(ln.dy, ln.dx) - rho, math.pi)
-        d = ly - math.tan(sigma) * lx
-        scale = 1.0 + abs(lx) + abs(ly)
-        if abs(d * math.cos(sigma)) <= 1e-12 * scale:
-            raise InvalidInputError("apex lies on a wedge boundary line")
-        slopes.append(sigma)
-        offsets.append(d)
-    far_slope, near_slope = slopes
-    far_offset, near_offset = offsets
-
-    parallel = abs(math.remainder(far_slope - near_slope, math.pi)) <= 1e-12
-
-    apex_side = 1.0
-    boundary = [near_slope, near_slope + math.pi, far_slope, far_slope + math.pi]
-    if not parallel:
-        # line intersection point in the local frame (apex at the origin)
-        kx = (near_offset - far_offset) / (math.tan(far_slope) - math.tan(near_slope))
-        ky = math.tan(far_slope) * kx + far_offset
-        if kx < 0.0:
-            apex_side = 1.0
-        elif kx > 0.0:
-            apex_side = -1.0
-        ak = math.atan2(ky, kx)
-        boundary.extend([ak, ak + math.pi])
-
-    cands = sorted(normalize_angle(a) for a in boundary)
-    merged: List[float] = []
-    for a in cands:
-        if merged and a - merged[-1] <= 1e-9:
-            continue
-        merged.append(a)
-    if merged and (merged[0] + TWO_PI) - merged[-1] <= 1e-9:
-        merged.pop()
-
-    passing = []
-    m = len(merged)
-    for i in range(m):
-        start = merged[i]
-        end = merged[(i + 1) % m] + (TWO_PI if i + 1 == m else 0.0)
-        if end - start <= 1e-9:
-            passing.append(False)
-            continue
-        mid = 0.5 * (start + end)
-        t_near = _ray_parameter(near_offset, near_slope, mid)
-        t_far = _ray_parameter(far_offset, far_slope, mid)
-        passing.append(t_near > 0.0 and t_far > t_near)
-
-    if not any(passing):
+    d_far, psi_far = _line_form(apex, far_line)
+    d_near, psi_near = _line_form(apex, near_line)
+    far = (0.5 * d_far * d_far, psi_far)
+    near = (0.5 * d_near * d_near, psi_near)
+    chi = _chi(far, near, -1.0)
+    if chi is None:
         raise InvalidInputError("no direction crosses the near line before the far line")
-    if all(passing):
-        raise InvalidInputError("degenerate wedge: window is the full circle")
-
-    # rotate the arc list so a non-passing arc comes first, then take the
-    # single contiguous passing run
-    first_out = next(i for i in range(m) if not passing[i])
-    run_start = None
-    run_end = None
-    for k in range(1, m + 1):
-        i = (first_out + k) % m
-        if passing[i] and run_start is None:
-            run_start = i
-            run_end = i
-        elif passing[i] and run_start is not None:
-            if (i - 1) % m != run_end:
-                raise InvalidInputError("ambiguous wedge direction window")
-            run_end = i
-    lo_local = merged[run_start]
-    hi_local = merged[(run_end + 1) % m]
-    width = (hi_local - lo_local) % TWO_PI
-    if width == 0.0:
-        width = TWO_PI
-    lo_world = normalize_angle(lo_local + rho)
-
-    return StaticWedge(
-        far_slope=far_slope,
-        near_slope=near_slope,
-        far_offset=far_offset,
-        near_offset=near_offset,
-        frame_rotation=rho,
-        apex_side=apex_side,
-        window_lo=lo_world,
-        window_hi=lo_world + width,
-        parallel=parallel,
-    )
+    # the three half-circles' centres, unwrapped to within pi of psi_near
+    centres = [psi_near] + [psi_near + math.remainder(c - psi_near, TWO_PI) for c in (psi_far, chi)]
+    lo = max(centres) - 0.5 * math.pi
+    hi = min(centres) + 0.5 * math.pi
+    if not hi - lo > _WINDOW_TOL:
+        raise InvalidInputError("no direction crosses the near line before the far line")
+    window_lo = normalize_angle(lo)
+    return StaticWedge(far=far, near=near, window_lo=window_lo, window_hi=window_lo + (hi - lo))
 
 
 def _check_sector_domain(w: StaticWedge, theta: float, phi: float) -> None:
     if not (0.0 < phi < math.pi):
         raise InvalidInputError("sector opening must lie in (0, pi)")
-    off = w.direction_offset(theta)
-    if off >= TWO_PI - _WINDOW_TOL:
-        off = 0.0
-    if off > w.window_width() - phi + _WINDOW_TOL:
+    if w.direction_offset(theta) > w.window_width() - phi + _WINDOW_TOL:
         raise InvalidInputError("sector direction outside the wedge's admissible range")
 
 
-def _line_term(offset: float, slope: float, tl: float, phi: float) -> float:
-    s1 = math.sin(tl + phi - slope)
-    s2 = math.sin(tl - slope)
-    if abs(s1) < _SIN_EPS or abs(s2) < _SIN_EPS:
-        raise NearSingularError("sector ray nearly parallel to a wedge line")
-    c = math.cos(slope)
-    return offset * offset * math.sin(phi) * c * c / (2.0 * s1 * s2)
+def _secants(w: StaticWedge, gamma: float) -> Tuple[float, float]:
+    """1 / cos(gamma - psi) for the far and the near line."""
+    cf = math.cos(gamma - w.far[1])
+    cn = math.cos(gamma - w.near[1])
+    if abs(cf) < _SIN_EPS or abs(cn) < _SIN_EPS:
+        raise NearSingularError("ray nearly along a wedge line")
+    return 1.0 / cf, 1.0 / cn
 
 
 def _area_raw(w: StaticWedge, theta: float, phi: float) -> float:
     """Area formula without domain validation (singularity guard only)."""
     if phi == 0.0:
         return 0.0
-    tl = theta - w.frame_rotation
-    if w.parallel:
-        sl = w.near_slope
-        s1 = math.sin(tl + phi - sl)
-        s2 = math.sin(tl - sl)
-        if abs(s1) < _SIN_EPS or abs(s2) < _SIN_EPS:
-            raise NearSingularError("sector ray nearly parallel to the strip")
-        c = math.cos(sl)
-        d = w.far_offset * w.far_offset - w.near_offset * w.near_offset
-        return d * math.sin(phi) * c * c / (2.0 * s1 * s2)
-    return _line_term(w.far_offset, w.far_slope, tl, phi) - _line_term(
-        w.near_offset, w.near_slope, tl, phi
-    )
+    _secants(w, theta)
+    _secants(w, theta + phi)
+    return _cut(w.far, theta, theta + phi) - _cut(w.near, theta, theta + phi)
 
 
 def two_sector_area(w: StaticWedge, theta: float, phi: float) -> float:
@@ -279,49 +163,24 @@ def two_sector_area(w: StaticWedge, theta: float, phi: float) -> float:
 
     Valid in the full-intersection regime: theta and theta + phi must both
     lie inside the wedge's direction window. Raises NearSingularError when
-    a boundary ray is nearly parallel to one of the lines; callers fall
-    back to clipping there.
+    a boundary ray nearly runs along one of the lines.
     """
-    _check_sector_domain(w, theta, phi)
-    return _area_raw(w, theta, phi)
-
-
-def parallel_strip_area(w: StaticWedge, theta: float, phi: float) -> float:
-    """two_sector_area specialized to a parallel-line strip."""
-    if not w.parallel:
-        raise InvalidInputError("wedge lines are not parallel")
     _check_sector_domain(w, theta, phi)
     return _area_raw(w, theta, phi)
 
 
 def _density(w: StaticWedge, gamma: float) -> float:
     """d(area)/d(opening) as a function of the left ray's absolute angle."""
-    g = gamma - w.frame_rotation
-    s1 = math.sin(g - w.far_slope)
-    s2 = math.sin(g - w.near_slope)
-    if abs(s1) < _SIN_EPS or abs(s2) < _SIN_EPS:
-        raise NearSingularError("derivative denominator nearly zero")
-    cf = math.cos(w.far_slope)
-    cn = math.cos(w.near_slope)
-    c1 = w.far_offset * w.far_offset * cf * cf / 2.0
-    c2 = w.near_offset * w.near_offset * cn * cn / 2.0
-    return c1 / (s1 * s1) - c2 / (s2 * s2)
+    sf, sn = _secants(w, gamma)
+    return w.far[0] * sf * sf - w.near[0] * sn * sn
 
 
 def _density_slope(w: StaticWedge, gamma: float) -> float:
     """Derivative of _density in gamma (second phi-derivative of the area)."""
-    g = gamma - w.frame_rotation
-    s1 = math.sin(g - w.far_slope)
-    s2 = math.sin(g - w.near_slope)
-    if abs(s1) < _SIN_EPS or abs(s2) < _SIN_EPS:
-        raise NearSingularError("derivative denominator nearly zero")
-    cf = math.cos(w.far_slope)
-    cn = math.cos(w.near_slope)
-    c1 = w.far_offset * w.far_offset * cf * cf / 2.0
-    c2 = w.near_offset * w.near_offset * cn * cn / 2.0
-    return (
-        -2.0 * c1 * math.cos(g - w.far_slope) / (s1 * s1 * s1)
-        + 2.0 * c2 * math.cos(g - w.near_slope) / (s2 * s2 * s2)
+    sf, sn = _secants(w, gamma)
+    return 2.0 * (
+        w.far[0] * math.sin(gamma - w.far[1]) * sf ** 3
+        - w.near[0] * math.sin(gamma - w.near[1]) * sn ** 3
     )
 
 
@@ -330,7 +189,7 @@ def d_area_d_opening(w: StaticWedge, theta: float, phi: float) -> float:
 
     Deliberately not window-checked: the first extremum sits exactly where
     the left ray passes through the boundary-line crossing, the window's
-    edge, and candidate polishing must evaluate at and slightly beyond it.
+    edge, and checks of an extremum evaluate at and slightly beyond it.
     The smooth continuation is what the extremum analysis differentiates.
     """
     if not (0.0 < phi < math.pi):
@@ -345,66 +204,31 @@ def opening_extrema(
 ) -> PhiExtrema:
     """Opening angles where d_area_d_opening vanishes at fixed direction.
 
-    The two arctan candidates are mapped into (0, pi); atan2 handles the
-    vanishing-denominator branch (the candidate is then pi/2 exactly).
-    Candidates are polished with a few Newton steps and kept only when the
-    derivative residual is at most 1e-9 and, when phi_window is given, the
-    value lies inside that open interval. Coincident lines (the derivative
-    vanishing identically) yield no isolated extrema.
+    The roots are gamma = chi + pi/2 (phi1) and gamma = chi' + pi/2 (phi2)
+    for the left ray, mapped to phi = (gamma - theta) mod pi. A root is
+    kept only when it lies in (0, pi), its derivative residual is at most
+    1e-9 and, when phi_window is given, it lies inside that open interval.
+    Coincident lines (the derivative vanishing identically) yield no
+    isolated extrema.
     """
-    tl = theta - w.frame_rotation
-    cf = math.cos(w.far_slope) * w.far_offset
-    cn = math.cos(w.near_slope) * w.near_offset
-    if w.parallel and abs(cf * cf - cn * cn) <= 1e-15 * (cf * cf + cn * cn):
-        return PhiExtrema(phi1=None, phi2=None)
-    sin_f = math.sin(tl - w.far_slope)
-    sin_n = math.sin(tl - w.near_slope)
-    cos_f = math.cos(tl - w.far_slope)
-    cos_n = math.cos(tl - w.near_slope)
 
-    num1 = cn * sin_f - cf * sin_n
-    den1 = cf * cos_n - cn * cos_f
-    num2 = -(cn * sin_f + cf * sin_n)
-    den2 = cf * cos_n + cn * cos_f
-
-    found: List[Optional[float]] = []
-    for num, den in ((num1, den1), (num2, den2)):
-        if num == 0.0 and den == 0.0:
-            found.append(None)
-            continue
-        cand = math.atan2(num, den) % math.pi
-        if cand <= 1e-12 or cand >= math.pi - 1e-12:
-            found.append(None)
-            continue
-        for _ in range(6):
-            try:
-                g = _density(w, theta + cand)
-                gp = _density_slope(w, theta + cand)
-            except NearSingularError:
-                break
-            if gp == 0.0:
-                break
-            step = g / gp
-            nxt = cand - step
-            if not (1e-12 < nxt < math.pi - 1e-12):
-                break
-            cand = nxt
-            if abs(step) < 1e-14:
-                break
+    def root(chi: Optional[float]) -> Optional[float]:
+        if chi is None:
+            return None
+        phi = (chi + 0.5 * math.pi - theta) % math.pi
+        if not 1e-12 < phi < math.pi - 1e-12:
+            return None
+        if phi_window is not None and not phi_window[0] < phi < phi_window[1]:
+            return None
         try:
-            residual = abs(_density(w, theta + cand))
+            return phi if abs(_density(w, theta + phi)) <= _RESIDUAL_TOL else None
         except NearSingularError:
-            found.append(None)
-            continue
-        if residual > _RESIDUAL_TOL:
-            found.append(None)
-            continue
-        if phi_window is not None and not (phi_window[0] < cand < phi_window[1]):
-            found.append(None)
-            continue
-        found.append(cand)
+            return None
 
-    phi1, phi2 = found
+    chi = _chi(w.far, w.near, -1.0)
+    if chi is None:
+        return PhiExtrema(phi1=None, phi2=None)
+    phi1, phi2 = root(chi), root(_chi(w.far, w.near, 1.0))
     if phi1 is not None and phi2 is not None and abs(phi1 - phi2) <= 1e-9:
         phi2 = None
     return PhiExtrema(phi1=phi1, phi2=phi2)
@@ -428,8 +252,6 @@ class CellPieces:
     right: Optional[StaticWedge]
 
     def evaluate(self, delta: float) -> float:
-        if delta == 0.0:
-            return self.base_area
         total = self.base_area
         if self.left is not None:
             total += _area_raw(self.left, self.theta0 + self.opening, delta)

@@ -20,7 +20,7 @@ from fovmax.cells import (
     vertex_partition,
 )
 from fovmax.oracle import clip_area_at
-from fovmax.wedge import _area_raw
+from fovmax.wedge import _area_raw, two_sector_area
 from conftest import external_apex, random_convex_polygon, random_scene
 
 ORIGIN = (0.0, 0.0)
@@ -38,15 +38,14 @@ def test_angular_order_merges_collinear_square():
     assert list(order.sorted_angles) == pytest.approx(
         [math.atan2(1, 2), math.pi / 4, math.atan2(2, 1)]
     )
-    # (1,1) and (2,2) share the pi/4 ray; the nearer vertex represents it
-    assert list(order.vertex_order) == [1, 0, 3]
+    # (1,1) and (2,2) share the pi/4 ray
+    assert order.ray_of == (1, 0, 1, 2)
 
 
 def test_angular_order_merges_triangle_base():
     tri = ConvexPolygon([(1, 0), (2, 0), (1, 1)])
     order = angular_order(tri, ORIGIN)
     assert list(order.sorted_angles) == pytest.approx([0.0, math.pi / 4])
-    assert list(order.vertex_order) == [0, 2]
 
 
 def test_angular_order_no_dedup_keeps_all(rng):
@@ -55,8 +54,7 @@ def test_angular_order_no_dedup_keeps_all(rng):
         apex = external_apex(rng, poly)
         order = angular_order(poly, apex)
         # generic apexes see every vertex on its own ray
-        if len(order.sorted_angles) == len(poly):
-            assert sorted(order.vertex_order) == list(range(len(poly)))
+        assert len(order.sorted_angles) == len(poly)
 
 
 def _nearest_ray_scan(angles, sorted_angles):
@@ -126,10 +124,12 @@ def test_angular_order_rejects_a_boundary_that_turns_back(monkeypatch):
 
 
 def test_notched_polygon_below_the_orientation_tolerance_is_rejected():
-    # the notch's turn, -2e-13, passes ConvexPolygon's absolute 1e-12 test at
-    # this scale; from beside the notch the boundary turns back
+    # ConvexPolygon rejects this notch (turn -2e-13 at this scale) since its
+    # convexity test is relative; built unvalidated, the partition still
+    # rejects it, because from beside the notch the boundary turns back
     s = 1.4e-6
-    poly = ConvexPolygon([(0.0, 0.0), (s, 0.0), (s, s), (0.5 * s, 0.9 * s), (0.0, s)])
+    vertices = [(0.0, 0.0), (s, 0.0), (s, s), (0.5 * s, 0.9 * s), (0.0, s)]
+    poly = ConvexPolygon(vertices, _validate=False)
     with pytest.raises(InvalidInputError, match="not convex"):
         vertex_partition(poly, (2.5 * s, 1.2 * s))
 
@@ -260,8 +260,9 @@ def test_cells_tile_admissible_domain(square_partition):
 
 
 def _moving_area(poly, part, cell, theta):
-    # the boundary sections' parts from the wedge closed form, independent
-    # of the tan form the cells and the solver use
+    # the boundary sections' parts from the wedge closed form, the same
+    # _cut the cells and the solver use; the clip area is the independent
+    # reference
     phi = cell.opening
     r, l = cell.right_section, cell.left_section
     if r is not None and l == r:
@@ -273,6 +274,26 @@ def _moving_area(poly, part, cell, theta):
         start = cell.left_section_start
         total += _area_raw(section_wedge(poly, part, l), start, theta + phi - start)
     return total
+
+
+def test_section_wedge_matches_cut(rng):
+    # a section's wedge and the partition's cut are one closed form; they
+    # differ only in how each builds the edge lines
+    checked = 0
+    for _ in range(40):
+        poly, apex, _ = random_scene(rng)
+        part = vertex_partition(poly, apex)
+        rays = part.sorted_angles
+        for j in range(part.num_sections):
+            u, v = sorted(rng.uniform(0.0, 1.0, size=2))
+            a = rays[j] + u * (rays[j + 1] - rays[j])
+            b = rays[j] + v * (rays[j + 1] - rays[j])
+            if not b > a:
+                continue
+            area = two_sector_area(section_wedge(poly, part, j), a, b - a)
+            assert area == pytest.approx(part.cut(j, a, b), rel=0.0, abs=1e-12 * poly.area)
+            checked += 1
+    assert checked > 200
 
 
 def test_middle_area_constant_per_cell(rng):

@@ -42,18 +42,15 @@ def _sorted_rays(poly, apex):
         vx, vy = poly.vertices[i]
         return (vx - apex[0]) ** 2 + (vy - apex[1]) ** 2
 
-    rays, reps = [], []
+    rays = []
     for i in order:
         if rays and angles[i] - rays[-1] <= _ANGLE_MERGE:
-            if dist2(i) < dist2(reps[-1]):
-                reps[-1] = i
             continue
         rays.append(angles[i])
-        reps.append(i)
     ray_of = tuple(
         min(range(len(rays)), key=lambda k: abs(rays[k] - a)) for a in angles
     )
-    return tuple(rays), tuple(reps), ray_of, dist2
+    return tuple(rays), ray_of, dist2
 
 
 def _walk_chain(n, ray_of, start, last_ray, step):
@@ -82,10 +79,10 @@ def _per_section(chain, ray_of, m_rays, clockwise):
 
 
 def reference_partition(poly, apex):
-    """(rays, reps, ray_of, near, far, lines, areas, prefix) the old way."""
+    """(rays, ray_of, near, far, lines, areas, prefix) the old way."""
     if poly.contains(apex):
         raise UnsupportedSceneError("apex inside or on polygon")
-    rays, reps, ray_of, dist2 = _sorted_rays(poly, apex)
+    rays, ray_of, dist2 = _sorted_rays(poly, apex)
     m = len(rays)
     if m < 2:
         raise InvalidInputError("polygon subtends a single ray from the apex")
@@ -100,7 +97,7 @@ def reference_partition(poly, apex):
         _cut(lines[f], a, b) - _cut(lines[e], a, b)
         for e, f, a, b in zip(near, far, rays, rays[1:])
     )
-    return rays, reps, ray_of, near, far, lines, areas, tuple(accumulate(areas, initial=0.0))
+    return rays, ray_of, near, far, lines, areas, tuple(accumulate(areas, initial=0.0))
 
 
 def _line_apex(poly, i, along, off):
@@ -160,10 +157,10 @@ def test_vertex_partition_matches_sort_and_walk(k):
         with pytest.raises(type(exc), match=str(exc)):
             vertex_partition(poly, apex)
         return
-    rays, reps, ray_of, near, far, lines, areas, prefix = expected
+    rays, ray_of, near, far, lines, areas, prefix = expected
     part = vertex_partition(poly, apex)
     assert angular_order(poly, apex).ray_of == ray_of
-    assert (part.sorted_angles, part.vertex_order) == (rays, reps)
+    assert part.sorted_angles == rays
     assert (part.near_edges, part.far_edges) == (near, far)
     assert (part.edge_lines, part.section_areas, part.area_prefix) == (lines, areas, prefix)
 

@@ -12,7 +12,6 @@ from fovmax.wedge import (
     StaticWedge,
     d_area_d_opening,
     opening_extrema,
-    parallel_strip_area,
     rotation_pieces,
     two_sector_area,
     wedge_from_lines,
@@ -44,29 +43,24 @@ def quad_oracle(apex, far_line, near_line, theta, phi):
 
 
 def test_wedge_from_lines_basic():
-    assert BASIC.far_slope == pytest.approx(math.pi / 4)
-    assert BASIC.near_slope == 0.0
-    assert BASIC.far_offset == pytest.approx(3.0)
-    assert BASIC.near_offset == pytest.approx(1.0)
-    assert BASIC.frame_rotation == 0.0
-    assert not BASIC.parallel
+    # each line as (d**2 / 2, psi): y = x + 3 is 3 / sqrt(2) away along
+    # 3 pi / 4, y = 1 is 1 away along pi / 2
+    assert BASIC.far == pytest.approx((9.0 / 4.0, 3.0 * math.pi / 4.0))
+    assert BASIC.near == pytest.approx((0.5, math.pi / 2.0))
 
 
 def test_wedge_from_lines_parallel():
     w = wedge_from_lines(ORIGIN, ((0.0, 2.0), 0.0), ((0.0, 1.0), 0.0))
-    assert w.parallel
-    assert w.far_slope == w.near_slope == 0.0
-    assert w.far_offset == pytest.approx(2.0)
-    assert w.near_offset == pytest.approx(1.0)
-    assert w.apex_side == 1
+    assert w.far == pytest.approx((2.0, math.pi / 2.0))
+    assert w.near == pytest.approx((0.5, math.pi / 2.0))
     assert (w.window_lo, w.window_hi) == pytest.approx((0.0, math.pi))
 
 
 def test_wedge_from_lines_reference_scene():
-    assert REF.far_slope == pytest.approx(math.pi / 6, abs=1e-5)
-    assert REF.near_slope == 0.0
-    assert REF.far_offset == pytest.approx(8.2572, abs=1e-3)
-    assert REF.near_offset == pytest.approx(1.2550, abs=1e-9)
+    # the far line's distance is its vertical offset 8.2572 times cos(pi / 6)
+    assert REF.far[0] == pytest.approx(0.5 * (8.2572 * math.cos(math.pi / 6)) ** 2, rel=1e-4)
+    assert REF.far[1] == pytest.approx(2.0 * math.pi / 3.0, abs=1e-5)
+    assert REF.near == pytest.approx((0.5 * 1.2550**2, math.pi / 2.0), abs=1e-9)
 
 
 def test_wedge_direction_window():
@@ -127,31 +121,17 @@ def test_two_sector_area_near_singular_at_window_edge():
 
 def test_parallel_strip_area_examples():
     strip = wedge_from_lines(ORIGIN, ((0.0, 2.0), 0.0), ((0.0, 1.0), 0.0))
-    assert parallel_strip_area(strip, math.pi / 4, math.pi / 2) == pytest.approx(3.0)
-    assert parallel_strip_area(strip, math.pi / 3, math.pi / 6) == pytest.approx(
+    assert two_sector_area(strip, math.pi / 4, math.pi / 2) == pytest.approx(3.0)
+    assert two_sector_area(strip, math.pi / 3, math.pi / 6) == pytest.approx(
         0.8660, abs=5e-5
     )
 
 
 def test_parallel_strip_coincident_is_zero():
-    w = StaticWedge(
-        far_slope=0.0,
-        near_slope=0.0,
-        far_offset=1.0,
-        near_offset=1.0,
-        frame_rotation=0.0,
-        apex_side=1,
-        window_lo=0.0,
-        window_hi=math.pi,
-        parallel=True,
-    )
+    line = (0.5, math.pi / 2.0)
+    w = StaticWedge(far=line, near=line, window_lo=0.0, window_hi=math.pi)
     for theta, phi in ((0.3, 0.5), (1.0, 1.2), (2.0, 0.9)):
-        assert parallel_strip_area(w, theta, phi) == 0.0
-
-
-def test_parallel_strip_requires_parallel_wedge():
-    with pytest.raises(InvalidInputError):
-        parallel_strip_area(BASIC, 1.0, 0.3)
+        assert two_sector_area(w, theta, phi) == 0.0
 
 
 def test_two_sector_area_dispatches_parallel():
@@ -165,7 +145,7 @@ def test_d_area_d_opening_value():
 
 def test_d_area_d_opening_root():
     # the quoted 4-digit root 1.6308 only zeroes the derivative loosely
-    # (local slope is ~8); the polished root must meet the 1e-9 contract
+    # (local slope is ~8); the closed-form root must meet the 1e-9 contract
     assert abs(d_area_d_opening(BASIC, math.pi / 3, 1.6308)) <= 1e-3
     ex = opening_extrema(BASIC, math.pi / 3)
     root = min(ex.values())
@@ -173,17 +153,8 @@ def test_d_area_d_opening_root():
 
 
 def test_d_area_d_opening_coincident_zero():
-    w = StaticWedge(
-        far_slope=0.0,
-        near_slope=0.0,
-        far_offset=1.5,
-        near_offset=1.5,
-        frame_rotation=0.0,
-        apex_side=1,
-        window_lo=0.0,
-        window_hi=math.pi,
-        parallel=True,
-    )
+    line = (0.5 * 1.5**2, math.pi / 2.0)
+    w = StaticWedge(far=line, near=line, window_lo=0.0, window_hi=math.pi)
     for phi in (0.2, 0.9, 1.7):
         assert d_area_d_opening(w, 0.8, phi) == 0.0
 
@@ -228,10 +199,9 @@ SYMMETRIC = wedge_from_lines(
 
 
 def test_opening_extrema_symmetric_vertical():
-    # mirror-symmetric wedge, direction straight along the symmetry axis
-    # boundary: the first candidate's numerator vanishes (maps to 0 and is
-    # excluded); the second lands on the vanishing-denominator branch and
-    # comes out as exactly pi/2, where the derivative is zero by symmetry
+    # mirror-symmetric wedge, direction straight along the symmetry axis:
+    # the first root's left ray is the direction itself (phi = 0, excluded);
+    # the second is pi/2, where the derivative is zero by symmetry
     ex = opening_extrema(SYMMETRIC, math.pi / 2)
     assert ex.phi1 is None
     assert ex.phi2 == pytest.approx(math.pi / 2, abs=1e-12)
@@ -244,17 +214,8 @@ def test_opening_extrema_symmetric_tilted():
 
 
 def test_opening_extrema_coincident_empty():
-    w = StaticWedge(
-        far_slope=0.0,
-        near_slope=0.0,
-        far_offset=2.0,
-        near_offset=2.0,
-        frame_rotation=0.0,
-        apex_side=1,
-        window_lo=0.0,
-        window_hi=math.pi,
-        parallel=True,
-    )
+    line = (2.0, math.pi / 2.0)
+    w = StaticWedge(far=line, near=line, window_lo=0.0, window_hi=math.pi)
     ex = opening_extrema(w, 1.0)
     assert ex.phi1 is None and ex.phi2 is None
 
@@ -345,12 +306,11 @@ def test_offset_scaling_law(rng):
 
 
 def test_vertical_frame_rotation():
-    # raw slopes hug +-pi/2, forcing a nonzero evaluation frame; the area
-    # must still match the frame-free quad oracle
+    # both lines are nearly vertical, where a slope form would blow up;
+    # the area must still match the quad oracle
     far = ((2.0, 0.0), 1.57)
     near = ((1.0, 0.0), 1.45)
     w = wedge_from_lines(ORIGIN, far, near)
-    assert w.frame_rotation != 0.0
     theta, phi = sample_inside_window(__import__("numpy").random.default_rng(7), w)
     assert two_sector_area(w, theta, phi) == pytest.approx(
         quad_oracle(ORIGIN, far, near, theta, phi), rel=1e-9
@@ -361,3 +321,46 @@ def test_contains_direction_wraps():
     assert BASIC.contains_direction(BASIC.window_lo + 2.0 * math.pi - 1e-12)
     assert BASIC.contains_direction(BASIC.window_lo - 2.0 * math.pi + 1e-9)
     assert not BASIC.contains_direction(BASIC.window_hi + 0.2)
+
+
+def _near_crossing_first(apex, far, near, gamma):
+    n = ray_line_intersection(apex, gamma, near)
+    f = ray_line_intersection(apex, gamma, far)
+    if n is None or f is None:
+        return False
+    return math.dist(apex, n) < math.dist(apex, f)
+
+
+def test_window_is_where_the_near_line_is_crossed_first(rng):
+    # random line pairs, a tenth each parallel, antiparallel and nearly
+    # vertical; away from the window's ends, a direction is in the window
+    # exactly when its ray crosses the near line strictly before the far one
+    checked = inside = 0
+    for k in range(400):
+        apex = tuple(rng.uniform(-2.0, 2.0, size=2))
+        a_far = float(rng.uniform(0.0, 2.0 * math.pi))
+        a_near = float(rng.uniform(0.0, 2.0 * math.pi))
+        if k % 10 == 1:
+            a_near = a_far
+        elif k % 10 == 2:
+            a_near = a_far + math.pi
+        elif k % 10 == 3:
+            a_far, a_near = math.pi / 2.0 - 1e-9, -math.pi / 2.0
+        far = (tuple(rng.uniform(-3.0, 3.0, size=2)), a_far)
+        near = (tuple(rng.uniform(-3.0, 3.0, size=2)), a_near)
+        try:
+            w = wedge_from_lines(apex, far, near)
+        except InvalidInputError:
+            w = None
+        for gamma in rng.uniform(0.0, 2.0 * math.pi, size=50):
+            gamma = float(gamma)
+            if w is not None and min(
+                abs(math.remainder(gamma - w.window_lo, 2.0 * math.pi)),
+                abs(math.remainder(gamma - w.window_hi, 2.0 * math.pi)),
+            ) < 1e-6:
+                continue
+            expected = _near_crossing_first(apex, far, near, gamma)
+            assert (w is not None and w.contains_direction(gamma)) == expected
+            checked += 1
+            inside += expected
+    assert checked > 19000 and inside > 1000
