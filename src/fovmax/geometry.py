@@ -191,9 +191,13 @@ class ConvexPolygon:
         return self._lines[i]
 
     def centroid(self) -> Point:
-        xs = sum(v[0] for v in self.vertices) / len(self.vertices)
-        ys = sum(v[1] for v in self.vertices) / len(self.vertices)
-        return (xs, ys)
+        # left to right: sum() of floats rounds differently from 3.12 on
+        xs = ys = 0.0
+        for x, y in self.vertices:
+            xs += x
+            ys += y
+        n = len(self.vertices)
+        return (xs / n, ys / n)
 
     def contains(self, p: Point, tol: float = ORIENT_EPS) -> bool:
         """Closed containment test (boundary counts as inside)."""

@@ -12,15 +12,21 @@ and its sign is that of a polynomial of degree at most 6 in
 tan(theta - mid), so a cell has at most 6 critical points. They are
 isolated exactly by recursing on the polynomial's derivatives and
 polished by a bracketed Newton iteration on the true f' to the requested
-number of digits; there is no chunking and no clipping fallback. Cells
-are visited best first by an upper bound on their area from prefix sums
-of the section areas, and the search stops once no remaining cell can
-come within the tie tolerance (10**-digits times the polygon area) of the
-best area found. A visited cell is solved only when a second bound,
-end_bound, still reaches that far: the larger end value plus a
-curvature term from a lower bound on f'' (f'' is a sum of monotone
-terms). The global maximum is the best cell result; ties within the
-tolerance resolve to the smallest direction.
+number of digits; there is no chunking and no clipping fallback. Before
+isolating, a root-free test rules out most polynomials, and at each
+level of the recursion most derivatives: when the constant coefficient
+outweighs the others on the cell's range, every value the isolation
+would compute has its sign, so the exit gives what isolation would.
+Cells are visited best first by an upper bound on their area from
+prefix sums of the section areas, and the search stops once no
+remaining cell can come within the tie tolerance (10**-digits times the
+polygon area) of the best area found. A visited cell is solved only
+when a second bound, end_bound, still reaches that far: the larger end
+value plus a curvature term from a lower bound on f'' (f'' is a sum of
+monotone terms). end_bound and maximize_cell share the cell's f' terms,
+which the cell builds once, and its two end values. The global maximum
+is the best cell result; ties within the tolerance resolve to the
+smallest direction.
 """
 
 from __future__ import annotations
@@ -185,36 +191,32 @@ def cell_objective(cell: RotationCell, theta: float) -> float:
     return total
 
 
-def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
-    """(w, beta) pairs with f'(theta) = sum of w / cos(theta + beta)**2,
-    one far/near pair per moving boundary ray.
-
-    The left ray at theta + phi ends its section's cut; the right ray at
-    theta starts its section's cut, so its derivative enters negated. A
-    single-section cell has both rays in one section and so all four terms.
-    """
-    part = cell.part
-    terms = []
-    if cell.right_section is not None:
-        terms += [(-w, beta) for w, beta in part.cut_slopes(cell.right_section, 0.0)]
-    if cell.left_section is not None:
-        terms += part.cut_slopes(cell.left_section, cell.opening)
-    return terms
-
-
-def _pmul(p: List[float], q: List[float]) -> List[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _horner(p: List[float], x: float) -> float:
     v = 0.0
     for c in reversed(p):
         v = v * x + c
     return v
+
+
+def _root_free(p: List[float], bound: float) -> bool:
+    """True when every Horner value of p at |t| <= bound has p[0]'s sign.
+
+    The test is |p[0]| > (1 + 1e-9) * S, where S is the sum over k >= 1 of
+    |p[k]| bound**k plus 1e-300 times the sum over k < deg p of bound**k.
+    In floating point, Horner's value at t is the sum of p[k] t**k
+    (1 + e_k) with |e_k| <= 13 * 2**-53 up to degree 6, plus at most
+    2**-1075 times the sum over k < deg p of |t|**k from products that
+    underflow. The 1e-9 margin covers the first error and the rounding of
+    S, the 1e-300 terms the second, so the value has p[0]'s sign. A NaN,
+    an infinite p[k] past p[0] or an all-zero p fails the test; an
+    infinite p[0] passes, and every Horner value is then that infinity.
+    With no sign change at any node, skipping root isolation for p gives
+    what isolation would.
+    """
+    s = 0.0
+    for c in p[:0:-1]:
+        s = (s + abs(c)) * bound + 1e-300
+    return abs(p[0]) > (1.0 + 1e-9) * s
 
 
 def _slope_polynomial(terms: List[Tuple[float, float]], mid: float) -> List[float]:
@@ -225,18 +227,43 @@ def _slope_polynomial(terms: List[Tuple[float, float]], mid: float) -> List[floa
     a = mid + beta, so f' times cos(theta - mid)**2 times every
     q_k = (cos(a_k) - t sin(a_k))**2, all positive inside a cell, is
     sum_k w_k prod_{j != k} q_j. Per far/near pair that is A = w_0 q_1 +
-    w_1 q_0 over Q = q_0 q_1, and two pairs give A_0 Q_1 + A_1 Q_0.
+    w_1 q_0 over Q = q_0 q_1, and two pairs give A_0 Q_1 + A_1 Q_0. Each
+    product coefficient is summed from 0.0 in ascending powers of its
+    first factor.
     """
-    pairs = []
-    for (w0, b0), (w1, b1) in zip(terms[::2], terms[1::2]):
-        q0, q1 = (
-            [math.cos(a) ** 2, -math.sin(2.0 * a), math.sin(a) ** 2] for a in (mid + b0, mid + b1)
-        )
-        pairs.append(([w0 * x + w1 * y for x, y in zip(q1, q0)], _pmul(q0, q1)))
-    if len(pairs) == 1:
-        return pairs[0][0]
-    (a0, s0), (a1, s1) = pairs
-    return [x + y for x, y in zip(_pmul(a0, s1), _pmul(a1, s0))]
+    cos, sin = math.cos, math.sin
+    (w0, b0), (w1, b1) = terms[0], terms[1]
+    a, b = mid + b0, mid + b1
+    x0, x1, x2 = cos(a) ** 2, -sin(2.0 * a), sin(a) ** 2
+    y0, y1, y2 = cos(b) ** 2, -sin(2.0 * b), sin(b) ** 2
+    p0, p1, p2 = w0 * y0 + w1 * x0, w0 * y1 + w1 * x1, w0 * y2 + w1 * x2
+    if len(terms) == 2:
+        return [p0, p1, p2]
+    (w2, b2), (w3, b3) = terms[2], terms[3]
+    a, b = mid + b2, mid + b3
+    u0, u1, u2 = cos(a) ** 2, -sin(2.0 * a), sin(a) ** 2
+    v0, v1, v2 = cos(b) ** 2, -sin(2.0 * b), sin(b) ** 2
+    r0, r1, r2 = w2 * v0 + w3 * u0, w2 * v1 + w3 * u1, w2 * v2 + w3 * u2
+    # Q_0 = q_0 q_1 and Q_1 = q_2 q_3
+    s0 = 0.0 + x0 * y0
+    s1 = 0.0 + x0 * y1 + x1 * y0
+    s2 = 0.0 + x0 * y2 + x1 * y1 + x2 * y0
+    s3 = 0.0 + x1 * y2 + x2 * y1
+    s4 = 0.0 + x2 * y2
+    t0 = 0.0 + u0 * v0
+    t1 = 0.0 + u0 * v1 + u1 * v0
+    t2 = 0.0 + u0 * v2 + u1 * v1 + u2 * v0
+    t3 = 0.0 + u1 * v2 + u2 * v1
+    t4 = 0.0 + u2 * v2
+    return [
+        (0.0 + p0 * t0) + (0.0 + r0 * s0),
+        (0.0 + p0 * t1 + p1 * t0) + (0.0 + r0 * s1 + r1 * s0),
+        (0.0 + p0 * t2 + p1 * t1 + p2 * t0) + (0.0 + r0 * s2 + r1 * s1 + r2 * s0),
+        (0.0 + p0 * t3 + p1 * t2 + p2 * t1) + (0.0 + r0 * s3 + r1 * s2 + r2 * s1),
+        (0.0 + p0 * t4 + p1 * t3 + p2 * t2) + (0.0 + r0 * s4 + r1 * s3 + r2 * s2),
+        (0.0 + p1 * t4 + p2 * t3) + (0.0 + r1 * s4 + r2 * s3),
+        (0.0 + p2 * t4) + (0.0 + r2 * s4),
+    ]
 
 
 def _sign_changes(p: List[float], nodes: List[float]) -> List[Tuple[float, float, float, float]]:
@@ -261,10 +288,11 @@ def _monotone_nodes(p: List[float], lo: float, hi: float) -> List[float]:
     p is monotone between consecutive nodes, so each of its sign changes
     there brackets exactly one root. The roots of p' come the same way
     from the roots of p'', down to a linear derivative (Collins and Loos,
-    Real zeros of polynomials, 1982).
+    Real zeros of polynomials, 1982). A root-free p' (see _root_free)
+    makes p monotone on the whole range.
     """
     dp = [k * c for k, c in enumerate(p)][1:]
-    if len(dp) < 2:
+    if len(dp) < 2 or _root_free(dp, max(-lo, hi)):
         return [lo, hi]
     ddp = [k * c for k, c in enumerate(dp)][1:]
     tol = 1e-13 * (hi - lo)
@@ -291,9 +319,10 @@ def maximize_cell(
     """Best direction inside one cell.
 
     The sign of f' is the sign of a polynomial of degree at most 6 in
-    tan(theta - mid), so the cell has at most 6 critical points. Each sign
-    change of the polynomial, isolated exactly, maps back to a bracket in
-    theta, and a safeguarded Newton run on the true f' polishes its root.
+    tan(theta - mid), so the cell has at most 6 critical points, and none
+    when the polynomial passes _root_free. Each sign change of the
+    polynomial, isolated exactly, maps back to a bracket in theta, and a
+    safeguarded Newton run on the true f' polishes its root.
     When rounding erases the sign change of f' at the mapped ends, the end
     at the polynomial's root (where the two signs disagree) stands in for
     it. The best of the roots and the two cell ends wins; ties go to the
@@ -310,20 +339,34 @@ def maximize_cell(
             theta=lo, area=cell.middle_area, candidates_evaluated=1, achieved_bracket=0.0
         )
 
-    terms = _slope_terms(cell)
+    terms = cell.slope_terms
+    cos, tan = math.cos, math.tan
 
+    # left to right: sum() of floats rounds differently from 3.12 on
     def slope(theta: float) -> float:
-        return sum(w / math.cos(theta + beta) ** 2 for w, beta in terms)
+        total = 0.0
+        for w, beta in terms:
+            total += w / cos(theta + beta) ** 2
+        return total
 
     def curvature(theta: float) -> float:
-        return sum(2.0 * w * math.tan(theta + b) / math.cos(theta + b) ** 2 for w, b in terms)
+        total = 0.0
+        for w, beta in terms:
+            total += 2.0 * w * tan(theta + beta) / cos(theta + beta) ** 2
+        return total
 
     if ends is None:
         ends = (cell_objective(cell, lo), cell_objective(cell, hi))
     candidates = [(lo, 0.0, ends[0]), (hi, 0.0, ends[1])]
     mid = 0.5 * (lo + hi)
     p = _slope_polynomial(terms, mid)
-    for a, b, pa, _ in _sign_changes(p, _monotone_nodes(p, math.tan(lo - mid), math.tan(hi - mid))):
+    t_lo, t_hi = tan(lo - mid), tan(hi - mid)
+    # max(-t_lo, t_hi) is the larger |t|, since t_lo <= t_hi
+    if _root_free(p, max(-t_lo, t_hi)):
+        brackets = []
+    else:
+        brackets = _sign_changes(p, _monotone_nodes(p, t_lo, t_hi))
+    for a, b, pa, _ in brackets:
         ta = min(max(mid + math.atan(a), lo), hi)
         tb = min(max(mid + math.atan(b), lo), hi)
         ga, gb = slope(ta), slope(tb)
@@ -362,7 +405,7 @@ def end_bound(cell: RotationCell) -> Tuple[float, float, float]:
     """
     lo, hi = cell.interval
     m = 0.0
-    for w, beta in _slope_terms(cell):
+    for w, beta in cell.slope_terms:
         x = (lo if w > 0.0 else hi) + beta
         m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
     f_lo, f_hi = cell_objective(cell, lo), cell_objective(cell, hi)
