@@ -39,7 +39,6 @@ special casing; results are mapped back to [0, 2pi) at the solver surface.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -56,20 +55,10 @@ from .geometry import (
 from .wedge import StaticWedge, _cut, wedge_from_lines
 
 _ANGLE_MERGE = 1e-12
-
-
-def _add_left_to_right(values: Sequence[float]) -> float:
-    """0.0 plus each value in turn, as sum() of floats adds before CPython
-    3.12; from 3.12 on, sum() compensates and rounds differently."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-# sum() gives the same bits before 3.12 and runs three times as fast on the
-# thousands of sections a large polygon's cells cover
-_middle_sum = sum if sys.version_info < (3, 12) else _add_left_to_right
+# middle_ceiling stands in for middle areas over at least this many
+# sections; a shorter sum costs less than the extra end_bound call that a
+# cell the stand-in cannot rule out takes
+_LONG_MIDDLE = 32
 
 
 class AngularOrder(NamedTuple):
@@ -210,7 +199,8 @@ class SectionPartition:
     edge_lines[k] is edge k's line as (d**2 / 2, psi) (see _edge_lines).
     area_prefix[j] is the sum of the first j section areas; it serves the
     cell bounds only, since its differences round differently from a
-    left-to-right sum over the same sections.
+    left-to-right sum over the same sections. abs_area_sum is the sum of
+    the areas' magnitudes, the scale of the rounding in either sum.
     """
 
     sorted_angles: Tuple[float, ...]
@@ -219,6 +209,7 @@ class SectionPartition:
     edge_lines: Tuple[Tuple[float, float], ...]
     section_areas: Tuple[float, ...]
     area_prefix: Tuple[float, ...]
+    abs_area_sum: float
     apex: Point
 
     @property
@@ -280,6 +271,8 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
         edge_lines=lines,
         section_areas=tuple(areas),
         area_prefix=tuple(accumulate(areas, initial=0.0)),
+        # a scale only: middle_ceiling's margin covers how it rounds
+        abs_area_sum=sum(map(abs, areas)),
         apex=(float(apex[0]), float(apex[1])),
     )
 
@@ -346,8 +339,9 @@ class RotationCell:
     boundary ray for interior directions (None when that ray is outside
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. middle_area
-    is the constant area of fully covered sections and slope_terms the
-    terms of the objective's derivative, each built on first use.
+    is the constant area of fully covered sections, summed on first use,
+    and middle_ceiling an upper bound on it that costs no sum;
+    _terms holds the solver's derivative terms once it has built them.
     bound is an upper bound on the cell's area: the intersection never
     leaves the sections the cell touches. The cell carries the scene's
     partition and the opening, so it can be solved standalone.
@@ -363,39 +357,47 @@ class RotationCell:
     _middle: Optional[float] = field(default=None, init=False, repr=False)
     _terms: Optional[List[Tuple[float, float]]] = field(default=None, init=False, repr=False)
 
+    def _middle_range(self) -> Tuple[int, int]:
+        """The sections strictly between the boundary rays, as a slice;
+        empty for an empty or a single-section cell."""
+        r, l = self.right_section, self.left_section
+        if self.empty or (r is not None and r == l):
+            return 0, 0
+        return (0 if r is None else r + 1), (self.part.num_sections if l is None else l)
+
     @property
     def middle_area(self) -> float:
         if self._middle is None:
-            r, l = self.right_section, self.left_section
-            if self.empty or (r is not None and r == l):
-                self._middle = 0.0
-            else:
-                # the sections strictly between the boundary rays
-                start = 0 if r is None else r + 1
-                stop = self.part.num_sections if l is None else l
-                self._middle = _middle_sum(self.part.section_areas[start:stop])
+            start, stop = self._middle_range()
+            # left to right: sum() of floats rounds differently from 3.12 on
+            total = 0.0
+            for a in self.part.section_areas[start:stop]:
+                total += a
+            self._middle = total
         return self._middle
 
     @property
-    def slope_terms(self) -> List[Tuple[float, float]]:
-        """(w, beta) pairs with the objective's derivative in theta equal to
-        the sum of w / cos(theta + beta)**2, one far/near pair per moving
-        boundary ray.
+    def middle_ceiling(self) -> Optional[float]:
+        """An upper bound on middle_area from two prefix sums, or None when
+        the middle spans fewer than _LONG_MIDDLE sections or is summed.
 
-        The left ray at theta + opening ends its section's cut; the right
-        ray at theta starts its section's cut, so its derivative enters
-        negated. A single-section cell has both rays in one section and so
-        all four terms.
+        With u = 2**-53, n sections and A the sum of the areas' magnitudes,
+        a left-to-right sum of up to n of the areas (middle_area, or any
+        area_prefix entry) is within gamma_n * A of its exact value, where
+        gamma_n = n u / (1 - n u) <= 1.02 n u; the prefix difference adds
+        at most u (1 + 2 gamma_n) A. So the difference and middle_area lie
+        within 4 (n + 1) u A of each other, and the margin, 8 (n + 1) u A,
+        also covers the rounding of A and of the final addition. A non-finite area
+        makes the result inf or nan, which rules nothing out.
         """
-        if self._terms is None:
-            part, r, l = self.part, self.right_section, self.left_section
-            terms = []
-            if r is not None:
-                terms += [(-w, beta) for w, beta in part.cut_slopes(r, 0.0)]
-            if l is not None:
-                terms += part.cut_slopes(l, self.opening)
-            self._terms = terms
-        return self._terms
+        if self._middle is not None:
+            return None
+        start, stop = self._middle_range()
+        if stop - start < _LONG_MIDDLE:
+            return None
+        part = self.part
+        margin = 4.0 * (part.num_sections + 1) * part.abs_area_sum * 2.0**-52
+        return (part.area_prefix[stop] - part.area_prefix[start]) + margin
 
     @property
     def right_section_end(self) -> Optional[float]:

@@ -24,7 +24,11 @@ polygon area) of the best area found. A visited cell is solved only
 when a second bound, end_bound, still reaches that far: the larger end
 value plus a curvature term from a lower bound on f'' (f'' is a sum of
 monotone terms). end_bound and maximize_cell share the cell's f' terms,
-which the cell builds once, and its two end values. The global maximum
+built once per cell, and its two end values. For a cell whose middle
+covers many sections, end_bound first runs on an O(1) upper bound of the
+middle area; its values never fall as the middle rises, so a cell ruled
+out that way is ruled out by the exact sum too, which is then taken only
+for the cells that remain. The global maximum
 is the best cell result; ties within the tolerance resolve to the
 smallest direction.
 """
@@ -174,21 +178,43 @@ def objective_by_clipping(poly: ConvexPolygon, apex: Point, theta: float, phi: f
     return 0.0 if clipped is None else clipped.area
 
 
-def cell_objective(cell: RotationCell, theta: float) -> float:
-    """Objective inside a cell: the middle area plus the closed-form parts
-    of the boundary sections the sector's rays cut."""
+def cell_objective(cell: RotationCell, theta: float, middle: Optional[float] = None) -> float:
+    """Objective inside a cell: the middle area (cell.middle_area unless
+    given) plus the closed-form parts of the boundary sections the
+    sector's rays cut. Rounding is monotone, so the value never falls
+    when the middle rises."""
     if cell.empty:
         return 0.0
     part, phi = cell.part, cell.opening
     r, l = cell.right_section, cell.left_section
     if r is not None and r == l:
         return part.cut(r, theta, theta + phi)
-    total = cell.middle_area
+    total = cell.middle_area if middle is None else middle
     if r is not None:
         total += part.cut(r, theta, cell.right_section_end)
     if l is not None:
         total += part.cut(l, cell.left_section_start, theta + phi)
     return total
+
+
+def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
+    """(w, beta) pairs with f'(theta) = sum of w / cos(theta + beta)**2,
+    one far/near pair per moving boundary ray, built once per cell and
+    kept in its _terms slot for end_bound and maximize_cell.
+
+    The left ray at theta + phi ends its section's cut; the right ray at
+    theta starts its section's cut, so its derivative enters negated. A
+    single-section cell has both rays in one section and so all four terms.
+    """
+    if cell._terms is None:
+        part = cell.part
+        terms = []
+        if cell.right_section is not None:
+            terms += [(-w, beta) for w, beta in part.cut_slopes(cell.right_section, 0.0)]
+        if cell.left_section is not None:
+            terms += part.cut_slopes(cell.left_section, cell.opening)
+        cell._terms = terms
+    return cell._terms
 
 
 def _horner(p: List[float], x: float) -> float:
@@ -339,7 +365,7 @@ def maximize_cell(
             theta=lo, area=cell.middle_area, candidates_evaluated=1, achieved_bracket=0.0
         )
 
-    terms = cell.slope_terms
+    terms = _slope_terms(cell)
     cos, tan = math.cos, math.tan
 
     # left to right: sum() of floats rounds differently from 3.12 on
@@ -389,8 +415,10 @@ def maximize_cell(
     )
 
 
-def end_bound(cell: RotationCell) -> Tuple[float, float, float]:
-    """(f(lo), f(hi), an upper bound on f over the cell's interval).
+def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float, float, float]:
+    """(f(lo), f(hi), an upper bound on f over the cell's interval), with
+    f taking the given middle area in place of cell.middle_area; all three
+    never fall when the middle rises.
 
     f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
     cos(x) keeps its sign across a cell, since every line is cut at a
@@ -405,10 +433,10 @@ def end_bound(cell: RotationCell) -> Tuple[float, float, float]:
     """
     lo, hi = cell.interval
     m = 0.0
-    for w, beta in cell.slope_terms:
+    for w, beta in _slope_terms(cell):
         x = (lo if w > 0.0 else hi) + beta
         m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
-    f_lo, f_hi = cell_objective(cell, lo), cell_objective(cell, hi)
+    f_lo, f_hi = cell_objective(cell, lo, middle), cell_objective(cell, hi, middle)
     if not math.isfinite(m):
         return f_lo, f_hi, math.inf
     return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
@@ -482,6 +510,11 @@ def solve_scene(
         if bounds[i] + slack < best_area - tie_tol:
             break
         cell = cells[i]
+        # a long middle is first bounded from above in O(1): a cell ruled
+        # out with that in place of the exact sum is ruled out by it too
+        ceiling = cell.middle_ceiling
+        if ceiling is not None and end_bound(cell, ceiling)[2] + slack < best_area - tie_tol:
+            continue
         f_lo, f_hi, top = end_bound(cell)
         if top + slack < best_area - tie_tol:
             continue

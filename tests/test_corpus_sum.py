@@ -2,23 +2,17 @@
 
 From CPython 3.12 on, `sum()` of floats is a compensated sum, so a solve
 that adds floats with `sum()` rounds differently there from 3.10 and
-3.11. The solve path adds floats left to right in explicit loops instead,
-except for a cell's middle area, which takes `sum()` itself before 3.12
-(`cells._middle_sum`). These tests stand in for a run of
-`tests/test_corpus.py` on 3.12: the corpus scenes are built with the
-running interpreter's `sum()`, then solved with `builtins.sum` replaced by
-an exactly rounded sum on float input and the middle areas taken as on
-3.12, and must give the pinned bytes.
+3.11. The solve path adds floats left to right in explicit loops instead.
+This test stands in for a run of `tests/test_corpus.py` on 3.12: the
+corpus scenes are built with the running interpreter's `sum()`, then
+solved with `builtins.sum` replaced by an exactly rounded sum on float
+input, and must give the pinned bytes.
 """
 
 import builtins
 import json
 import math
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from fovmax import cells
 from test_corpus import CORPUS, SCENES, solve_record
 
 _sum = builtins.sum
@@ -35,13 +29,7 @@ def test_corpus_is_byte_identical_under_a_compensated_sum(monkeypatch):
     assert _exact_sum([0.1] * 10) != _sum([0.1] * 10)  # the stand-in rounds differently
     expected = json.loads(CORPUS.read_text())
     monkeypatch.setattr(builtins, "sum", _exact_sum)
-    monkeypatch.setattr(cells, "_middle_sum", cells._add_left_to_right)
     got = {name: solve_record(*rest) for name, *rest in SCENES}
     monkeypatch.undo()
     assert [name for name in got if got[name] != expected[name]] == []
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6), max_size=40))
-def test_middle_sum_adds_left_to_right(values):
-    assert float(cells._middle_sum(values)).hex() == cells._add_left_to_right(values).hex()

@@ -165,7 +165,7 @@ def test_most_solved_cells_skip_root_isolation(monkeypatch):
     real_maximize, real_nodes = solver.maximize_cell, solver._monotone_nodes
 
     def counted_maximize(cell, *args):
-        solved[0] += not cell.empty and bool(cell.slope_terms)
+        solved[0] += not cell.empty and bool(solver._slope_terms(cell))
         return real_maximize(cell, *args)
 
     def counted_nodes(p, lo, hi):
