@@ -47,10 +47,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .geometry import (
     ConvexPolygon,
     InvalidInputError,
-    TWO_PI,
+    Line,
     Point,
     UnsupportedSceneError,
-    normalize_angle,
+    _unwrapped_angles,
 )
 from .wedge import StaticWedge, _cut, wedge_from_lines
 
@@ -66,19 +66,6 @@ class AngularOrder(NamedTuple):
     ray_of: Tuple[int, ...]
 
 
-def _unwrapped_angles(poly: ConvexPolygon, apex: Point) -> List[float]:
-    """Every vertex's ray angle, moved by whole turns to within pi of the
-    apex-to-centroid direction."""
-    ax, ay = apex[0], apex[1]
-    cx, cy = poly.centroid()
-    mu = math.atan2(cy - ay, cx - ax)
-    atan2, remainder = math.atan2, math.remainder
-    return [
-        mu + remainder(normalize_angle(atan2(y - ay, x - ax)) - mu, TWO_PI)
-        for x, y in poly.vertices
-    ]
-
-
 def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     """Vertex rays sorted by angle, with collinear rays merged.
 
@@ -89,12 +76,10 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     Vertices whose rays coincide within 1e-12 rad share one entry. ray_of
     gives every polygon vertex the nearest ray, ties to the lower one: a
     vertex merged up to 1e-12 rad past its ray's angle can lie nearer the
-    next ray, and then belongs to that one. Raises when the apex is inside or
-    on the polygon, and when a chain turns back by more than 1e-12 rad,
+    next ray, and then belongs to that one. Raises as _unwrapped_angles
+    does for the apex, and when a chain turns back by more than 1e-12 rad,
     which a convex polygon's boundary cannot.
     """
-    if poly.contains(apex):
-        raise UnsupportedSceneError("apex inside or on polygon")
     angles = _unwrapped_angles(poly, apex)
     n = len(angles)
     lo = angles.index(min(angles))
@@ -326,8 +311,8 @@ def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> Static
     paper's A_theta(phi) for the section. The solve path does not use it."""
     return wedge_from_lines(
         part.apex,
-        poly.edge_line(part.far_edges[j]),
-        poly.edge_line(part.near_edges[j]),
+        Line.from_points(*poly.edge(part.far_edges[j])),
+        Line.from_points(*poly.edge(part.near_edges[j])),
     )
 
 
@@ -408,27 +393,6 @@ class RotationCell:
     def left_section_start(self) -> Optional[float]:
         l = self.left_section
         return None if l is None else self.part.sorted_angles[l]
-
-
-def cell_descriptor(
-    poly: ConvexPolygon,
-    apex: Point,
-    part: SectionPartition,
-    phi: float,
-    interval: Tuple[float, float],
-) -> RotationCell:
-    """Classify one breakpoint interval, wider than 1e-12 rad, as
-    build_cells classifies it: by probing its midpoint.
-
-    Inside a cell the structure is constant, so one interior probe settles
-    which sections hold the boundary rays and which are fully covered; the
-    covered ones contribute a constant middle area. The partition carries
-    everything the cell needs from poly and apex.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi - lo > _ANGLE_MERGE:
-        raise InvalidInputError("cell interval must be wider than 1e-12 rad")
-    return build_cells(poly, apex, part, phi, (lo, hi))[0]
 
 
 class CellTable(Sequence[RotationCell]):

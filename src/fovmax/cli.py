@@ -19,20 +19,14 @@ import json
 import math
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .geometry import (
-    TWO_PI,
-    ConvexPolygon,
-    InvalidInputError,
-    UnsupportedSceneError,
-    overlap_interval,
-)
+from .geometry import TWO_PI, ConvexPolygon, InvalidInputError, UnsupportedSceneError
 from .cells import breakpoints as compute_breakpoints
 from .cells import vertex_partition
 from .oracle import grid_scan_max
 from .render import render_svg
-from .solver import objective_by_clipping, solve_scene
+from .solver import SceneDetails, direction_domain, objective_by_clipping, solve_scene
 
 
 def _jdump(obj, pretty: bool = False, level: int = 0) -> str:
@@ -152,28 +146,23 @@ def _evaluate_fixed(poly, apex, phi, theta, domain):
     direction lands in the same cell.
     """
     part = vertex_partition(poly, apex)
-    first, last = part.span()
-    dom = (first - phi, last)
-    if domain is not None:
-        dom = overlap_interval(dom, (float(domain[0]), float(domain[1])))
+    dom = direction_domain(part, phi, domain)
     bps = [] if dom is None else compute_breakpoints(part.sorted_angles, phi, domain=dom)
     cell_index = -2
     if len(bps) >= 2:
         turned = bps[0] + (theta - bps[0]) % TWO_PI
         if turned <= bps[-1]:
             cell_index = min(max(bisect.bisect_right(bps, turned) - 1, 0), len(bps) - 2)
-    area = objective_by_clipping(poly, apex, theta, phi)
+    details = SceneDetails(
+        partition=part, breakpoints=tuple(bps), domain=dom, num_cells=max(len(bps) - 1, 0)
+    )
     record = {
         "theta_star": theta,
-        "area": area,
+        "area": objective_by_clipping(poly, apex, theta, phi),
         "cell_index": cell_index,
-        "num_cells": max(len(bps) - 1, 0),
+        "num_cells": details.num_cells,
     }
-
-    class _Details:
-        breakpoints = tuple(bps)
-
-    return record, _Details()
+    return record, details
 
 
 def run_solve(args) -> int:

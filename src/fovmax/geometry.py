@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from operator import eq
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Point = Tuple[float, float]
 
@@ -132,13 +132,12 @@ class ConvexPolygon:
     turns (collinear triples are tolerated) and strictly positive area.
     """
 
-    __slots__ = ("vertices", "_area", "_lines")
+    __slots__ = ("vertices", "_area")
 
     def __init__(self, vertices: Sequence[Point], _validate: bool = True):
         vs = tuple([(float(p[0]), float(p[1])) for p in vertices])
         self.vertices = vs
         self._area: Optional[float] = self._validate(vs) if _validate else None
-        self._lines: Optional[Tuple[Line, ...]] = None
 
     @staticmethod
     def _validate(vs: Tuple[Point, ...]) -> float:
@@ -182,14 +181,6 @@ class ConvexPolygon:
         """Edge i runs from vertex i to vertex i+1 (cyclic)."""
         return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
 
-    def edge_line(self, i: int) -> Line:
-        """Line through edge i; every edge's line is built once per polygon."""
-        if self._lines is None:
-            self._lines = tuple(
-                Line.from_points(*self.edge(k)) for k in range(len(self.vertices))
-            )
-        return self._lines[i]
-
     def centroid(self) -> Point:
         # left to right: sum() of floats rounds differently from 3.12 on
         xs = ys = 0.0
@@ -199,12 +190,12 @@ class ConvexPolygon:
         n = len(self.vertices)
         return (xs / n, ys / n)
 
-    def contains(self, p: Point, tol: float = ORIENT_EPS) -> bool:
+    def contains(self, p: Point) -> bool:
         """Closed containment test (boundary counts as inside)."""
         vs = self.vertices
         n = len(vs)
         for i in range(n):
-            if cross(vs[i], vs[(i + 1) % n], p) < -tol:
+            if cross(vs[i], vs[(i + 1) % n], p) < -ORIENT_EPS:
                 return False
         return True
 
@@ -230,15 +221,15 @@ class Sector:
         self.direction = direction
         self.opening = opening
 
-    def contains(self, p: Point, tol: float = ORIENT_EPS) -> bool:
+    def contains(self, p: Point) -> bool:
         ax, ay = self.apex
         vx, vy = p[0] - ax, p[1] - ay
         t = self.direction
         # left of the right ray and right of the left ray, both closed
-        if math.cos(t) * vy - math.sin(t) * vx < -tol:
+        if math.cos(t) * vy - math.sin(t) * vx < -ORIENT_EPS:
             return False
         t2 = t + self.opening
-        if math.cos(t2) * vy - math.sin(t2) * vx > tol:
+        if math.cos(t2) * vy - math.sin(t2) * vx > ORIENT_EPS:
             return False
         return True
 
@@ -335,24 +326,34 @@ def sector_clip(poly: ConvexPolygon, s: Sector) -> Optional[ConvexPolygon]:
     return clip_halfplane(clipped, left, keep_left=False)
 
 
-def angular_span(poly: ConvexPolygon, apex: Point) -> Tuple[float, float]:
-    """Smallest closed angle interval [lo, hi] containing every vertex ray.
+def _unwrapped_angles(poly: ConvexPolygon, apex: Point) -> List[float]:
+    """Every vertex's ray angle from an apex outside the polygon, moved by
+    whole turns to within pi of the apex-to-centroid direction, so a
+    polygon straddling the 0/2pi seam gets contiguous angles.
 
-    Angles are unwrapped around the apex-to-centroid direction so a polygon
-    straddling the 0/2pi seam still yields a contiguous interval; lo and hi
-    are plain reals with hi - lo < pi for an apex outside the polygon.
+    Raises InvalidInputError for a non-finite apex and
+    UnsupportedSceneError for an apex inside or on the polygon.
     """
+    ax, ay = apex[0], apex[1]
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise InvalidInputError("apex coordinates must be finite")
     if poly.contains(apex):
         raise UnsupportedSceneError("apex inside or on polygon")
     cx, cy = poly.centroid()
-    mu = math.atan2(cy - apex[1], cx - apex[0])
-    lo = math.inf
-    hi = -math.inf
-    for v in poly.vertices:
-        off = wrap_to_pi(vertex_angle(apex, v) - mu)
-        lo = min(lo, off)
-        hi = max(hi, off)
-    return (mu + lo, mu + hi)
+    mu = math.atan2(cy - ay, cx - ax)
+    atan2, remainder = math.atan2, math.remainder
+    return [
+        mu + remainder(normalize_angle(atan2(y - ay, x - ax)) - mu, TWO_PI)
+        for x, y in poly.vertices
+    ]
+
+
+def angular_span(poly: ConvexPolygon, apex: Point) -> Tuple[float, float]:
+    """Smallest closed angle interval [lo, hi] containing every vertex ray,
+    on the axis of _unwrapped_angles: lo and hi are plain reals with
+    hi - lo < pi."""
+    angles = _unwrapped_angles(poly, apex)
+    return min(angles), max(angles)
 
 
 def overlap_interval(base: Tuple[float, float], other: Tuple[float, float]) -> Optional[Tuple[float, float]]:
@@ -360,6 +361,8 @@ def overlap_interval(base: Tuple[float, float], other: Tuple[float, float]) -> O
     turns to best overlap `base`. Returns None when they stay disjoint."""
     a, b = base
     c, d = other
+    if not _finite(a, b, c, d):
+        raise InvalidInputError("interval endpoints must be finite")
     if d < c:
         raise InvalidInputError("interval endpoints out of order")
     k = round(((a + b) - (c + d)) / (2.0 * TWO_PI))

@@ -53,6 +53,7 @@ from .cells import RotationCell, SectionPartition, breakpoints, build_cells, ver
 from .wedge import opening_extrema, rotation_pieces  # noqa: F401
 
 _MIN_WIDTH = 1e-12
+_MAX_ITER = 200  # a backstop for _bracketed_newton
 _BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
 
 
@@ -94,7 +95,6 @@ def _bracketed_newton(
     xtol: float,
     glo: Optional[float] = None,
     ghi: Optional[float] = None,
-    max_iter: int = 200,
 ) -> Optional[Tuple[float, float, int]]:
     """Root of g in [lo, hi] by Newton steps safeguarded with bisection.
 
@@ -125,7 +125,7 @@ def _bracketed_newton(
     x = 0.5 * (lo + hi)
     gx = g(x)
     last_step = hi - lo
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if gx == 0.0:
             return x, hi - lo, it
         if (gx > 0.0) == (glo > 0.0):
@@ -151,7 +151,7 @@ def _bracketed_newton(
             mid = 0.5 * (lo + hi)
             nxt = (mid, g(mid), hi - lo)
         x, gx, last_step = nxt
-    return 0.5 * (lo + hi), hi - lo, max_iter
+    return 0.5 * (lo + hi), hi - lo, _MAX_ITER
 
 
 def safeguarded_root(
@@ -444,10 +444,26 @@ def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float
 
 @dataclass(frozen=True)
 class SceneDetails:
+    """The partition, breakpoints and resolved direction domain of a scene;
+    domain is None only when a fixed-direction evaluation's is empty."""
+
     partition: SectionPartition
     breakpoints: Tuple[float, ...]
-    domain: Tuple[float, float]
+    domain: Optional[Tuple[float, float]]
     num_cells: int
+
+
+def direction_domain(
+    part: SectionPartition, phi: float, domain: Optional[Tuple[float, float]]
+) -> Optional[Tuple[float, float]]:
+    """The admissible directions [first ray - phi, last ray], intersected
+    with domain when given, shifted by whole turns to overlap them best;
+    None when the intersection is empty."""
+    first, last = part.span()
+    base = (first - phi, last)
+    if domain is None:
+        return base
+    return overlap_interval(base, (float(domain[0]), float(domain[1])))
 
 
 def solve_scene(
@@ -462,16 +478,11 @@ def solve_scene(
     if not (0.0 < phi < math.pi):
         raise InvalidInputError("sector opening must lie in (0, pi)")
     part = vertex_partition(poly, apex)
+    dom = direction_domain(part, phi, domain)
+    if dom is None:
+        raise InvalidInputError("empty direction domain")
+
     first, last = part.span()
-
-    base_domain = (first - phi, last)
-    if domain is not None:
-        dom = overlap_interval(base_domain, (float(domain[0]), float(domain[1])))
-        if dom is None:
-            raise InvalidInputError("empty direction domain")
-    else:
-        dom = base_domain
-
     span_width = last - first
     if phi >= span_width:
         # containment plateau: any direction in [last - phi, first] sees the

@@ -197,18 +197,13 @@ def d_area_d_opening(w: StaticWedge, theta: float, phi: float) -> float:
     return _density(w, theta + phi)
 
 
-def opening_extrema(
-    w: StaticWedge,
-    theta: float,
-    phi_window: Optional[Tuple[float, float]] = None,
-) -> PhiExtrema:
+def opening_extrema(w: StaticWedge, theta: float) -> PhiExtrema:
     """Opening angles where d_area_d_opening vanishes at fixed direction.
 
     The roots are gamma = chi + pi/2 (phi1) and gamma = chi' + pi/2 (phi2)
     for the left ray, mapped to phi = (gamma - theta) mod pi. A root is
-    kept only when it lies in (0, pi), its derivative residual is at most
-    1e-9 and, when phi_window is given, it lies inside that open interval.
-    Coincident lines (the derivative vanishing identically) yield no
+    kept only when it lies in (0, pi) and its derivative residual is at
+    most 1e-9. Coincident lines (the derivative vanishing identically) yield no
     isolated extrema.
     """
 
@@ -217,8 +212,6 @@ def opening_extrema(
             return None
         phi = (chi + 0.5 * math.pi - theta) % math.pi
         if not 1e-12 < phi < math.pi - 1e-12:
-            return None
-        if phi_window is not None and not phi_window[0] < phi < phi_window[1]:
             return None
         try:
             return phi if abs(_density(w, theta + phi)) <= _RESIDUAL_TOL else None

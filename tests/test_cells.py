@@ -14,7 +14,6 @@ from fovmax.cells import (
     angular_order,
     breakpoints,
     build_cells,
-    cell_descriptor,
     section_edges,
     section_wedge,
     vertex_partition,
@@ -206,9 +205,9 @@ def test_section_areas_sum_to_polygon(rng, square_partition):
 
 def test_cell_descriptor_two_sections(square_partition):
     angles = square_partition.sorted_angles
-    cell = cell_descriptor(
+    cell = build_cells(
         SMALL_SQUARE, ORIGIN, square_partition, 0.1, (angles[1] - 0.1, angles[1])
-    )
+    )[0]
     assert cell.right_section == 0
     assert cell.left_section == 1
     assert cell.middle_area == 0.0
@@ -218,18 +217,18 @@ def test_cell_descriptor_two_sections(square_partition):
 
 def test_cell_descriptor_single_section(square_partition):
     angles = square_partition.sorted_angles
-    cell = cell_descriptor(
+    cell = build_cells(
         SMALL_SQUARE, ORIGIN, square_partition, 0.1, (angles[0], angles[1] - 0.1)
-    )
+    )[0]
     assert cell.right_section == cell.left_section == 0
     assert cell.middle_area == 0.0
 
 
 def test_cell_descriptor_left_ray_outside(square_partition):
     angles = square_partition.sorted_angles
-    cell = cell_descriptor(
+    cell = build_cells(
         SMALL_SQUARE, ORIGIN, square_partition, 0.5, (angles[2] - 0.5, angles[1])
-    )
+    )[0]
     # left semi-line is past the last vertex ray: the upper section is a
     # constant middle contribution and only the right boundary moves
     assert cell.right_section == 0
@@ -328,17 +327,19 @@ def test_lmr_stability_inside_cell(square_partition):
                 probe_iv = (lo + frac * (hi - lo) * 0.999, lo + frac * (hi - lo) * 1.001)
                 if probe_iv[1] <= probe_iv[0]:
                     continue
-                again = cell_descriptor(
+                again = build_cells(
                     SMALL_SQUARE, ORIGIN, square_partition, phi, probe_iv
-                )
+                )[0]
                 assert again.right_section == cell.right_section
                 assert again.left_section == cell.left_section
                 assert again.middle_area == pytest.approx(cell.middle_area, abs=1e-12)
 
 
 def test_cell_descriptor_rejects_empty_interval(square_partition):
-    with pytest.raises(InvalidInputError):
-        cell_descriptor(SMALL_SQUARE, ORIGIN, square_partition, 0.1, (0.7, 0.7))
+    # a breakpoint interval at most 1e-12 rad wide gives no cell
+    for width in (0.0, 1e-13, 0.9e-12):
+        cells = build_cells(SMALL_SQUARE, ORIGIN, square_partition, 0.1, (0.7, 0.7 + width))
+        assert len(cells) == 0
 
 
 def test_merged_ray_still_gives_section():

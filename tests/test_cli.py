@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -156,6 +157,14 @@ def test_at_theta_outside_domain(tmp_path, capsys):
     assert record["area"] == 0.0
 
 
+def test_at_theta_with_a_domain_that_misses_the_span(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    code, out, _ = run_main(capsys, ["solve", path, "--at-theta", "0.5", "--domain", "2.0,3.0"])
+    assert code == 0
+    record = json.loads(out)
+    assert (record["cell_index"], record["num_cells"], record["breakpoints"]) == (-2, 0, [])
+
+
 SEAM_SQUARE = {"polygon": [[1, -0.5], [2, -0.5], [2, 0.5], [1, 0.5]], "phi": 0.2}
 
 
@@ -192,6 +201,26 @@ def test_invalid_scenarios_exit_2(tmp_path, capsys, overrides, fragment):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "overrides,flags,fragment",
+    [
+        ({"apex": [math.nan, 0.0]}, [], "apex coordinates must be finite"),
+        ({"apex": [-math.inf, 0.0]}, [], "apex coordinates must be finite"),
+        ({"domain": [math.nan, 1.0]}, [], "interval endpoints must be finite"),
+        ({}, ["--domain=0,inf"], "interval endpoints must be finite"),
+        ({}, ["--domain=nan,1", "--at-theta", "0.5"], "interval endpoints must be finite"),
+    ],
+    ids=["nan_apex", "infinite_apex", "nan_domain", "infinite_domain_flag", "nan_domain_at_theta"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, overrides, flags, fragment):
+    # the scenario file spells these NaN, -Infinity, as Python's json reads them
+    path = write_scenario(tmp_path, **overrides)
+    code, out, err = run_main(capsys, ["solve", path, *flags])
+    assert code == 2
+    assert out == ""
     assert fragment in err
 
 

@@ -256,6 +256,59 @@ def test_angular_span_across_seam():
     assert lo < 0 < hi
 
 
+def _span_by_vertex_loop(poly, apex):
+    # an independent spelling of angular_span: offsets from the centroid
+    # direction, one vertex at a time, and the direction added last
+    cx, cy = poly.centroid()
+    mu = math.atan2(cy - apex[1], cx - apex[0])
+    lo, hi = math.inf, -math.inf
+    for v in poly.vertices:
+        off = wrap_to_pi(vertex_angle(apex, v) - mu)
+        lo, hi = min(lo, off), max(hi, off)
+    return (mu + lo, mu + hi)
+
+
+def _near_line_apex(rng, poly):
+    # beyond the end of an edge, off its line by 1e-10 to 1e-8 of its length
+    vs = poly.vertices
+    i = int(rng.integers(len(vs)))
+    (ax, ay), (bx, by) = vs[i], vs[(i + 1) % len(vs)]
+    length = math.hypot(bx - ax, by - ay)
+    ux, uy = (bx - ax) / length, (by - ay) / length
+    s = length * rng.uniform(0.5, 3.0)
+    off = rng.choice([-1.0, 1.0]) * length * 10.0 ** rng.uniform(-10.0, -8.0)
+    return (bx + s * ux - off * uy, by + s * uy + off * ux)
+
+
+def _seam_apex(rng, poly):
+    # to the left of the centroid, so the span straddles direction 0
+    cx, cy = poly.centroid()
+    rmax = max(math.hypot(x - cx, y - cy) for x, y in poly.vertices)
+    a = math.pi + rng.uniform(-0.1, 0.1)
+    r = rmax * rng.uniform(1.15, 3.0)
+    return (cx + r * math.cos(a), cy + r * math.sin(a))
+
+
+def test_angular_span_is_bit_identical_to_the_vertex_loop(rng):
+    # scene openings are built from angular_span, so it must not move by an ulp
+    checked = 0
+    for make_apex in (external_apex, _seam_apex, _near_line_apex):
+        for _ in range(300):
+            poly = random_convex_polygon(rng, int(rng.integers(3, 13)), rx=rng.uniform(0.8, 2.5))
+            apex = make_apex(rng, poly)
+            if poly.contains(apex):
+                continue
+            assert angular_span(poly, apex) == _span_by_vertex_loop(poly, apex)
+            checked += 1
+    assert checked > 800
+
+
+@pytest.mark.parametrize("apex", [(math.nan, 0.0), (-math.inf, 0.0), (0.0, math.inf)])
+def test_angular_span_rejects_a_non_finite_apex(apex):
+    with pytest.raises(InvalidInputError, match="apex coordinates must be finite"):
+        angular_span(SMALL_SQUARE, apex)
+
+
 def test_overlap_interval():
     assert overlap_interval((0.0, 1.0), (0.5, 2.0)) == (0.5, 1.0)
     assert overlap_interval((0.0, 1.0), (2.0, 3.0)) is None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovmax.geometry import ConvexPolygon, InvalidInputError, normalize_angle
-from fovmax.cells import breakpoints, build_cells, cell_descriptor, vertex_partition
+from fovmax.cells import breakpoints, build_cells, vertex_partition
 from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
 from fovmax import solver
 from fovmax.solver import (
@@ -96,7 +96,7 @@ def test_constant_cell_takes_left_endpoint():
 
 def test_empty_cell_scores_zero():
     part = vertex_partition(SMALL_SQUARE, ORIGIN)
-    cell = cell_descriptor(SMALL_SQUARE, ORIGIN, part, 0.1, (-2.4, -2.0))
+    cell = build_cells(SMALL_SQUARE, ORIGIN, part, 0.1, (-2.4, -2.0))[0]
     assert cell.empty
     assert cell_objective(cell, -2.2) == 0.0
     best = maximize_cell(cell, 8)
