@@ -11,14 +11,16 @@ same angles shifted by -phi. Between consecutive breakpoints the covered
 middle area is constant and only the two boundary sections contribute
 moving terms.
 
-The partition takes linear time after the angles. Seen from an outside
-apex, a convex polygon's boundary splits at its vertices of smallest and
-largest angle into a near chain and a far chain, each already in angular
-order (Preparata and Shamos, Computational Geometry, 1985). One merge of
-the two chains sorts the rays, merges collinear ones and gives every
-vertex its ray; one walk along each chain gives every section its near
-and far edge. The breakpoints are one linear merge of two sorted runs,
-and build_cells finds each cell's boundary sections with two pointers.
+The partition sorts the vertex angles once. Seen from an outside apex, a
+convex polygon's boundary is one run of rising angles and one of falling
+angles (Preparata and Shamos, Computational Geometry, 1985). In index
+order that is at most three sorted runs, which the sort finds and merges
+in linear time. One pass over the sorted angles merges collinear rays and
+gives every vertex its ray. One pass over the polygon's edges then gives
+every section its near and far edge: an edge whose rays rise is a far
+edge of the sections between them, one whose rays fall a near edge. The
+breakpoints are one linear merge of two sorted runs, and build_cells
+finds each cell's boundary sections with two pointers.
 
 Every area comes from one closed form, wedge._cut: an edge line at
 distance d from the apex, whose perpendicular points at angle psi, cuts
@@ -69,46 +71,20 @@ class AngularOrder(NamedTuple):
 def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     """Vertex rays sorted by angle, with collinear rays merged.
 
-    Seen from an outside apex, the boundary walked counter-clockwise from
-    the vertex of smallest angle to the vertex of largest angle (the far
-    chain) and walked clockwise between the same two (the near chain) are
-    both in angular order, so one merge of the two chains sorts the rays.
-    Vertices whose rays coincide within 1e-12 rad share one entry. ray_of
-    gives every polygon vertex the nearest ray, ties to the lower one: a
-    vertex merged up to 1e-12 rad past its ray's angle can lie nearer the
-    next ray, and then belongs to that one. Raises as _unwrapped_angles
-    does for the apex, and when a chain turns back by more than 1e-12 rad,
-    which a convex polygon's boundary cannot.
+    Vertices whose rays coincide within 1e-12 rad of a ray's first angle
+    share one entry. ray_of gives every polygon vertex the nearest ray,
+    ties to the lower one: a vertex merged up to 1e-12 rad past its ray's
+    angle can lie nearer the next ray, and then belongs to that one.
+    Raises as _unwrapped_angles does for the apex.
     """
     angles = _unwrapped_angles(poly, apex)
-    n = len(angles)
-    lo = angles.index(min(angles))
-    hi = angles.index(max(angles))
-    # index n is a sentinel at +inf that ends either chain
-    if lo <= hi:
-        far = [*range(lo, hi + 1), n]
-        near = [*range(lo - 1, -1, -1), *range(n - 1, hi, -1), n]
-    else:
-        far = [*range(lo, n), *range(hi + 1), n]
-        near = [*range(lo - 1, hi, -1), n]
-    key = angles + [math.inf]
     rays: List[float] = []
     merged: List[int] = []  # vertices merged into a ray they did not start
-    ray_of = [0] * n
+    ray_of = [0] * len(angles)
     g = -math.inf  # the last ray's angle
-    i = j = 0
-    for _ in range(n):
-        if key[near[j]] < key[far[i]]:
-            v = near[j]
-            j += 1
-        else:
-            v = far[i]
-            i += 1
-        a = key[v]
+    for v in sorted(range(len(angles)), key=angles.__getitem__):
+        a = angles[v]
         if a - g <= _ANGLE_MERGE:
-            if g - a > _ANGLE_MERGE:  # the boundary turns back
-                raise InvalidInputError("polygon not convex")
-            g = rays[-1] = min(g, a)  # rounding can make a chain dip by an ulp
             merged.append(v)
         else:
             g = a
@@ -121,59 +97,42 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
     return AngularOrder(tuple(rays), tuple(ray_of))
 
 
-def _chain_edges(ray_of: Sequence[int], start: int, last: int, step: int) -> List[int]:
-    """Edge index for every section along one chain.
-
-    Follows polygon indices from start (step -1 = clockwise, +1 = ccw)
-    until a vertex on the last ray. A step from ray rc to ray rn crosses
-    one edge, which serves every section from the first one still open up
-    to rn - 1 (polygon edge k runs from vertex k to vertex k+1).
-    """
-    n = len(ray_of)
-    if step > 0:
-        walk = [*range(start + 1, n), *range(start)]
-    else:
-        walk = [*range(start - 1, -1, -1), *range(n - 1, start, -1)]
-    edges: List[int] = []
-    cur, rc = start, ray_of[start]
-    for nxt in walk:
-        rn = ray_of[nxt]
-        if rn == rc:
-            raise UnsupportedSceneError("polygon edge collinear with the apex")
-        if rn > len(edges):
-            edges += [nxt if step < 0 else cur] * (rn - len(edges))
-        if rn == last:
-            return edges
-        cur, rc = nxt, rn
-    raise UnsupportedSceneError("boundary chain did not terminate")
-
-
-def section_edges(
-    poly: ConvexPolygon, apex: Point, order: AngularOrder
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def section_edges(order: AngularOrder) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Near and far polygon edge index for every section.
 
-    The near chain (edges crossed first by rays from the apex) is the
-    polygon boundary walked clockwise from the nearest vertex on the
-    minimum ray; the far chain is walked counter-clockwise from the
-    farthest vertex on that ray. Each chain is walked once. An edge may
-    serve several consecutive sections when no chain vertex falls on an
-    interior ray.
+    Polygon edge k runs from vertex k to vertex k+1. Walked
+    counter-clockwise, the boundary's rays rise along the far side (edges
+    that rays from the apex leave through) and fall along the near side,
+    so an edge whose rays rise from a to b is the far edge of sections
+    a..b-1 and one whose rays fall from a to b the near edge of sections
+    b..a-1. An edge may serve several consecutive sections when no vertex
+    of its side falls on an interior ray. An edge on the first or the last
+    ray bounds the span and serves no section; one on an interior ray is
+    collinear with the apex, which raises. A convex boundary covers every
+    section once from each side; covering more means it turns back, which
+    raises first.
     """
-    m_rays = len(order.sorted_angles)
-    if m_rays < 2:
+    m = len(order.sorted_angles)
+    if m < 2:
         raise InvalidInputError("polygon subtends a single ray from the apex")
     ray_of = order.ray_of
-
-    def dist2(i: int) -> float:
-        vx, vy = poly.vertices[i]
-        return (vx - apex[0]) ** 2 + (vy - apex[1]) ** 2
-
-    first_group = [i for i, r in enumerate(ray_of) if r == 0]
-    near_start = min(first_group, key=dist2)
-    far_start = max(first_group, key=dist2)
-    near = _chain_edges(ray_of, near_start, m_rays - 1, -1)
-    far = _chain_edges(ray_of, far_start, m_rays - 1, +1)
+    near = [0] * (m - 1)
+    far = [0] * (m - 1)
+    covered = 0
+    collinear = False
+    for k, (a, b) in enumerate(zip(ray_of, ray_of[1:] + ray_of[:1])):
+        if a < b:
+            far[a:b] = [k] * (b - a)
+            covered += b - a
+        elif a > b:
+            near[b:a] = [k] * (a - b)
+            covered += a - b
+        elif 0 < a < m - 1:
+            collinear = True
+    if covered != 2 * (m - 1):
+        raise InvalidInputError("polygon not convex")
+    if collinear:
+        raise UnsupportedSceneError("polygon edge collinear with the apex")
     return tuple(near), tuple(far)
 
 
@@ -238,7 +197,7 @@ def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, float], 
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     """Full partition: sorted rays, per-section edges and section areas."""
     order = angular_order(poly, apex)
-    near_edges, far_edges = section_edges(poly, apex, order)
+    near_edges, far_edges = section_edges(order)
     lines = _edge_lines(poly, apex)
     rays = order.sorted_angles
     sin, cos = math.sin, math.cos

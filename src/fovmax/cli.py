@@ -26,7 +26,8 @@ from .cells import breakpoints as compute_breakpoints
 from .cells import vertex_partition
 from .oracle import grid_scan_max
 from .render import render_svg
-from .solver import SceneDetails, direction_domain, objective_by_clipping, solve_scene
+from .solver import SceneDetails, check_opening, direction_domain, solve_scene
+from .solver import objective_by_clipping
 
 
 def _jdump(obj, pretty: bool = False, level: int = 0) -> str:
@@ -145,6 +146,7 @@ def _evaluate_fixed(poly, apex, phi, theta, domain):
     by whole turns into the breakpoints' range, so every spelling of one
     direction lands in the same cell.
     """
+    check_opening(phi)
     part = vertex_partition(poly, apex)
     dom = direction_domain(part, phi, domain)
     bps = [] if dom is None else compute_breakpoints(part.sorted_angles, phi, domain=dom)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import ConvexPolygon, Point, angular_span, overlap_interval
+from .geometry import ConvexPolygon, InvalidInputError, Point, angular_span, overlap_interval
 
 # Polygon vertices times directions clipped in one batch. The second clip
 # pads every direction to 4n points, so a batch's largest array holds
@@ -137,8 +137,8 @@ def grid_scan_max(
     tenfold around the incumbent for the requested number of rounds. Ties
     resolve to the smallest direction. Deterministic for fixed inputs.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise InvalidInputError("oracle step must be positive and finite")
     lo, hi = angular_span(poly, apex)
     a, b = lo - phi, hi
     if domain is not None:
@@ -152,17 +152,9 @@ def grid_scan_max(
     if thetas[-1] < b - 1e-15:
         thetas = np.append(thetas, b)
 
-    best_theta = float(thetas[0])
-    best_area = -1.0
-    size = _chunk(len(poly))
-    for start in range(0, thetas.shape[0], size):
-        stop = min(start + size, thetas.shape[0])
-        chunk = thetas[start:stop]
-        areas = sweep_areas(poly, apex, chunk, phi)
-        i = int(np.argmax(areas))
-        if areas[i] > best_area:
-            best_area = float(areas[i])
-            best_theta = float(chunk[i])
+    areas = sweep_areas(poly, apex, thetas, phi)
+    i = int(np.argmax(areas))  # the first of equal maxima
+    best_theta, best_area = float(thetas[i]), float(areas[i])
 
     radius = step
     for _ in range(refine_rounds):

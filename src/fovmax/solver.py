@@ -453,6 +453,12 @@ class SceneDetails:
     num_cells: int
 
 
+def check_opening(phi: float) -> None:
+    """Raise InvalidInputError unless the opening lies in (0, pi)."""
+    if not 0.0 < phi < math.pi:
+        raise InvalidInputError("sector opening must lie in (0, pi)")
+
+
 def direction_domain(
     part: SectionPartition, phi: float, domain: Optional[Tuple[float, float]]
 ) -> Optional[Tuple[float, float]]:
@@ -475,8 +481,7 @@ def solve_scene(
 ) -> Tuple[SolveResult, SceneDetails]:
     """maximize_global plus the partition diagnostics the CLI reports."""
     precision = _as_precision(prec)
-    if not (0.0 < phi < math.pi):
-        raise InvalidInputError("sector opening must lie in (0, pi)")
+    check_opening(phi)
     part = vertex_partition(poly, apex)
     dom = direction_domain(part, phi, domain)
     if dom is None:

@@ -9,6 +9,9 @@ in tests/ so the break shows up in the package's own test run.
 import importlib.util
 from pathlib import Path
 
+import fovmax.cells as cells
+from fovmax.geometry import ConvexPolygon
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -20,3 +23,19 @@ def test_every_binding_resolves():
         name for owner, attr, name in spans.BINDINGS if not callable(owner.__dict__.get(attr))
     ]
     assert missing == []
+
+
+def test_vertex_partition_calls_its_stages_through_the_module_globals(monkeypatch):
+    # spans.py times angular_order and section_edges by swapping the
+    # fovmax.cells bindings; a stage called any other way reads 0 there
+    calls = []
+    for name in ("angular_order", "section_edges"):
+        stage = getattr(cells, name)
+
+        def counted(*args, _stage=stage, _name=name):
+            calls.append(_name)
+            return _stage(*args)
+
+        monkeypatch.setattr(cells, name, counted)
+    cells.vertex_partition(ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)]), (0.0, 0.0))
+    assert calls == ["angular_order", "section_edges"]

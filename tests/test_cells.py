@@ -107,19 +107,38 @@ def test_ray_ids_ties_and_near_rays(monkeypatch):
 
 
 def test_angular_order_dipping_chain_stays_sorted(monkeypatch):
-    # rounding can make a chain's angles fall by an ulp; the merged ray
-    # takes the smaller angle and the rays stay sorted
+    # rounding can make the boundary's angles fall by an ulp on the way
+    # up; the merged ray takes the smaller angle and the rays stay sorted
     up = math.nextafter(0.5, 1.0)
     order = _ray_of(monkeypatch, [0.0, up, 0.5, 1.0])
     assert order.sorted_angles == (0.0, 0.5, 1.0)
     assert order.ray_of == (0, 1, 1, 2)
 
 
-def test_angular_order_rejects_a_boundary_that_turns_back(monkeypatch):
-    # a chain whose angles fall by more than the 1e-12 rad merge tolerance
-    # is not the boundary of a convex polygon
+def test_section_edges_rejects_a_boundary_that_turns_back(monkeypatch):
+    # angles that fall by more than the 1e-12 rad merge tolerance on the
+    # way up are not the boundary of a convex polygon: its edges cover the
+    # sections more than once from each side
+    order = _ray_of(monkeypatch, [0.0, 0.5, 0.5 - 1e-9, 1.0])
     with pytest.raises(InvalidInputError, match="not convex"):
-        _ray_of(monkeypatch, [0.0, 0.5, 0.5 - 1e-9, 1.0])
+        section_edges(order)
+    # turning back is named before an edge on an interior ray
+    order = _ray_of(monkeypatch, [0.0, 0.5, 0.5 + 1e-13, 0.25, 1.0])
+    assert order.ray_of == (0, 2, 2, 1, 3)
+    with pytest.raises(InvalidInputError, match="not convex"):
+        section_edges(order)
+
+
+def test_zigzag_boundary_across_several_rays_is_rejected():
+    # built unvalidated, a boundary whose angles from the apex rise, fall
+    # back across three rays and rise again is not convex, even though no
+    # edge lies on a ray through the apex
+    angles = [0.0, 0.3, 0.6, 0.15, 0.45, 0.9, 0.75]
+    radii = [2.0, 2.2, 2.4, 2.9, 3.0, 2.6, 1.5]
+    vertices = [(r * math.cos(t), r * math.sin(t)) for t, r in zip(angles, radii)]
+    poly = ConvexPolygon(vertices, _validate=False)
+    with pytest.raises(InvalidInputError, match="not convex"):
+        vertex_partition(poly, ORIGIN)
 
 
 def test_notched_polygon_below_the_orientation_tolerance_is_rejected():
@@ -140,14 +159,14 @@ def test_angular_order_apex_inside_raises():
 
 def test_section_edges_small_square():
     order = angular_order(SMALL_SQUARE, ORIGIN)
-    near, far = section_edges(SMALL_SQUARE, ORIGIN, order)
+    near, far = section_edges(order)
     assert list(near) == [0, 3]  # bottom then left edge
     assert list(far) == [1, 2]  # right then top edge
 
 
 def test_section_edges_tall_square():
     order = angular_order(TALL_SQUARE, ORIGIN)
-    near, far = section_edges(TALL_SQUARE, ORIGIN, order)
+    near, far = section_edges(order)
     assert list(near) == [0, 0, 0]  # bottom edge first-crossed everywhere
     assert list(far) == [1, 2, 3]  # right, top, left
 
@@ -157,7 +176,7 @@ def test_section_edges_single_section_triangle():
     apex = (0.0, -1.0)
     order = angular_order(tri, apex)
     assert list(order.sorted_angles) == pytest.approx([math.pi / 4, math.pi / 2])
-    near, far = section_edges(tri, apex, order)
+    near, far = section_edges(order)
     assert list(near) == [0]
     assert list(far) == [1]
 

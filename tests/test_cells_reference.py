@@ -165,6 +165,86 @@ def test_vertex_partition_matches_sort_and_walk(k):
     assert (part.edge_lines, part.section_areas, part.area_prefix) == (lines, areas, prefix)
 
 
+def _outcome(partition, poly, apex):
+    """What partition(poly, apex) gives, in comparable form: the rays as
+    float.hex, ray ids, near and far edges and section areas as float.hex,
+    or the type and message of what it raised."""
+    try:
+        rays, ray_of, near, far, areas = partition(poly, apex)
+    except (InvalidInputError, UnsupportedSceneError) as exc:
+        return type(exc).__name__, str(exc)
+    return [r.hex() for r in rays], ray_of, near, far, [a.hex() for a in areas]
+
+
+def _ours(poly, apex):
+    part = vertex_partition(poly, apex)
+    ray_of = angular_order(poly, apex).ray_of
+    return part.sorted_angles, ray_of, part.near_edges, part.far_edges, part.section_areas
+
+
+def _reference(poly, apex):
+    rays, ray_of, near, far, _, areas, _ = reference_partition(poly, apex)
+    return rays, ray_of, near, far, areas
+
+
+def test_vertex_partition_matches_reference_on_near_line_scenes():
+    """Apexes 1e-17 to 1e-7 edge lengths off the line of an edge or of a
+    diagonal, on both sides, and quads whose edge-0 rays are 1e-13 to 1e-9
+    rad apart: the scenes where rays merge and merged vertices move to the
+    next ray."""
+    rng = np.random.default_rng(9001)
+    scenes = []
+    for _ in range(2000):
+        n = int(rng.integers(3, 13))
+        poly = random_convex_polygon(rng, n, rx=float(rng.uniform(0.8, 2.5)))
+        i = int(rng.integers(n))
+        along = float(rng.uniform(0.5, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+        off = 10.0 ** float(rng.uniform(-17.0, -7.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+        if n > 3 and rng.random() < 0.5:
+            # the line through vertices i and i + 2 cuts the polygon, so the
+            # two rays that nearly meet are interior ones
+            diagonal = ConvexPolygon([poly.vertices[i], poly.vertices[(i + 2) % n]], _validate=False)
+            scenes.append((poly, _line_apex(diagonal, 0, along, off)))
+        else:
+            scenes.append((poly, _line_apex(poly, i, along, off)))
+    scenes += [_near_ray_polygon(10.0 ** float(rng.uniform(-13.0, -9.0))) for _ in range(200)]
+    merged = 0
+    for poly, apex in scenes:
+        expected = _outcome(_reference, poly, apex)
+        assert _outcome(_ours, poly, apex) == expected, (poly.vertices, apex)
+        merged += len(expected[0]) < len(poly)
+    assert merged > 500
+
+
+def test_vertex_partition_matches_reference_from_far_away():
+    """Apexes 1e9 to 1e14 radii away, where some or all of the rays merge
+    into one, and merged runs of several vertices form the first and the
+    last ray.
+
+    One difference is expected. The reference walks from the nearest and
+    the farthest vertex on the first ray; within a merged run those need
+    not end the run, and its walk then steps to another first-ray vertex
+    and raises "collinear". vertex_partition ignores edges on the first or
+    the last ray wherever they lie, so there it returns a partition on the
+    same rays.
+    """
+    rng = np.random.default_rng(9002)
+    outcomes = {"partition": 0, "raised": 0, "run": 0}
+    for _ in range(3000):
+        poly = random_convex_polygon(rng, int(rng.integers(3, 13)), rx=float(rng.uniform(0.8, 2.5)))
+        far = 10.0 ** float(rng.uniform(9.0, 14.0))
+        apex = external_apex(rng, poly, far, far)
+        expected, got = _outcome(_reference, poly, apex), _outcome(_ours, poly, apex)
+        if expected == ("UnsupportedSceneError", "polygon edge collinear with the apex") != got:
+            rays, ray_of, _ = _sorted_rays(poly, apex)
+            assert got[:2] == ([r.hex() for r in rays], ray_of)
+            outcomes["run"] += 1
+            continue
+        assert got == expected, (poly.vertices, apex)
+        outcomes["raised" if isinstance(expected[0], str) else "partition"] += 1
+    assert min(outcomes.values()) > 0 and outcomes["run"] < 30, outcomes
+
+
 def reference_breakpoints(sorted_angles, phi, domain=None):
     lo = sorted_angles[0] - phi
     hi = sorted_angles[-1]

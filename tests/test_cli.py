@@ -224,6 +224,25 @@ def test_non_finite_input_exits_2(tmp_path, capsys, overrides, flags, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_an_oracle_step_that_is_not_positive_and_finite(tmp_path, capsys, step):
+    path = write_scenario(tmp_path)
+    code, out, err = run_main(capsys, ["solve", path, "--verify", "--oracle-step", step])
+    assert code == 2
+    assert out == ""
+    assert err == "error: oracle step must be positive and finite\n"
+
+
+@pytest.mark.parametrize("phi", [math.nan, 0.0, math.pi, 4.0])
+@pytest.mark.parametrize("flags", [[], ["--at-theta", "0.5"], ["--at-theta", "0.5", "--domain=0,1"]])
+def test_opening_is_checked_first_with_or_without_at_theta(tmp_path, capsys, phi, flags):
+    path = write_scenario(tmp_path, phi=phi)
+    code, out, err = run_main(capsys, ["solve", path, *flags])
+    assert code == 2
+    assert out == ""
+    assert err == "error: sector opening must lie in (0, pi)\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_main(capsys, ["solve", str(tmp_path / "nope.json")])
     assert code == 2
