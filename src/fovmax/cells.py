@@ -28,10 +28,13 @@ the area d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at
 angles a < b. A section, or the part of it a boundary ray cuts off, is
 its far line's cut minus its near line's.
 
-build_cells returns the cells as a CellTable: flat per-scene lists of
-each cell's interval, boundary sections, area bound and empty flag.
-Indexing it builds a RotationCell on demand, so the solver, which reads
-the bounds first, builds objects only for the cells it visits.
+The per-scene tables are flat sequences of floats and ints, so a scene
+of n vertices leaves a few dozen container objects, not one per edge or
+per cell: the partition keeps every edge line's d**2/2 and psi in two
+tuples, and build_cells returns the cells as a CellTable of flat lists
+of each cell's ends (lo and hi), boundary sections, area bound and empty
+flag. Indexing it builds a RotationCell on demand, so the solver, which
+reads the bounds first, builds objects only for the cells it visits.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -140,7 +143,8 @@ def section_edges(order: AngularOrder) -> Tuple[Tuple[int, ...], Tuple[int, ...]
 class SectionPartition:
     """Angular sections of a polygon from an outside apex.
 
-    edge_lines[k] is edge k's line as (d**2 / 2, psi) (see _edge_lines).
+    Edge k's line has c = edge_c[k] = d**2 / 2 and perpendicular direction
+    psi = edge_psi[k] (see _edge_lines), kept as two flat float tuples.
     area_prefix[j] is the sum of the first j section areas; it serves the
     cell bounds only, since its differences round differently from a
     left-to-right sum over the same sections. abs_area_sum is the sum of
@@ -150,7 +154,8 @@ class SectionPartition:
     sorted_angles: Tuple[float, ...]
     near_edges: Tuple[int, ...]
     far_edges: Tuple[int, ...]
-    edge_lines: Tuple[Tuple[float, float], ...]
+    edge_c: Tuple[float, ...]
+    edge_psi: Tuple[float, ...]
     section_areas: Tuple[float, ...]
     area_prefix: Tuple[float, ...]
     abs_area_sum: float
@@ -165,54 +170,57 @@ class SectionPartition:
 
     def cut(self, j: int, a: float, b: float) -> float:
         """Area of section j between the rays at angles a and b."""
-        lines = self.edge_lines
-        return _cut(lines[self.far_edges[j]], a, b) - _cut(lines[self.near_edges[j]], a, b)
+        c, psi = self.edge_c, self.edge_psi
+        f, n = self.far_edges[j], self.near_edges[j]
+        return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
 
     def cut_slopes(self, j: int, shift: float) -> List[Tuple[float, float]]:
         """(w, beta) for section j's far and near lines: the derivative of
         cut(j, a, theta + shift) in theta is sum(w / cos(theta + beta)**2)."""
-        c_far, psi_far = self.edge_lines[self.far_edges[j]]
-        c_near, psi_near = self.edge_lines[self.near_edges[j]]
-        return [(c_far, shift - psi_far), (-c_near, shift - psi_near)]
+        c, psi = self.edge_c, self.edge_psi
+        f, n = self.far_edges[j], self.near_edges[j]
+        return [(c[f], shift - psi[f]), (-c[n], shift - psi[n])]
 
 
-def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, float], ...]:
-    """(d**2 / 2, psi) for every polygon edge's line: d is its distance
-    from the apex and psi the direction of the perpendicular from the apex
-    to it. Edge k runs from vertex k to vertex k+1."""
+def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """d**2 / 2 and psi for every polygon edge's line, as two tuples: d is
+    its distance from the apex and psi the direction of the perpendicular
+    from the apex to it. Edge k runs from vertex k to vertex k+1."""
     ax, ay = apex
     vs = poly.vertices
     hypot, atan2 = math.hypot, math.atan2
-    out = []
+    cs, psis = [], []
     for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
         ex, ey = qx - px, qy - py
         d = (ey * (px - ax) - ex * (py - ay)) / hypot(ex, ey)
         psi = atan2(-ex, ey)
         if d < 0.0:
             d, psi = -d, psi + math.pi
-        out.append((0.5 * d * d, psi))
-    return tuple(out)
+        cs.append(0.5 * d * d)
+        psis.append(psi)
+    return tuple(cs), tuple(psis)
 
 
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     """Full partition: sorted rays, per-section edges and section areas."""
     order = angular_order(poly, apex)
     near_edges, far_edges = section_edges(order)
-    lines = _edge_lines(poly, apex)
+    c, psi = _edge_lines(poly, apex)
     rays = order.sorted_angles
     sin, cos = math.sin, math.cos
     areas = []
     for near, far, a, b in zip(near_edges, far_edges, rays, rays[1:]):
         # _cut of the far line minus _cut of the near line
-        cf, pf = lines[far]
-        cn, pn = lines[near]
+        cf, pf = c[far], psi[far]
+        cn, pn = c[near], psi[near]
         s = sin(b - a)
         areas.append(cf * s / (cos(a - pf) * cos(b - pf)) - cn * s / (cos(a - pn) * cos(b - pn)))
     return SectionPartition(
         sorted_angles=rays,
         near_edges=near_edges,
         far_edges=far_edges,
-        edge_lines=lines,
+        edge_c=c,
+        edge_psi=psi,
         section_areas=tuple(areas),
         area_prefix=tuple(accumulate(areas, initial=0.0)),
         # a scale only: middle_ceiling's margin covers how it rounds
@@ -284,8 +292,9 @@ class RotationCell:
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. middle_area
     is the constant area of fully covered sections, summed on first use,
-    and middle_ceiling an upper bound on it that costs no sum;
-    _terms holds the solver's derivative terms once it has built them.
+    and middle_ceiling an upper bound on it that costs no sum. _ends holds
+    the boundary cuts at the cell's ends and a curvature bound once the
+    solver's end_bound has computed them.
     bound is an upper bound on the cell's area: the intersection never
     leaves the sections the cell touches. The cell carries the scene's
     partition and the opening, so it can be solved standalone.
@@ -299,7 +308,7 @@ class RotationCell:
     opening: float
     empty: bool = False
     _middle: Optional[float] = field(default=None, init=False, repr=False)
-    _terms: Optional[List[Tuple[float, float]]] = field(default=None, init=False, repr=False)
+    _ends: Optional[Tuple[Optional[float], ...]] = field(default=None, init=False, repr=False)
 
     def _middle_range(self) -> Tuple[int, int]:
         """The sections strictly between the boundary rays, as a slice;
@@ -356,27 +365,30 @@ class RotationCell:
 
 class CellTable(Sequence[RotationCell]):
     """The cells of one scene as flat per-scene lists, one entry per cell:
-    interval, right and left section, bound and empty flag. Indexing and
-    iteration build RotationCell objects on demand, so a solver that reads
-    the bounds first builds objects only for the cells it visits."""
+    the interval's ends lo and hi, right and left section, bound and empty
+    flag. Nothing is stored per cell but floats, ints, None and bools.
+    Indexing and iteration build RotationCell objects, with their interval
+    as a (lo, hi) pair, on demand, so a solver that reads the bounds first
+    builds objects only for the cells it visits."""
 
     def __init__(self, part: SectionPartition, opening: float) -> None:
         self.part = part
         self.opening = opening
-        self.interval: List[Tuple[float, float]] = []
+        self.lo: List[float] = []
+        self.hi: List[float] = []
         self.right: List[Optional[int]] = []
         self.left: List[Optional[int]] = []
         self.bound: List[float] = []
         self.empty: List[bool] = []
 
     def __len__(self) -> int:
-        return len(self.interval)
+        return len(self.lo)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         return RotationCell(
-            self.interval[i],
+            (self.lo[i], self.hi[i]),
             self.right[i],
             self.left[i],
             self.bound[i],
@@ -409,7 +421,7 @@ def build_cells(
     rays = [*angles, math.inf]
     r = l = 0  # rays at or below the right / left probe
     table = CellTable(part, phi)
-    interval, right, left = table.interval, table.right, table.left
+    los, his, right, left = table.lo, table.hi, table.right, table.left
     bound, empty = table.bound, table.empty
     for lo, hi in zip(bps, bps[1:]):
         if not hi - lo > _ANGLE_MERGE:
@@ -435,7 +447,8 @@ def build_cells(
             rs, ls, b, e = None, None, 0.0, True
         elif left_probe > high:
             ls = None
-        interval.append((lo, hi))
+        los.append(lo)
+        his.append(hi)
         right.append(rs)
         left.append(ls)
         bound.append(b)

@@ -23,14 +23,17 @@ remaining cell can come within the tie tolerance (10**-digits times the
 polygon area) of the best area found. A visited cell is solved only
 when a second bound, end_bound, still reaches that far: the larger end
 value plus a curvature term from a lower bound on f'' (f'' is a sum of
-monotone terms). end_bound and maximize_cell share the cell's f' terms,
-built once per cell, and its two end values. For a cell whose middle
-covers many sections, end_bound first runs on an O(1) upper bound of the
-middle area; its values never fall as the middle rises, so a cell ruled
-out that way is ruled out by the exact sum too, which is then taken only
-for the cells that remain. The global maximum
-is the best cell result; ties within the tolerance resolve to the
-smallest direction.
+monotone terms). end_bound computes a visited cell's four boundary cuts
+(each boundary section's part at the two cell ends) and that curvature
+term once, straight from the partition's flat edge tables, and keeps
+them in the cell; a solved cell reuses its two end values, and only a
+solved cell builds its f' terms. For a cell whose middle covers many
+sections, end_bound first runs on an O(1) upper bound of the middle
+area; its values never fall as the middle rises, so a cell ruled out
+that way is ruled out by the exact sum too, which is then taken only for
+the cells that remain, and that second call only adds the exact middle
+to the kept cuts. The global maximum is the best cell result; ties
+within the tolerance resolve to the smallest direction.
 """
 
 from __future__ import annotations
@@ -199,22 +202,20 @@ def cell_objective(cell: RotationCell, theta: float, middle: Optional[float] = N
 
 def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
     """(w, beta) pairs with f'(theta) = sum of w / cos(theta + beta)**2,
-    one far/near pair per moving boundary ray, built once per cell and
-    kept in its _terms slot for end_bound and maximize_cell.
+    one far/near pair per moving boundary ray; maximize_cell builds them
+    for the cells it solves.
 
     The left ray at theta + phi ends its section's cut; the right ray at
     theta starts its section's cut, so its derivative enters negated. A
     single-section cell has both rays in one section and so all four terms.
     """
-    if cell._terms is None:
-        part = cell.part
-        terms = []
-        if cell.right_section is not None:
-            terms += [(-w, beta) for w, beta in part.cut_slopes(cell.right_section, 0.0)]
-        if cell.left_section is not None:
-            terms += part.cut_slopes(cell.left_section, cell.opening)
-        cell._terms = terms
-    return cell._terms
+    part = cell.part
+    terms = []
+    if cell.right_section is not None:
+        terms += [(-w, beta) for w, beta in part.cut_slopes(cell.right_section, 0.0)]
+    if cell.left_section is not None:
+        terms += part.cut_slopes(cell.left_section, cell.opening)
+    return terms
 
 
 def _horner(p: List[float], x: float) -> float:
@@ -415,10 +416,74 @@ def maximize_cell(
     )
 
 
+def _curvature_at_end(w: float, beta: float, lo: float, hi: float) -> float:
+    """The f'' term of (w, beta) at the cell end where it is smallest."""
+    x = (lo if w > 0.0 else hi) + beta
+    return 2.0 * w * math.tan(x) / math.cos(x) ** 2
+
+
+def _end_cuts(cell: RotationCell) -> Tuple[Optional[float], ...]:
+    """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
+    for end_bound: each cut is part.cut of a boundary section as
+    cell_objective takes it, None for a ray that does not move, and m is
+    the sum of the _slope_terms at their ends, in their order. A
+    single-section cell's right cuts are its whole objective and its left
+    ones None. Computed once per visited cell, straight from the flat edge
+    tables with every operation in the order _cut and _slope_terms use, so
+    the values are theirs bit for bit; a cut of a section from its fixed
+    end ray shares that ray's cosine between lo and hi.
+    """
+    if cell.empty:
+        return None, None, None, None, 0.0
+    lo, hi = cell.interval
+    r, l = cell.right_section, cell.left_section
+    part, phi = cell.part, cell.opening
+    c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
+    sin, cos = math.sin, math.cos
+    m = 0.0
+    r_lo = r_hi = l_lo = l_hi = None
+    if r is not None:
+        f, n = part.far_edges[r], part.near_edges[r]
+        cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
+        m += _curvature_at_end(-cf, 0.0 - pf, lo, hi)
+        m += _curvature_at_end(cn, 0.0 - pn, lo, hi)
+        if r == l:
+            b = lo + phi
+            s = sin(b - lo)
+            r_lo = cf * s / (cos(lo - pf) * cos(b - pf)) - cn * s / (cos(lo - pn) * cos(b - pn))
+            b = hi + phi
+            s = sin(b - hi)
+            r_hi = cf * s / (cos(hi - pf) * cos(b - pf)) - cn * s / (cos(hi - pn) * cos(b - pn))
+        else:
+            e = rays[r + 1]
+            ef, en = cos(e - pf), cos(e - pn)
+            s = sin(e - lo)
+            r_lo = cf * s / (cos(lo - pf) * ef) - cn * s / (cos(lo - pn) * en)
+            s = sin(e - hi)
+            r_hi = cf * s / (cos(hi - pf) * ef) - cn * s / (cos(hi - pn) * en)
+    if l is not None:
+        f, n = part.far_edges[l], part.near_edges[l]
+        cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
+        m += _curvature_at_end(cf, phi - pf, lo, hi)
+        m += _curvature_at_end(-cn, phi - pn, lo, hi)
+        if r != l:
+            a = rays[l]
+            af, an = cos(a - pf), cos(a - pn)
+            b = lo + phi
+            s = sin(b - a)
+            l_lo = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
+            b = hi + phi
+            s = sin(b - a)
+            l_hi = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
+    return r_lo, r_hi, l_lo, l_hi, m
+
+
 def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float, float, float]:
     """(f(lo), f(hi), an upper bound on f over the cell's interval), with
     f taking the given middle area in place of cell.middle_area; all three
-    never fall when the middle rises.
+    never fall when the middle rises. The boundary cuts and m come from
+    _end_cuts, kept in the cell's _ends slot, so calls with different
+    middles differ only in the middle they add.
 
     f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
     cos(x) keeps its sign across a cell, since every line is cut at a
@@ -432,11 +497,23 @@ def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float
     bound on f'' in its place, with the chord, would not bound f.
     """
     lo, hi = cell.interval
-    m = 0.0
-    for w, beta in _slope_terms(cell):
-        x = (lo if w > 0.0 else hi) + beta
-        m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
-    f_lo, f_hi = cell_objective(cell, lo, middle), cell_objective(cell, hi, middle)
+    if cell._ends is None:
+        cell._ends = _end_cuts(cell)
+    r_lo, r_hi, l_lo, l_hi, m = cell._ends
+    r = cell.right_section
+    if cell.empty:
+        f_lo = f_hi = 0.0
+    elif r is not None and r == cell.left_section:
+        f_lo, f_hi = r_lo, r_hi
+    else:
+        # cell_objective's order: the middle, then the right cut, then the left
+        f_lo = f_hi = cell.middle_area if middle is None else middle
+        if r_lo is not None:
+            f_lo += r_lo
+            f_hi += r_hi
+        if l_lo is not None:
+            f_lo += l_lo
+            f_hi += l_hi
     if not math.isfinite(m):
         return f_lo, f_hi, math.inf
     return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0

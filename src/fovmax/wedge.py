@@ -76,11 +76,10 @@ class PhiExtrema:
         return sorted(v for v in (self.phi1, self.phi2) if v is not None)
 
 
-def _cut(line: LineForm, a: float, b: float) -> float:
-    """Area between the rays at angles a and b and a line (d**2 / 2, psi):
-    d**2 / 2 * (tan(b - psi) - tan(a - psi)), written without the
-    cancellation of the two tangents."""
-    c, psi = line
+def _cut(c: float, psi: float, a: float, b: float) -> float:
+    """Area between the rays at angles a and b and a line with c = d**2 / 2
+    and perpendicular direction psi: c * (tan(b - psi) - tan(a - psi)),
+    written without the cancellation of the two tangents."""
     return c * math.sin(b - a) / (math.cos(a - psi) * math.cos(b - psi))
 
 
@@ -155,7 +154,7 @@ def _area_raw(w: StaticWedge, theta: float, phi: float) -> float:
         return 0.0
     _secants(w, theta)
     _secants(w, theta + phi)
-    return _cut(w.far, theta, theta + phi) - _cut(w.near, theta, theta + phi)
+    return _cut(*w.far, theta, theta + phi) - _cut(*w.near, theta, theta + phi)
 
 
 def two_sector_area(w: StaticWedge, theta: float, phi: float) -> float:
@@ -202,9 +201,13 @@ def opening_extrema(w: StaticWedge, theta: float) -> PhiExtrema:
 
     The roots are gamma = chi + pi/2 (phi1) and gamma = chi' + pi/2 (phi2)
     for the left ray, mapped to phi = (gamma - theta) mod pi. A root is
-    kept only when it lies in (0, pi) and its derivative residual is at
-    most 1e-9. Coincident lines (the derivative vanishing identically) yield no
-    isolated extrema.
+    kept only when it lies in (0, pi), its derivative residual (far minus
+    near c / cos(gamma - psi)**2) is at most 1e-9, and the rounding of that
+    residual cannot reach half of 1e-9. The terms grow without bound as
+    the ray turns along a line, and so does their rounding; a root whose
+    residual is rounding noise is dropped whatever value the noise takes,
+    so nudging theta does not flip it between kept and dropped. Coincident
+    lines (the derivative vanishing identically) yield no isolated extrema.
     """
 
     def root(chi: Optional[float]) -> Optional[float]:
@@ -213,10 +216,19 @@ def opening_extrema(w: StaticWedge, theta: float) -> PhiExtrema:
         phi = (chi + 0.5 * math.pi - theta) % math.pi
         if not 1e-12 < phi < math.pi - 1e-12:
             return None
+        gamma = theta + phi
         try:
-            return phi if abs(_density(w, theta + phi)) <= _RESIDUAL_TOL else None
+            sf, sn = _secants(w, gamma)
+            slope = _density_slope(w, gamma)
         except NearSingularError:
             return None
+        # _density's two terms; its rounding: 8 ulps of each term, and the
+        # slope times 8 ulps of an angle of size |gamma| + 8
+        far, near = w.far[0] * sf * sf, w.near[0] * sn * sn
+        noise = 2.0**-50 * (far + near + abs(slope) * (abs(gamma) + 8.0))
+        if noise > 0.5 * _RESIDUAL_TOL:
+            return None
+        return phi if abs(far - near) <= _RESIDUAL_TOL else None
 
     chi = _chi(w.far, w.near, -1.0)
     if chi is None:

@@ -93,8 +93,9 @@ def reference_partition(poly, apex):
     near = _per_section(near_chain, ray_of, m, clockwise=True)
     far = _per_section(far_chain, ray_of, m, clockwise=False)
     lines = _edge_lines(poly, apex)
+    c, psi = lines
     areas = tuple(
-        _cut(lines[f], a, b) - _cut(lines[e], a, b)
+        _cut(c[f], psi[f], a, b) - _cut(c[e], psi[e], a, b)
         for e, f, a, b in zip(near, far, rays, rays[1:])
     )
     return rays, ray_of, near, far, lines, areas, tuple(accumulate(areas, initial=0.0))
@@ -162,7 +163,9 @@ def test_vertex_partition_matches_sort_and_walk(k):
     assert angular_order(poly, apex).ray_of == ray_of
     assert part.sorted_angles == rays
     assert (part.near_edges, part.far_edges) == (near, far)
-    assert (part.edge_lines, part.section_areas, part.area_prefix) == (lines, areas, prefix)
+    assert ((part.edge_c, part.edge_psi), part.section_areas, part.area_prefix) == (
+        lines, areas, prefix
+    )
 
 
 def _outcome(partition, poly, apex):
@@ -343,7 +346,7 @@ def test_build_cells_match_bisection():
                 expected = reference_cells(part, phi, bps)
                 assert len(table) == len(expected)
                 for k, (interval, rs, ls, empty, bound) in enumerate(expected):
-                    assert table.interval[k] == interval
+                    assert (table.lo[k], table.hi[k]) == interval
                     assert (table.right[k], table.left[k], table.empty[k]) == (rs, ls, empty)
                     assert abs(table.bound[k] - bound) <= 1e-12 * poly.area
                     checked += 1

@@ -29,7 +29,8 @@ def _partition(areas):
         sorted_angles=tuple(float(k) for k in range(n + 1)),
         near_edges=tuple(range(n)),
         far_edges=tuple(range(n)),
-        edge_lines=(),
+        edge_c=(),
+        edge_psi=(),
         section_areas=tuple(areas),
         area_prefix=tuple(accumulate(areas, initial=0.0)),
         abs_area_sum=sum(map(abs, areas)),

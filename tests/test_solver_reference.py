@@ -5,8 +5,10 @@ replaced.
   product, `_pmul`, whose operation order the straight-line code keeps.
 * `_root_free`: root isolation without the root-free test, in
   `maximize_cell` and at every level of `_monotone_nodes`.
+* `end_bound`: the curvature bound from `_slope_terms` and the end values
+  from `cell_objective`, recomputed on every call.
 
-Both must match bit for bit.
+All must match bit for bit.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovmax import solver
+from fovmax import cells, solver
 from fovmax.cells import breakpoints, build_cells, vertex_partition
 from fovmax.solver import (
     _bracketed_newton,
@@ -24,6 +26,8 @@ from fovmax.solver import (
     _root_free,
     _sign_changes,
     _slope_polynomial,
+    cell_objective,
+    end_bound,
     maximize_cell,
     maximize_global,
 )
@@ -113,6 +117,47 @@ def _scene_cells(seed, n, kind):
         poly, apex, phi = _near_line_scene(rng, 1.0 if kind == "inner" else -1.0, n)
     part = vertex_partition(poly, apex)
     return build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain))
+
+
+def _end_bound_reference(cell, middle=None):
+    lo, hi = cell.interval
+    m = 0.0
+    for w, beta in solver._slope_terms(cell):
+        x = (lo if w > 0.0 else hi) + beta
+        m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
+    f_lo, f_hi = cell_objective(cell, lo, middle), cell_objective(cell, hi, middle)
+    if not math.isfinite(m):
+        return f_lo, f_hi, math.inf
+    return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
+
+
+def _check_end_bounds(table):
+    """end_bound with the middle ceiling and with the exact middle, in
+    both orders, against the reference on fresh copies of every cell.
+    Every cell with a middle gets a ceiling here."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cells, "_LONG_MIDDLE", 0)
+        for i in range(len(table)):
+            for ceiling_first in (True, False):
+                cell, ref = table[i], table[i]
+                ceiling = cell.middle_ceiling
+                middles = [ceiling, None] if ceiling_first else [None, ceiling]
+                got = [_hex(end_bound(cell, middle)) for middle in middles]
+                assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
+)
+def test_end_bound_matches_reference(seed, n, kind):
+    _check_end_bounds(_scene_cells(seed, n, kind))
+
+
+def test_end_bound_matches_reference_at_n1024():
+    _check_end_bounds(_scene_cells(7, 1024, "plain"))
 
 
 def _cell_bits(best):

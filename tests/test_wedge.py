@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fovmax.geometry import (
@@ -223,6 +224,56 @@ def test_opening_extrema_coincident_empty():
 def test_opening_extrema_window_filter():
     ex = opening_extrema(BASIC, math.pi / 3)
     assert list(ex.values()) == pytest.approx([1.6307474933923898, 2.3393737655200595])
+
+
+def _parallel_wedge(rng, lo, hi):
+    """(wedge, theta) for an apex at the origin and two nearly parallel
+    lines, so that both root rays run nearly along both lines. At a root
+    the far and the near term c / cos(gamma - psi)**2 are equal, and they
+    are |X|**2 / 2 for the point X where the ray meets the far line (at
+    the lines' crossing for phi1, opposite the near line's point for
+    phi2); redrawn until that is within [lo, hi] at both roots. theta
+    puts both roots at least 0.2 rad inside (0, pi)."""
+    while True:
+        pn = float(rng.uniform(-math.pi, math.pi))
+        pf = pn + 10.0 ** float(rng.uniform(-5.5, 0.0)) * float(rng.choice([-1.0, 1.0]))
+        dn = float(rng.uniform(0.5, 2.0))
+        df = dn + float(rng.uniform(0.2, 2.0))
+        det = math.sin(pf - pn)
+        cn, sn, cf, sf = math.cos(pn), math.sin(pn), math.cos(pf), math.sin(pf)
+        # Cramer's rule: X . u(pn) = dn and X . u(pf) = df for phi1,
+        # -X . u(pn) = dn and X . u(pf) = df for phi2
+        x1 = ((dn * sf - df * sn) / det, (df * cn - dn * cf) / det)
+        x2 = ((-dn * sf - df * sn) / det, (df * cn + dn * cf) / det)
+        terms = [0.5 * (x * x + y * y) for x, y in (x1, x2)]
+        if not all(lo <= t <= hi for t in terms):
+            continue
+        near = ((dn * cn, dn * sn), pn + math.pi / 2.0)
+        far = ((df * cf, df * sf), pf + math.pi / 2.0)
+        gamma = math.atan2(x1[1], x1[0])
+        return wedge_from_lines(ORIGIN, far, near), gamma - float(rng.uniform(0.3, math.pi - 0.3))
+
+
+@pytest.mark.parametrize("lo, hi", [(1e6, 1e10), (1e2, 1e6)])
+def test_opening_extrema_do_not_flip_on_rounding(lo, hi):
+    # where the terms are large the residual's rounding nears 1e-9, so a
+    # filter on the residual's value alone keeps or drops a root by the
+    # noise: it flipped 1,088 of the 10,000 wedges with terms in
+    # [1e2, 1e6]. Nudging theta by 1e-14 rad must not change which roots
+    # are kept
+    rng = np.random.default_rng(1500)
+    kept = 0
+    for _ in range(10000):
+        w, theta = _parallel_wedge(rng, lo, hi)
+        ex = opening_extrema(w, theta)
+        nudged = opening_extrema(w, theta + 1e-14)
+        assert (ex.phi1 is None, ex.phi2 is None) == (nudged.phi1 is None, nudged.phi2 is None)
+        for root in ex.values():
+            assert abs(d_area_d_opening(w, theta, root)) <= 1e-9
+            kept += 1
+    # the residual's rounding reaches 1e-9 from terms of about 1e6 on,
+    # so only the lower range keeps roots
+    assert (kept > 1000) == (lo < 1e6)
 
 
 def test_rotation_pieces_identity_at_zero():
