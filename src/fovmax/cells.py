@@ -11,16 +11,19 @@ same angles shifted by -phi. Between consecutive breakpoints the covered
 middle area is constant and only the two boundary sections contribute
 moving terms.
 
-The partition sorts the vertex angles once. Seen from an outside apex, a
-convex polygon's boundary is one run of rising angles and one of falling
-angles (Preparata and Shamos, Computational Geometry, 1985). In index
-order that is at most three sorted runs, which the sort finds and merges
-in linear time. One pass over the sorted angles merges collinear rays and
-gives every vertex its ray. One pass over the polygon's edges then gives
-every section its near and far edge: an edge whose rays rise is a far
-edge of the sections between them, one whose rays fall a near edge. The
-breakpoints are one linear merge of two sorted runs, and build_cells
-finds each cell's boundary sections with two pointers.
+The partition walks the polygon once from the apex (geometry._apex_walk):
+one loop over the vertex coordinates gives every vertex's angle, every
+edge's line and the containment test. It then sorts the vertex angles
+once. Seen from an outside apex, a convex polygon's boundary is one run
+of rising angles and one of falling angles (Preparata and Shamos,
+Computational Geometry, 1985). In index order that is at most three
+sorted runs, which the sort finds and merges in linear time. One pass
+over the sorted angles merges collinear rays and gives every vertex its
+ray. One pass over the polygon's edges then gives every section its near
+and far edge: an edge whose rays rise is a far edge of the sections
+between them, one whose rays fall a near edge. The breakpoints are one
+linear merge of two sorted runs, and build_cells finds each cell's
+boundary sections with two pointers.
 
 Every area comes from one closed form, wedge._cut: an edge line at
 distance d from the apex, whose perpendicular points at angle psi, cuts
@@ -31,10 +34,11 @@ its far line's cut minus its near line's.
 The per-scene tables are flat sequences of floats and ints, so a scene
 of n vertices leaves a few dozen container objects, not one per edge or
 per cell: the partition keeps every edge line's d**2/2 and psi in two
-tuples, and build_cells returns the cells as a CellTable of flat lists
-of each cell's ends (lo and hi), boundary sections, area bound and empty
-flag. Indexing it builds a RotationCell on demand, so the solver, which
-reads the bounds first, builds objects only for the cells it visits.
+tuples, and build_cells returns the cells as a CellTable that keeps one
+float per cell, its area bound, the one value the solver reads for every
+cell. Indexing the table builds a RotationCell on demand, its interval
+from the breakpoints and its boundary sections by bisection, so the
+solver builds objects only for the cells it visits.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -55,7 +59,7 @@ from .geometry import (
     Line,
     Point,
     UnsupportedSceneError,
-    _unwrapped_angles,
+    _apex_walk,
 )
 from .wedge import StaticWedge, _cut, wedge_from_lines
 
@@ -69,18 +73,21 @@ _LONG_MIDDLE = 32
 class AngularOrder(NamedTuple):
     sorted_angles: Tuple[float, ...]
     ray_of: Tuple[int, ...]
+    edge_c: Tuple[float, ...]
+    edge_psi: Tuple[float, ...]
 
 
 def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
-    """Vertex rays sorted by angle, with collinear rays merged.
+    """Vertex rays sorted by angle, with collinear rays merged, and every
+    edge line's d**2 / 2 and psi, all from one _apex_walk.
 
     Vertices whose rays coincide within 1e-12 rad of a ray's first angle
     share one entry. ray_of gives every polygon vertex the nearest ray,
     ties to the lower one: a vertex merged up to 1e-12 rad past its ray's
     angle can lie nearer the next ray, and then belongs to that one.
-    Raises as _unwrapped_angles does for the apex.
+    Raises as _apex_walk does for the apex.
     """
-    angles = _unwrapped_angles(poly, apex)
+    angles, c, psi = _apex_walk(poly, apex)
     rays: List[float] = []
     merged: List[int] = []  # vertices merged into a ray they did not start
     ray_of = [0] * len(angles)
@@ -97,7 +104,7 @@ def angular_order(poly: ConvexPolygon, apex: Point) -> AngularOrder:
         k, a = ray_of[v], angles[v]
         if k + 1 < len(rays) and a - rays[k] > rays[k + 1] - a:
             ray_of[v] = k + 1
-    return AngularOrder(tuple(rays), tuple(ray_of))
+    return AngularOrder(tuple(rays), tuple(ray_of), tuple(c), tuple(psi))
 
 
 def section_edges(order: AngularOrder) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -144,7 +151,7 @@ class SectionPartition:
     """Angular sections of a polygon from an outside apex.
 
     Edge k's line has c = edge_c[k] = d**2 / 2 and perpendicular direction
-    psi = edge_psi[k] (see _edge_lines), kept as two flat float tuples.
+    psi = edge_psi[k] (see _apex_walk), kept as two flat float tuples.
     area_prefix[j] is the sum of the first j section areas; it serves the
     cell bounds only, since its differences round differently from a
     left-to-right sum over the same sections. abs_area_sum is the sum of
@@ -182,30 +189,11 @@ class SectionPartition:
         return [(c[f], shift - psi[f]), (-c[n], shift - psi[n])]
 
 
-def _edge_lines(poly: ConvexPolygon, apex: Point) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """d**2 / 2 and psi for every polygon edge's line, as two tuples: d is
-    its distance from the apex and psi the direction of the perpendicular
-    from the apex to it. Edge k runs from vertex k to vertex k+1."""
-    ax, ay = apex
-    vs = poly.vertices
-    hypot, atan2 = math.hypot, math.atan2
-    cs, psis = [], []
-    for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
-        ex, ey = qx - px, qy - py
-        d = (ey * (px - ax) - ex * (py - ay)) / hypot(ex, ey)
-        psi = atan2(-ex, ey)
-        if d < 0.0:
-            d, psi = -d, psi + math.pi
-        cs.append(0.5 * d * d)
-        psis.append(psi)
-    return tuple(cs), tuple(psis)
-
-
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
     """Full partition: sorted rays, per-section edges and section areas."""
     order = angular_order(poly, apex)
     near_edges, far_edges = section_edges(order)
-    c, psi = _edge_lines(poly, apex)
+    c, psi = order.edge_c, order.edge_psi
     rays = order.sorted_angles
     sin, cos = math.sin, math.cos
     areas = []
@@ -364,37 +352,53 @@ class RotationCell:
 
 
 class CellTable(Sequence[RotationCell]):
-    """The cells of one scene as flat per-scene lists, one entry per cell:
-    the interval's ends lo and hi, right and left section, bound and empty
-    flag. Nothing is stored per cell but floats, ints, None and bools.
-    Indexing and iteration build RotationCell objects, with their interval
-    as a (lo, hi) pair, on demand, so a solver that reads the bounds first
-    builds objects only for the cells it visits."""
+    """The cells of one scene, one per breakpoint pair more than 1e-12 rad
+    wide, in order. bound[i] is cell i's area bound, the one value the
+    solver reads for every cell; _narrow lists the indices of the pairs
+    that give no cell, so cell i's pair is found from i. Indexing and
+    iteration build a RotationCell on demand: its interval is its pair,
+    and its boundary sections are found by bisection at the interval's
+    midpoint, which counts the rays at or below it as build_cells' walk
+    does."""
 
-    def __init__(self, part: SectionPartition, opening: float) -> None:
+    def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float]) -> None:
         self.part = part
         self.opening = opening
-        self.lo: List[float] = []
-        self.hi: List[float] = []
-        self.right: List[Optional[int]] = []
-        self.left: List[Optional[int]] = []
+        self.bps = bps
         self.bound: List[float] = []
-        self.empty: List[bool] = []
+        self._narrow: List[int] = []
+        angles = part.sorted_angles
+        # rays within 1e-12 rad outside the span still count as in it
+        self._low, self._high = angles[0] - _ANGLE_MERGE, angles[-1] + _ANGLE_MERGE
 
     def __len__(self) -> int:
-        return len(self.lo)
+        return len(self.bound)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
+        bound = self.bound[i]
+        if i < 0:
+            i += len(self.bound)
+        for j in self._narrow:
+            if j > i:
+                break
+            i += 1
+        lo, hi = self.bps[i], self.bps[i + 1]
+        angles, phi = self.part.sorted_angles, self.opening
+        low, high, last = self._low, self._high, len(angles) - 1
+        probe = 0.5 * (lo + hi)
+        left_probe = probe + phi
+        # the section whose closed range holds the ray: one less than the
+        # rays at or below it, counted from 1 to last, which clamps to the
+        # first and the last section; None for a ray outside the span
+        rs = ls = None
+        if low <= probe <= high:
+            rs = bisect_right(angles, probe, 1, last) - 1
+        if low <= left_probe <= high:
+            ls = bisect_right(angles, left_probe, 1, last) - 1
         return RotationCell(
-            (self.lo[i], self.hi[i]),
-            self.right[i],
-            self.left[i],
-            self.bound[i],
-            self.part,
-            self.opening,
-            self.empty[i],
+            (lo, hi), rs, ls, bound, self.part, phi, probe > high or left_probe < low
         )
 
 
@@ -407,24 +411,29 @@ def build_cells(
 ) -> CellTable:
     """Cells for every positive-width consecutive breakpoint pair.
 
-    The probes rise from cell to cell, so one pointer per boundary ray
-    walks the sorted rays once instead of bisecting for every cell.
+    Each cell's bound is the whole of every section it touches, from the
+    section holding its right boundary ray to the one holding its left (a
+    ray outside the span counts as the first or the last section), and 0.0
+    when both rays miss the polygon on one side. The probes rise from cell
+    to cell, so one pointer per boundary ray walks the sorted rays once
+    instead of bisecting for every cell.
     """
     angles = part.sorted_angles
     m = len(angles)
-    first, last = angles[0], angles[-1]
-    low, high = first - _ANGLE_MERGE, last + _ANGLE_MERGE
+    table = CellTable(part, phi, bps)
+    low, high = table._low, table._high
     prefix = part.area_prefix
-    # section[r]: the section whose closed range holds a ray with r sorted
-    # rays at or below it, clamped to the first and the last section
-    section = [0, *range(m - 1), m - 2]
+    # with r sorted rays at or below a probe, the probe's section is
+    # min(max(r - 1, 0), m - 2); first[r] and end[r] are the prefix sums up
+    # to that section and past it
+    first = [prefix[0], *prefix[: m - 1], prefix[m - 2]]
+    end = [prefix[1], *prefix[1:m], prefix[m - 1]]
     rays = [*angles, math.inf]
     r = l = 0  # rays at or below the right / left probe
-    table = CellTable(part, phi)
-    los, his, right, left = table.lo, table.hi, table.right, table.left
-    bound, empty = table.bound, table.empty
+    bound, narrow = table.bound, table._narrow
     for lo, hi in zip(bps, bps[1:]):
         if not hi - lo > _ANGLE_MERGE:
+            narrow.append(len(bound) + len(narrow))
             continue
         probe = 0.5 * (lo + hi)
         left_probe = probe + phi
@@ -432,25 +441,8 @@ def build_cells(
             r += 1
         while rays[l] <= left_probe:
             l += 1
-        rs, ls = section[r], section[l]
-        # the whole of every section the cell touches; a ray outside the
-        # span clamps to the first or the last section
-        b = prefix[ls + 1] - prefix[rs]
-        e = False
-        if probe < low:
-            rs = None
-            if left_probe > high:  # the sector contains the polygon
-                ls = None
-            elif left_probe < low:
-                ls, b, e = None, 0.0, True
-        elif probe > high:
-            rs, ls, b, e = None, None, 0.0, True
-        elif left_probe > high:
-            ls = None
-        los.append(lo)
-        his.append(hi)
-        right.append(rs)
-        left.append(ls)
-        bound.append(b)
-        empty.append(e)
+        if probe > high or left_probe < low:
+            bound.append(0.0)
+        else:
+            bound.append(end[l] - first[r])
     return table

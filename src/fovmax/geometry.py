@@ -16,8 +16,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import eq
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 Point = Tuple[float, float]
@@ -25,8 +25,9 @@ Point = Tuple[float, float]
 TWO_PI = 2.0 * math.pi
 
 # Tolerance for orientation (cross product) tests, documented as a library
-# constant. Polygon validation scales it by the square of the polygon's
-# extent; the other tests use it as is, assuming coordinates of moderate
+# constant. Only the convexity test of polygon validation scales it, by the
+# square of the polygon's extent; every other test, the area test of
+# validation included, uses it as is, assuming coordinates of moderate
 # magnitude.
 ORIENT_EPS = 1e-12
 
@@ -56,11 +57,6 @@ def normalize_angle(a: float) -> float:
 def wrap_to_pi(a: float) -> float:
     """Map an angle to the balanced representative in [-pi, pi]."""
     return math.remainder(a, TWO_PI)
-
-
-def cross(o: Point, a: Point, b: Point) -> float:
-    """z component of (a - o) x (b - o)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _finite(*vals: float) -> bool:
@@ -117,87 +113,97 @@ def shoelace_area(poly) -> float:
     Accepts a ConvexPolygon or any sequence of points. Repeated consecutive
     points contribute nothing, so degenerate quadrilaterals are fine.
     """
-    pts = poly.vertices if isinstance(poly, ConvexPolygon) else list(poly)
+    if isinstance(poly, ConvexPolygon):
+        xs, ys = poly.xs, poly.ys
+    else:
+        pts = list(poly)
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
     acc = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
         acc += x0 * y1 - x1 * y0
     return 0.5 * acc
 
 
 class ConvexPolygon:
-    """Convex polygon with counter-clockwise vertices.
+    """Convex polygon with counter-clockwise vertices, kept as two flat
+    float tuples xs and ys; vertices gives them as (x, y) pairs.
 
     Construction validates: at least 3 vertices, finite coordinates, no
     duplicate consecutive vertices, counter-clockwise orientation, convex
     turns (collinear triples are tolerated) and strictly positive area.
     """
 
-    __slots__ = ("vertices", "_area")
+    __slots__ = ("xs", "ys", "_area")
 
     def __init__(self, vertices: Sequence[Point], _validate: bool = True):
-        vs = tuple([(float(p[0]), float(p[1])) for p in vertices])
-        self.vertices = vs
-        self._area: Optional[float] = self._validate(vs) if _validate else None
+        xs, ys = [], []
+        for p in vertices:
+            xs.append(float(p[0]))
+            ys.append(float(p[1]))
+        self.xs, self.ys = tuple(xs), tuple(ys)
+        self._area: Optional[float] = self._validate(self.xs, self.ys) if _validate else None
 
     @staticmethod
-    def _validate(vs: Tuple[Point, ...]) -> float:
+    def _validate(xs: Tuple[float, ...], ys: Tuple[float, ...]) -> float:
         """Raise on invalid vertices; return the shoelace area."""
-        if len(vs) < 3:
+        if len(xs) < 3:
             raise InvalidInputError("polygon needs at least 3 vertices")
-        if not all(map(math.isfinite, chain.from_iterable(vs))):
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
             raise InvalidInputError("polygon coordinates must be finite")
-        nxt = vs[1:] + vs[:1]
-        if any(map(eq, vs, nxt)):
+        # one pass for the shoelace sum as shoelace_area takes it, duplicates
+        # (between finite floats, b - a is 0.0 only when b == a) and the
+        # smallest (b - a) x (c - a) of consecutive vertices a, b, c, as
+        # min() takes it; the turn is tested against a tolerance that scales
+        # like cross products do, with the square of the larger side of the
+        # bounding box
+        xs1, ys1 = xs[1:] + xs[:1], ys[1:] + ys[:1]
+        xs2, ys2 = xs[2:] + xs[:2], ys[2:] + ys[:2]
+        acc = 0.0
+        duplicate = False
+        turn = (xs1[0] - xs[0]) * (ys2[0] - ys[0]) - (ys1[0] - ys[0]) * (xs2[0] - xs[0])
+        for ax, ay, bx, by, cx, cy in zip(xs, ys, xs1, ys1, xs2, ys2):
+            ex, ey = bx - ax, by - ay
+            if ex == 0.0 and ey == 0.0:
+                duplicate = True
+            acc += ax * by - bx * ay
+            t = ex * (cy - ay) - ey * (cx - ax)
+            if t < turn:
+                turn = t
+        if duplicate:
             raise InvalidInputError("polygon has duplicate consecutive vertices")
-        area = shoelace_area(vs)
+        area = 0.5 * acc
         if area < 0.0:
             raise InvalidInputError("polygon not counter-clockwise")
         if area <= ORIENT_EPS:
             raise InvalidInputError("polygon area not strictly positive")
-        # the smallest cross(a, b, c) of consecutive triples, against a
-        # tolerance that scales like cross products do, with the square of
-        # the larger side of the bounding box
-        turn = min(
-            (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            for (ax, ay), (bx, by), (cx, cy) in zip(vs, nxt, vs[2:] + vs[:2])
-        )
         if turn < 0.0:
-            xs, ys = zip(*vs)
             extent = max(max(xs) - min(xs), max(ys) - min(ys))
             if turn < -ORIENT_EPS * extent * extent:
                 raise InvalidInputError("polygon not convex")
         return area
 
     @property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple(zip(self.xs, self.ys))
+
+    @property
     def area(self) -> float:
         if self._area is None:
-            self._area = shoelace_area(self.vertices)
+            self._area = shoelace_area(self)
         return self._area
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
     def edge(self, i: int) -> Tuple[Point, Point]:
         """Edge i runs from vertex i to vertex i+1 (cyclic)."""
-        return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
+        j = (i + 1) % len(self.xs)
+        return (self.xs[i], self.ys[i]), (self.xs[j], self.ys[j])
 
     def centroid(self) -> Point:
         # left to right: sum() of floats rounds differently from 3.12 on
-        xs = ys = 0.0
-        for x, y in self.vertices:
-            xs += x
-            ys += y
-        n = len(self.vertices)
-        return (xs / n, ys / n)
-
-    def contains(self, p: Point) -> bool:
-        """Closed containment test (boundary counts as inside)."""
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            if cross(vs[i], vs[(i + 1) % n], p) < -ORIENT_EPS:
-                return False
-        return True
+        n = len(self.xs)
+        return (reduce(add, self.xs, 0.0) / n, reduce(add, self.ys, 0.0) / n)
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({list(self.vertices)!r})"
@@ -326,33 +332,60 @@ def sector_clip(poly: ConvexPolygon, s: Sector) -> Optional[ConvexPolygon]:
     return clip_halfplane(clipped, left, keep_left=False)
 
 
-def _unwrapped_angles(poly: ConvexPolygon, apex: Point) -> List[float]:
-    """Every vertex's ray angle from an apex outside the polygon, moved by
-    whole turns to within pi of the apex-to-centroid direction, so a
-    polygon straddling the 0/2pi seam gets contiguous angles.
+def _apex_walk(
+    poly: ConvexPolygon, apex: Point
+) -> Tuple[List[float], List[float], List[float]]:
+    """One pass over the polygon as seen from an apex outside it: every
+    vertex's ray angle, moved by whole turns to within pi of the
+    apex-to-centroid direction so that a polygon straddling the 0/2pi seam
+    gets contiguous angles, and every edge line's d**2 / 2 and psi, its
+    distance from the apex and the direction of the perpendicular from the
+    apex to it (edge k runs from vertex k to vertex k+1).
 
-    Raises InvalidInputError for a non-finite apex and
-    UnsupportedSceneError for an apex inside or on the polygon.
+    Raises InvalidInputError for a non-finite apex and, after the pass,
+    UnsupportedSceneError for an apex inside or on the polygon: one is
+    outside when it lies right of some edge, that is when the edge's
+    distance numerator, (v_k+1 - v_k) x (apex - v_k) bit for bit, is below
+    -ORIENT_EPS.
     """
     ax, ay = apex[0], apex[1]
     if not (math.isfinite(ax) and math.isfinite(ay)):
         raise InvalidInputError("apex coordinates must be finite")
-    if poly.contains(apex):
-        raise UnsupportedSceneError("apex inside or on polygon")
     cx, cy = poly.centroid()
     mu = math.atan2(cy - ay, cx - ax)
-    atan2, remainder = math.atan2, math.remainder
-    return [
-        mu + remainder(normalize_angle(atan2(y - ay, x - ax)) - mu, TWO_PI)
-        for x, y in poly.vertices
-    ]
+    xs, ys = poly.xs, poly.ys
+    atan2, hypot, remainder, pi = math.atan2, math.hypot, math.remainder, math.pi
+    angles, cs, psis = [], [], []
+    outside = False
+    for px, py, qx, qy in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        dx, dy = px - ax, py - ay
+        # normalize_angle, given that atan2 lies in [-pi, pi]
+        a = atan2(dy, dx)
+        if a < 0.0:
+            a += TWO_PI
+            if a >= TWO_PI:
+                a = 0.0
+        angles.append(mu + remainder(a - mu, TWO_PI))
+        ex, ey = qx - px, qy - py
+        num = ey * dx - ex * dy
+        if num < -ORIENT_EPS:
+            outside = True
+        d = num / hypot(ex, ey)
+        psi = atan2(-ex, ey)
+        if d < 0.0:
+            d, psi = -d, psi + pi
+        cs.append(0.5 * d * d)
+        psis.append(psi)
+    if not outside:
+        raise UnsupportedSceneError("apex inside or on polygon")
+    return angles, cs, psis
 
 
 def angular_span(poly: ConvexPolygon, apex: Point) -> Tuple[float, float]:
     """Smallest closed angle interval [lo, hi] containing every vertex ray,
-    on the axis of _unwrapped_angles: lo and hi are plain reals with
-    hi - lo < pi."""
-    angles = _unwrapped_angles(poly, apex)
+    on the axis of _apex_walk: lo and hi are plain reals with hi - lo < pi.
+    Raises as _apex_walk does."""
+    angles = _apex_walk(poly, apex)[0]
     return min(angles), max(angles)
 
 

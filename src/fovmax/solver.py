@@ -102,16 +102,17 @@ def _bracketed_newton(
     """Root of g in [lo, hi] by Newton steps safeguarded with bisection.
 
     Requires a sign change; returns (root, final bracket width, iterations)
-    or None without one. A Newton point is taken when it lies inside the
-    bracket, is at most half the previous step (a bisection counts as a
-    step of the bracket's old width) and shrinks |g| or changes its sign;
-    anything else bisects. The step rule keeps slowly converging Newton
-    sequences (multiple roots) from starving the bracket; the cap is just a
-    backstop. Newton tends to close in on a root from one side and leave
-    the far end of the bracket for bisection to walk down to xtol, so a
-    Newton point within xtol / 2 of an end, or past it by less than the
-    bracket's width, moves to xtol / 2 inside the bracket: when the root
-    lies within xtol / 2 of that end, one evaluation closes the bracket.
+    or None without one; a root where g is exactly 0 has width 0. A Newton
+    point is taken when it lies inside the bracket, is at most half the
+    previous step (a bisection counts as a step of the bracket's old
+    width) and shrinks |g| or changes its sign; anything else bisects. The
+    step rule keeps slowly converging Newton sequences (multiple roots)
+    from starving the bracket; the cap is just a backstop. Newton tends to
+    close in on a root from one side and leave the far end of the bracket
+    for bisection to walk down to xtol, so a Newton point within xtol / 2
+    of an end, or past it by less than the bracket's width, moves to
+    xtol / 2 inside the bracket: when the root lies within xtol / 2 of that
+    end, one evaluation closes the bracket.
     """
     if glo is None:
         glo = g(lo)
@@ -130,7 +131,7 @@ def _bracketed_newton(
     last_step = hi - lo
     for it in range(_MAX_ITER):
         if gx == 0.0:
-            return x, hi - lo, it
+            return x, 0.0, it
         if (gx > 0.0) == (glo > 0.0):
             lo, glo = x, gx
         else:

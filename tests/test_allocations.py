@@ -1,17 +1,37 @@
 """What a large solve allocates, counted, not timed.
 
-The per-scene tables are flat sequences of floats and ints, so building
-them leaves a few dozen container objects, the kind CPython's cyclic
-garbage collector tracks, instead of one per edge line and one per cell.
-A visited cell's f' terms are built only when the cell is solved.
+The polygon keeps its vertices as two float tuples, and the per-scene
+tables are flat sequences of floats and ints; the cell table keeps one
+float per cell, its bound. So building them leaves a few dozen container
+objects, the kind CPython's cyclic garbage collector tracks, instead of
+one per vertex, per edge line or per cell. A visited cell's f' terms are
+built only when the cell is solved.
 """
 
 import gc
 
+import numpy as np
+
 from fovmax import solver
 from fovmax.cells import breakpoints, build_cells, vertex_partition
+from fovmax.geometry import ConvexPolygon
 from fovmax.solver import maximize_global
+from conftest import random_convex_polygon
 from test_solver import _span_scene
+
+
+def test_polygon_leaves_few_tracked_objects():
+    vertices = random_convex_polygon(np.random.default_rng(7), 4096).vertices
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        poly = ConvexPolygon(vertices)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert len(poly) == 4096
+    # 3 here; 4,098 with a tuple per vertex
+    assert after - before <= 64
 
 
 def test_partition_and_cells_leave_few_tracked_objects():
@@ -26,7 +46,7 @@ def test_partition_and_cells_leave_few_tracked_objects():
     finally:
         gc.enable()
     assert len(table) > 2000
-    # 17 here; 3,086 with a tuple per edge line and one per cell interval
+    # 13 here; 3,086 with a tuple per edge line and one per cell interval
     assert after - before <= 64
 
 

@@ -10,7 +10,7 @@ from fovmax.geometry import (
 )
 from fovmax import cells
 from fovmax.cells import (
-    _unwrapped_angles,
+    _apex_walk,
     angular_order,
     breakpoints,
     build_cells,
@@ -76,7 +76,7 @@ def test_ray_ids_match_nearest_angle_scan(rng):
     polys += [_near_ray_polygon(gap) for gap in (4e-13, 1e-12, 1.3e-12, 3e-12, 1e-10, 1e-9)]
     for poly, apex in polys:
         order = angular_order(poly, apex)
-        angles = _unwrapped_angles(poly, apex)
+        angles = _apex_walk(poly, apex)[0]
         assert order.ray_of == _nearest_ray_scan(angles, order.sorted_angles)
 
 
@@ -84,7 +84,7 @@ def _ray_of(monkeypatch, angles):
     """angular_order's ray ids for a convex polygon whose vertices have
     the given angles, in counter-clockwise order from the smallest."""
     poly = random_convex_polygon(np.random.default_rng(len(angles)), len(angles))
-    monkeypatch.setattr(cells, "_unwrapped_angles", lambda p, a: list(angles))
+    monkeypatch.setattr(cells, "_apex_walk", lambda p, a: (list(angles), [], []))
     order = angular_order(poly, (10.0, 0.0))
     assert list(order.sorted_angles) == sorted(order.sorted_angles)
     return order

@@ -1,16 +1,21 @@
 """The linear passes of `cells` against test-only copies of the algorithms
 they replaced.
 
+* the apex walk (`geometry._apex_walk`): a containment test by the cross
+  product of every edge with the apex, the centroid, the vertex angles
+  and the edge lines, each in a pass of its own.
 * `vertex_partition`: a key sort of the vertex angles, the nearest sorted
   ray for every vertex by a scan over all rays, and chain walks that list
   the chain vertices first and give each section its edge in a second pass.
 * `breakpoints`: every ray and every ray - phi within 1e-12 rad of the
   domain, clamped one by one, sorted and deduplicated.
 * `build_cells`: each cell's boundary sections by bisection at its
-  midpoint, and its bound as the sum of the sections it touches.
+  midpoint, and its bound as the sum of the sections it touches; and the
+  table of every cell's interval, sections, bound and empty flag that
+  build_cells kept before it kept the bounds only.
 
-Rays, edges, section areas and breakpoints must match exactly; bounds
-differ only by rounding.
+Rays, edges, section areas, breakpoints and the apex decisions must match
+exactly; bounds by bisection differ only by rounding.
 """
 
 import math
@@ -23,19 +28,70 @@ import pytest
 from fovmax.cells import (
     _ANGLE_MERGE,
     _cut,
-    _edge_lines,
-    _unwrapped_angles,
     angular_order,
     breakpoints,
     build_cells,
     vertex_partition,
 )
-from fovmax.geometry import ConvexPolygon, InvalidInputError, UnsupportedSceneError
+from fovmax.geometry import (
+    ORIENT_EPS,
+    TWO_PI,
+    ConvexPolygon,
+    InvalidInputError,
+    UnsupportedSceneError,
+    _apex_walk,
+    angular_span,
+    normalize_angle,
+)
 from conftest import external_apex, random_convex_polygon
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_contains(poly, p):
+    """ConvexPolygon.contains as it was: closed, by the sign of every
+    edge's cross product with p against -ORIENT_EPS."""
+    vs = poly.vertices
+    n = len(vs)
+    return not any(_cross(vs[i], vs[(i + 1) % n], p) < -ORIENT_EPS for i in range(n))
+
+
+def reference_unwrapped_angles(poly, apex):
+    """The apex checks, then every vertex angle unwrapped around the
+    apex-to-centroid direction, each in a pass of its own."""
+    ax, ay = apex[0], apex[1]
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise InvalidInputError("apex coordinates must be finite")
+    if reference_contains(poly, apex):
+        raise UnsupportedSceneError("apex inside or on polygon")
+    cx, cy = poly.centroid()
+    mu = math.atan2(cy - ay, cx - ax)
+    return [
+        mu + math.remainder(normalize_angle(math.atan2(y - ay, x - ax)) - mu, TWO_PI)
+        for x, y in poly.vertices
+    ]
+
+
+def reference_edge_lines(poly, apex):
+    """d**2 / 2 and psi of every edge line, in a pass of its own."""
+    ax, ay = apex
+    vs = poly.vertices
+    cs, psis = [], []
+    for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
+        ex, ey = qx - px, qy - py
+        d = (ey * (px - ax) - ex * (py - ay)) / math.hypot(ex, ey)
+        psi = math.atan2(-ex, ey)
+        if d < 0.0:
+            d, psi = -d, psi + math.pi
+        cs.append(0.5 * d * d)
+        psis.append(psi)
+    return tuple(cs), tuple(psis)
+
+
 def _sorted_rays(poly, apex):
-    angles = _unwrapped_angles(poly, apex)
+    angles = reference_unwrapped_angles(poly, apex)
     order = sorted(range(len(angles)), key=angles.__getitem__)
 
     def dist2(i):
@@ -80,8 +136,6 @@ def _per_section(chain, ray_of, m_rays, clockwise):
 
 def reference_partition(poly, apex):
     """(rays, ray_of, near, far, lines, areas, prefix) the old way."""
-    if poly.contains(apex):
-        raise UnsupportedSceneError("apex inside or on polygon")
     rays, ray_of, dist2 = _sorted_rays(poly, apex)
     m = len(rays)
     if m < 2:
@@ -92,7 +146,7 @@ def reference_partition(poly, apex):
     far_chain = _walk_chain(n, ray_of, max(first_group, key=dist2), m - 1, +1)
     near = _per_section(near_chain, ray_of, m, clockwise=True)
     far = _per_section(far_chain, ray_of, m, clockwise=False)
-    lines = _edge_lines(poly, apex)
+    lines = reference_edge_lines(poly, apex)
     c, psi = lines
     areas = tuple(
         _cut(c[f], psi[f], a, b) - _cut(c[e], psi[e], a, b)
@@ -248,6 +302,70 @@ def test_vertex_partition_matches_reference_from_far_away():
     assert min(outcomes.values()) > 0 and outcomes["run"] < 30, outcomes
 
 
+def _walk_outcome(walk, poly, apex):
+    """What walk(poly, apex) gives as float.hex lists, or the type and
+    message of what it raised."""
+    try:
+        return [[v.hex() for v in seq] for seq in walk(poly, apex)]
+    except (InvalidInputError, UnsupportedSceneError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_walk(poly, apex):
+    return (reference_unwrapped_angles(poly, apex), *reference_edge_lines(poly, apex))
+
+
+def _apex_scenes():
+    """Apexes on an edge, on a vertex, 1e-13 and 1e-11 edge lengths to
+    either side of an edge's line (within the tolerance and past it),
+    beside the edge and beyond its ends; non-finite apexes; and apexes
+    from which the polygon collapses to one ray."""
+    rng = np.random.default_rng(31)
+    square = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
+    scenes = [(square, (1.5, 1.0)), (square, (2.0, 2.0)), (square, (1.0, 1.5))]
+    for apex in [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (math.nan, math.nan)]:
+        scenes += [(square, apex)]
+    scenes += [(square, (1.5, 1.0 + off)) for off in (1e-13, -1e-13, 1e-11, -1e-11)]
+    scenes += [(square, (-1e13, 0.0)), (square, (0.0, 1e14)), (square, (-1e13, 1.5))]
+    for _ in range(200):
+        n = int(rng.integers(3, 13))
+        poly = random_convex_polygon(rng, n, rx=float(rng.uniform(0.8, 2.5)))
+        i = int(rng.integers(n))
+        (ax, ay), (bx, by) = poly.vertices[i], poly.vertices[(i + 1) % n]
+        t = float(rng.uniform(0.0, 1.0))
+        px, py = ax + t * (bx - ax), ay + t * (by - ay)
+        scenes.append((poly, (ax, ay)))
+        for off in (0.0, 1e-13, -1e-13, 1e-11, -1e-11):
+            # off edge lengths from a point of the edge, inward when off > 0,
+            # and from points of its line before and beyond it
+            scenes.append((poly, (px - off * (by - ay), py + off * (bx - ax))))
+            scenes.append((poly, _line_apex(poly, i, float(rng.uniform(-0.5, 0.5)), off)))
+            scenes.append((poly, _line_apex(poly, i, float(rng.uniform(0.5, 3.0)), off)))
+        far = 10.0 ** float(rng.uniform(12.5, 14.0))
+        scenes.append((poly, external_apex(rng, poly, far, far)))
+    return scenes
+
+
+def test_apex_walk_matches_separate_passes():
+    """The one walk against the containment test, the angles and the edge
+    lines in passes of their own: the same floats, or the same exception
+    with the same message; angular_span is the angles' min and max, and
+    vertex_partition raises what the old passes made it raise."""
+    outcomes = {"InvalidInputError": 0, "UnsupportedSceneError": 0, "walked": 0}
+    for poly, apex in _apex_scenes():
+        expected = _walk_outcome(_reference_walk, poly, apex)
+        assert _walk_outcome(_apex_walk, poly, apex) == expected, (poly.vertices, apex)
+        assert _outcome(_ours, poly, apex) == _outcome(_reference, poly, apex)
+        span = _walk_outcome(lambda p, a: [angular_span(p, a)], poly, apex)
+        if isinstance(expected[0], str):
+            outcomes[expected[0]] += 1
+            assert span == expected
+        else:
+            outcomes["walked"] += 1
+            assert span == [[min(expected[0], key=float.fromhex), max(expected[0], key=float.fromhex)]]
+    assert min(outcomes.values()) >= 4, outcomes
+
+
 def reference_breakpoints(sorted_angles, phi, domain=None):
     lo = sorted_angles[0] - phi
     hi = sorted_angles[-1]
@@ -345,9 +463,102 @@ def test_build_cells_match_bisection():
                 table = build_cells(poly, apex, part, phi, bps)
                 expected = reference_cells(part, phi, bps)
                 assert len(table) == len(expected)
-                for k, (interval, rs, ls, empty, bound) in enumerate(expected):
-                    assert (table.lo[k], table.hi[k]) == interval
-                    assert (table.right[k], table.left[k], table.empty[k]) == (rs, ls, empty)
-                    assert abs(table.bound[k] - bound) <= 1e-12 * poly.area
+                for cell, (interval, rs, ls, empty, bound) in zip(table, expected):
+                    assert cell.interval == interval
+                    assert (cell.right_section, cell.left_section, cell.empty) == (rs, ls, empty)
+                    assert abs(cell.bound - bound) <= 1e-12 * poly.area
                     checked += 1
     assert checked > 5000
+
+
+def reference_cell_table(part, phi, bps):
+    """(lo, hi, right, left, bound, empty) per cell, as build_cells found
+    them when its table kept every field: one pointer per boundary ray."""
+    angles = part.sorted_angles
+    m = len(angles)
+    low, high = angles[0] - _ANGLE_MERGE, angles[-1] + _ANGLE_MERGE
+    prefix = part.area_prefix
+    section = [0, *range(m - 1), m - 2]
+    rays = [*angles, math.inf]
+    r = l = 0
+    out = []
+    for lo, hi in zip(bps, bps[1:]):
+        if not hi - lo > _ANGLE_MERGE:
+            continue
+        probe = 0.5 * (lo + hi)
+        left_probe = probe + phi
+        while rays[r] <= probe:
+            r += 1
+        while rays[l] <= left_probe:
+            l += 1
+        rs, ls = section[r], section[l]
+        b = prefix[ls + 1] - prefix[rs]
+        e = False
+        if probe < low:
+            rs = None
+            if left_probe > high:
+                ls = None
+            elif left_probe < low:
+                ls, b, e = None, 0.0, True
+        elif probe > high:
+            rs, ls, b, e = None, None, 0.0, True
+        elif left_probe > high:
+            ls = None
+        out.append((lo.hex(), hi.hex(), rs, ls, b.hex(), e))
+    return out
+
+
+def _breakpoint_lists(rays, phi, rng):
+    """Breakpoints with and without domains, the rays and rays - phi
+    merged without deduplication, the breakpoints with extra points 3e-13
+    to 1.3e-12 rad past some of them, a grid wider than the domain, and
+    pairs centred on the rays and on the rays - phi."""
+    yield breakpoints(rays, phi)
+    for domain in _domains(rays, phi, rng):
+        if domain is not None and float(rng.random()) < 0.2:
+            yield breakpoints(rays, phi, domain)
+    lo, hi = rays[0] - phi, rays[-1]
+    yield sorted([lo, *rays, *[a - phi for a in rays], hi])
+    bps = breakpoints(rays, phi)
+    for gap in (3e-13, 1e-12, 1.3e-12):
+        yield sorted(bps + [v + gap for v in bps[::2]])
+    yield [float(v) for v in np.linspace(lo - 0.5, hi + 0.5, 41)]
+    # pairs whose midpoint is a ray, or a ray - phi, as often as rounding
+    # allows: a probe on a ray counts that ray
+    for shift in (0.0, phi):
+        yield sorted({v for a in rays for v in (a - shift - 2.0**-12, a - shift + 2.0**-12)})
+
+
+def test_cell_table_matches_the_full_table():
+    """Every cell's interval, sections, bound and empty flag as float.hex,
+    against the table that kept them all, on plain and plateau-adjacent
+    openings (the opening just below, at and just above the span)."""
+    rng = np.random.default_rng(29)
+    checked = {"cells": 0, "narrow": 0, "plateau": 0}
+    for poly, apex in PARTITION_SCENES:
+        try:
+            part = vertex_partition(poly, apex)
+        except (InvalidInputError, UnsupportedSceneError):
+            continue
+        rays = part.sorted_angles
+        span = rays[-1] - rays[0]
+        for phi in (float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.3, 2.5)),
+                    span - 1e-9, span, span + 1e-9):
+            if not 0.0 < phi < math.pi:
+                continue
+            for bps in _breakpoint_lists(rays, phi, rng):
+                table = build_cells(poly, apex, part, phi, bps)
+                got = [
+                    (c.interval[0].hex(), c.interval[1].hex(), c.right_section,
+                     c.left_section, c.bound.hex(), c.empty)
+                    for c in table
+                ]
+                expected = reference_cell_table(part, phi, bps)
+                assert got == expected
+                assert [c.bound.hex() for c in table[::-1]] == [e[4] for e in expected[::-1]]
+                if expected:
+                    assert table[-1].interval == table[len(table) - 1].interval
+                checked["cells"] += len(expected)
+                checked["narrow"] += len(bps) - 1 - len(expected)
+                checked["plateau"] += sum(e[2] is None and e[3] is None and not e[5] for e in expected)
+    assert min(checked.values()) > 100, checked

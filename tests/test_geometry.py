@@ -9,6 +9,7 @@ from fovmax.geometry import (
     InvalidInputError,
     Line,
     Sector,
+    UnsupportedSceneError,
     angular_span,
     clip_halfplane,
     normalize_angle,
@@ -296,9 +297,11 @@ def test_angular_span_is_bit_identical_to_the_vertex_loop(rng):
         for _ in range(300):
             poly = random_convex_polygon(rng, int(rng.integers(3, 13)), rx=rng.uniform(0.8, 2.5))
             apex = make_apex(rng, poly)
-            if poly.contains(apex):
+            try:
+                span = angular_span(poly, apex)
+            except UnsupportedSceneError:
                 continue
-            assert angular_span(poly, apex) == _span_by_vertex_loop(poly, apex)
+            assert span == _span_by_vertex_loop(poly, apex)
             checked += 1
     assert checked > 800
 

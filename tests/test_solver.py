@@ -381,6 +381,20 @@ def test_newton_closes_the_far_side():
     assert iterations <= 6
 
 
+def test_exact_zero_reports_a_zero_width():
+    # g is 0 at the first midpoint: the root is exact, whatever bracket is
+    # still held around it
+    assert _bracketed_newton(lambda x: x - 0.5, lambda x: 1.0, 0.0, 1.0, 1e-10) == (0.5, 0.0, 0)
+    # a seeded scene whose winning polish lands on an exact zero of f'; it
+    # reported the 0.0545-wide bracket it still held
+    rng = np.random.default_rng(5)
+    for _ in range(65):
+        random_scene(rng)
+    res = maximize_global(*random_scene(rng), prec=10)
+    assert res.theta_star.hex() == (5.114996835818674).hex()
+    assert res.achieved_bracket == 0.0
+
+
 def test_polish_iterations_per_root(monkeypatch):
     # a count, not a timer: every polish of every cell of seeded scenes,
     # including roots at a cell's end, where Newton points past the bracket

@@ -1,0 +1,102 @@
+"""Per-stage times of a solve, for one or more source trees in one process.
+
+    python tools/stage_times.py [--seed 1] [--repeat 15] [SRC ...]
+
+Each SRC is a directory that holds the fovmax package (default: this
+checkout's src/). The scenes are perfbench's large_polygons for the seed
+(or small_scenes with --small N, the first N of them). Within every
+repetition of a scene the trees take turns, and each stage's best of
+--repeat runs is added to that tree's sum. The stages are the
+ConvexPolygon constructor, vertex_partition, breakpoints, build_cells and
+the visit loop (solve_scene less the three stages before it); whole is
+the constructor plus solve_scene. Times are in ms, summed over the scenes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("ConvexPolygon", "vertex_partition", "breakpoints", "build_cells", "visit", "whole")
+
+
+def _load(src: Path):
+    """A fresh import of fovmax from src, kept apart from other copies."""
+    for name in [m for m in sys.modules if m == "fovmax" or m.startswith("fovmax.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        return importlib.import_module("fovmax.solver")
+    finally:
+        sys.path.remove(str(src))
+
+
+def _stages(solver, scene, prec: float) -> dict:
+    """One call per stage of a solve of the scene, each ready to time."""
+    poly_t = solver.ConvexPolygon
+    vs, apex, phi, domain = scene.vertices, scene.apex, scene.phi, scene.domain
+    poly = poly_t(vs)
+    part = solver.vertex_partition(poly, apex)
+    dom = solver.direction_domain(part, phi, domain)
+    bps = solver.breakpoints(part.sorted_angles, phi, domain=dom)
+    return {
+        "ConvexPolygon": lambda: poly_t(vs),
+        "vertex_partition": lambda: solver.vertex_partition(poly, apex),
+        "breakpoints": lambda: solver.breakpoints(part.sorted_angles, phi, domain=dom),
+        "build_cells": lambda: solver.build_cells(poly, apex, part, phi, bps),
+        "solve_scene": lambda: solver.solve_scene(poly, apex, phi, prec, domain),
+    }
+
+
+def _scene_times(solvers, scene, prec: float, repeat: int) -> list:
+    """Each stage's best time in ms per tree; the trees take turns within
+    every repetition, so a slow spell of the machine hits them alike."""
+    calls = [_stages(solver, scene, prec) for solver in solvers]
+    best = [dict.fromkeys(calls[0], float("inf")) for _ in solvers]
+    for _ in range(repeat):
+        for stages, out in zip(calls, best):
+            for stage, fn in stages.items():
+                t = time.perf_counter()
+                fn()
+                out[stage] = min(out[stage], 1e3 * (time.perf_counter() - t))
+    for out in best:
+        solve = out.pop("solve_scene")
+        out["visit"] = solve - out["vertex_partition"] - out["breakpoints"] - out["build_cells"]
+        out["whole"] = out["ConvexPolygon"] + solve
+    return best
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="*", type=Path, default=[ROOT / "src"])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=15)
+    ap.add_argument("--small", type=int, default=0, help="time the first N small_scenes instead")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import scenes  # imports this checkout's fovmax, which _load then replaces
+
+    if args.small:
+        scene_list, prec = scenes.small_scenes(args.seed)[: args.small], scenes.SMALL_PREC
+    else:
+        scene_list, prec = scenes.large_polygons(args.seed), scenes.LARGE_PREC
+    solvers = [_load(src.resolve()) for src in args.src]
+    totals = [dict.fromkeys(STAGES, 0.0) for _ in solvers]
+    for scene in scene_list:
+        for total, times in zip(totals, _scene_times(solvers, scene, prec, args.repeat)):
+            for stage, ms in times.items():
+                total[stage] += ms
+
+    print("%-18s" % "stage" + "".join("%14s" % src.resolve().parent.name for src in args.src))
+    for stage in STAGES:
+        print("%-18s" % stage + "".join("%14.2f" % total[stage] for total in totals))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
