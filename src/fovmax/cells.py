@@ -33,12 +33,14 @@ its far line's cut minus its near line's.
 
 The per-scene tables are flat sequences of floats and ints, so a scene
 of n vertices leaves a few dozen container objects, not one per edge or
-per cell: the partition keeps every edge line's d**2/2 and psi in two
-tuples, and build_cells returns the cells as a CellTable that keeps one
-float per cell, its area bound, the one value the solver reads for every
-cell. Indexing the table builds a RotationCell on demand, its interval
-from the breakpoints and its boundary sections by bisection, so the
-solver builds objects only for the cells it visits.
+per cell: the partition, a named tuple, keeps every edge line's d**2/2
+and psi in two tuples, and build_cells returns the cells as a CellTable
+that keeps one float per cell, its area bound, the one value the solver
+reads for every cell. CellTable.locate gives a cell's row, its interval
+from the breakpoints and its boundary sections by bisection, as plain
+values; the solver reads the cells it visits that way and builds a
+RotationCell only for a cell it solves. Indexing the table builds one
+from the same row.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -64,9 +66,9 @@ from .geometry import (
 from .wedge import StaticWedge, _cut, wedge_from_lines
 
 _ANGLE_MERGE = 1e-12
-# middle_ceiling stands in for middle areas over at least this many
-# sections; a shorter sum costs less than the extra end_bound call that a
-# cell the stand-in cannot rule out takes
+# SectionPartition.middle gives a ceiling for middle areas over at least
+# this many sections; a shorter sum costs less than the extra bound that a
+# cell the ceiling cannot rule out takes
 _LONG_MIDDLE = 32
 
 
@@ -132,10 +134,16 @@ def section_edges(order: AngularOrder) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     collinear = False
     for k, (a, b) in enumerate(zip(ray_of, ray_of[1:] + ray_of[:1])):
         if a < b:
-            far[a:b] = [k] * (b - a)
+            if b - a == 1:  # most edges serve one section: set an item, not a slice
+                far[a] = k
+            else:
+                far[a:b] = [k] * (b - a)
             covered += b - a
         elif a > b:
-            near[b:a] = [k] * (a - b)
+            if a - b == 1:
+                near[b] = k
+            else:
+                near[b:a] = [k] * (a - b)
             covered += a - b
         elif 0 < a < m - 1:
             collinear = True
@@ -146,8 +154,7 @@ def section_edges(order: AngularOrder) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     return tuple(near), tuple(far)
 
 
-@dataclass(frozen=True)
-class SectionPartition:
+class SectionPartition(NamedTuple):
     """Angular sections of a polygon from an outside apex.
 
     Edge k's line has c = edge_c[k] = d**2 / 2 and perpendicular direction
@@ -187,6 +194,39 @@ class SectionPartition:
         c, psi = self.edge_c, self.edge_psi
         f, n = self.far_edges[j], self.near_edges[j]
         return [(c[f], shift - psi[f]), (-c[n], shift - psi[n])]
+
+    def middle(self, right: Optional[int], left: Optional[int], empty: bool) -> Optional[tuple]:
+        """(start, stop, ceiling) for a cell's middle, the sections start to
+        stop - 1 strictly between its boundary rays (see RotationCell), or
+        None for an empty or a single-section cell, which has none.
+
+        ceiling bounds their left-to-right sum from above by two prefix
+        sums, or is None when they are fewer than _LONG_MIDDLE. With
+        u = 2**-53, n sections and A the sum of the areas' magnitudes, a
+        left-to-right sum of up to n of the areas (middle_sum, or any
+        area_prefix entry) is within gamma_n * A of its exact value, where
+        gamma_n = n u / (1 - n u) <= 1.02 n u; the prefix difference adds
+        at most u (1 + 2 gamma_n) A. So the difference and the sum lie
+        within 4 (n + 1) u A of each other, and the margin, 8 (n + 1) u A,
+        also covers the rounding of A and of the final addition. A
+        non-finite area makes the ceiling inf or nan, which rules nothing
+        out.
+        """
+        if empty or (right is not None and right == left):
+            return None
+        start = 0 if right is None else right + 1
+        stop = len(self.near_edges) if left is None else left
+        if stop - start < _LONG_MIDDLE:
+            return start, stop, None
+        margin = 4.0 * (len(self.near_edges) + 1) * self.abs_area_sum * 2.0**-52
+        return start, stop, (self.area_prefix[stop] - self.area_prefix[start]) + margin
+
+    def middle_sum(self, start: int, stop: int) -> float:
+        """Sections start to stop - 1 summed left to right, which sum() is not from 3.12 on."""
+        total = 0.0
+        for a in self.section_areas[start:stop]:
+            total += a
+        return total
 
 
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
@@ -280,9 +320,9 @@ class RotationCell:
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. middle_area
     is the constant area of fully covered sections, summed on first use,
-    and middle_ceiling an upper bound on it that costs no sum. _ends holds
-    the boundary cuts at the cell's ends and a curvature bound once the
-    solver's end_bound has computed them.
+    and middle_ceiling an upper bound on it that costs no sum (both from
+    SectionPartition.middle). _ends caches the boundary cuts at the cell's
+    ends and a curvature bound; the solver passes both caches in.
     bound is an upper bound on the cell's area: the intersection never
     leaves the sections the cell touches. The cell carries the scene's
     partition and the opening, so it can be solved standalone.
@@ -295,50 +335,25 @@ class RotationCell:
     part: SectionPartition = field(repr=False)
     opening: float
     empty: bool = False
-    _middle: Optional[float] = field(default=None, init=False, repr=False)
-    _ends: Optional[Tuple[Optional[float], ...]] = field(default=None, init=False, repr=False)
-
-    def _middle_range(self) -> Tuple[int, int]:
-        """The sections strictly between the boundary rays, as a slice;
-        empty for an empty or a single-section cell."""
-        r, l = self.right_section, self.left_section
-        if self.empty or (r is not None and r == l):
-            return 0, 0
-        return (0 if r is None else r + 1), (self.part.num_sections if l is None else l)
+    _middle: Optional[float] = field(default=None, repr=False)
+    _ends: Optional[Tuple[Optional[float], ...]] = field(default=None, repr=False)
 
     @property
     def middle_area(self) -> float:
         if self._middle is None:
-            start, stop = self._middle_range()
-            # left to right: sum() of floats rounds differently from 3.12 on
-            total = 0.0
-            for a in self.part.section_areas[start:stop]:
-                total += a
-            self._middle = total
+            span = self.part.middle(self.right_section, self.left_section, self.empty)
+            self._middle = 0.0 if span is None else self.part.middle_sum(span[0], span[1])
         return self._middle
 
     @property
     def middle_ceiling(self) -> Optional[float]:
-        """An upper bound on middle_area from two prefix sums, or None when
-        the middle spans fewer than _LONG_MIDDLE sections or is summed.
-
-        With u = 2**-53, n sections and A the sum of the areas' magnitudes,
-        a left-to-right sum of up to n of the areas (middle_area, or any
-        area_prefix entry) is within gamma_n * A of its exact value, where
-        gamma_n = n u / (1 - n u) <= 1.02 n u; the prefix difference adds
-        at most u (1 + 2 gamma_n) A. So the difference and middle_area lie
-        within 4 (n + 1) u A of each other, and the margin, 8 (n + 1) u A,
-        also covers the rounding of A and of the final addition. A non-finite area
-        makes the result inf or nan, which rules nothing out.
-        """
+        """An upper bound on middle_area that costs no sum, or None when
+        the cell has no middle, the middle spans fewer than _LONG_MIDDLE
+        sections or it is summed."""
         if self._middle is not None:
             return None
-        start, stop = self._middle_range()
-        if stop - start < _LONG_MIDDLE:
-            return None
-        part = self.part
-        margin = 4.0 * (part.num_sections + 1) * part.abs_area_sum * 2.0**-52
-        return (part.area_prefix[stop] - part.area_prefix[start]) + margin
+        span = self.part.middle(self.right_section, self.left_section, self.empty)
+        return None if span is None else span[2]
 
     @property
     def right_section_end(self) -> Optional[float]:
@@ -355,11 +370,9 @@ class CellTable(Sequence[RotationCell]):
     """The cells of one scene, one per breakpoint pair more than 1e-12 rad
     wide, in order. bound[i] is cell i's area bound, the one value the
     solver reads for every cell; _narrow lists the indices of the pairs
-    that give no cell, so cell i's pair is found from i. Indexing and
-    iteration build a RotationCell on demand: its interval is its pair,
-    and its boundary sections are found by bisection at the interval's
-    midpoint, which counts the rays at or below it as build_cells' walk
-    does."""
+    that give no cell, so cell i's pair is found from i. locate(i) gives
+    cell i's interval and boundary sections as plain values, and indexing
+    and iteration build a RotationCell from them on demand."""
 
     def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float]) -> None:
         self.part = part
@@ -378,17 +391,23 @@ class CellTable(Sequence[RotationCell]):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         bound = self.bound[i]
-        if i < 0:
-            i += len(self.bound)
+        lo, hi, rs, ls, empty = self.locate(i + len(self.bound) if i < 0 else i)
+        return RotationCell((lo, hi), rs, ls, bound, self.part, self.opening, empty)
+
+    def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int], bool]:
+        """(lo, hi, right_section, left_section, empty) of cell i, for
+        0 <= i < len(self): its interval is its breakpoint pair, and its
+        boundary sections are found by bisection at the interval's midpoint,
+        which counts the rays at or below it as build_cells' walk does."""
         for j in self._narrow:
             if j > i:
                 break
             i += 1
         lo, hi = self.bps[i], self.bps[i + 1]
-        angles, phi = self.part.sorted_angles, self.opening
+        angles = self.part.sorted_angles
         low, high, last = self._low, self._high, len(angles) - 1
         probe = 0.5 * (lo + hi)
-        left_probe = probe + phi
+        left_probe = probe + self.opening
         # the section whose closed range holds the ray: one less than the
         # rays at or below it, counted from 1 to last, which clamps to the
         # first and the last section; None for a ray outside the span
@@ -397,9 +416,7 @@ class CellTable(Sequence[RotationCell]):
             rs = bisect_right(angles, probe, 1, last) - 1
         if low <= left_probe <= high:
             ls = bisect_right(angles, left_probe, 1, last) - 1
-        return RotationCell(
-            (lo, hi), rs, ls, bound, self.part, phi, probe > high or left_probe < low
-        )
+        return lo, hi, rs, ls, probe > high or left_probe < low
 
 
 def build_cells(

@@ -342,11 +342,11 @@ def _apex_walk(
     distance from the apex and the direction of the perpendicular from the
     apex to it (edge k runs from vertex k to vertex k+1).
 
-    Raises InvalidInputError for a non-finite apex and, after the pass,
-    UnsupportedSceneError for an apex inside or on the polygon: one is
-    outside when it lies right of some edge, that is when the edge's
-    distance numerator, (v_k+1 - v_k) x (apex - v_k) bit for bit, is below
-    -ORIENT_EPS.
+    Raises InvalidInputError for a non-finite apex or a repeated vertex
+    and, after the pass, UnsupportedSceneError for an apex inside or on the
+    polygon: one is outside when it lies right of some edge, that is when
+    the edge's distance numerator, (v_k+1 - v_k) x (apex - v_k) bit for
+    bit, is below -ORIENT_EPS.
     """
     ax, ay = apex[0], apex[1]
     if not (math.isfinite(ax) and math.isfinite(ay)):
@@ -357,25 +357,28 @@ def _apex_walk(
     atan2, hypot, remainder, pi = math.atan2, math.hypot, math.remainder, math.pi
     angles, cs, psis = [], [], []
     outside = False
-    for px, py, qx, qy in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
-        dx, dy = px - ax, py - ay
-        # normalize_angle, given that atan2 lies in [-pi, pi]
-        a = atan2(dy, dx)
-        if a < 0.0:
-            a += TWO_PI
-            if a >= TWO_PI:
-                a = 0.0
-        angles.append(mu + remainder(a - mu, TWO_PI))
-        ex, ey = qx - px, qy - py
-        num = ey * dx - ex * dy
-        if num < -ORIENT_EPS:
-            outside = True
-        d = num / hypot(ex, ey)
-        psi = atan2(-ex, ey)
-        if d < 0.0:
-            d, psi = -d, psi + pi
-        cs.append(0.5 * d * d)
-        psis.append(psi)
+    try:
+        for px, py, qx, qy in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+            dx, dy = px - ax, py - ay
+            # normalize_angle, given that atan2 lies in [-pi, pi]
+            a = atan2(dy, dx)
+            if a < 0.0:
+                a += TWO_PI
+                if a >= TWO_PI:
+                    a = 0.0
+            angles.append(mu + remainder(a - mu, TWO_PI))
+            ex, ey = qx - px, qy - py
+            num = ey * dx - ex * dy
+            if num < -ORIENT_EPS:
+                outside = True
+            d = num / hypot(ex, ey)
+            psi = atan2(-ex, ey)
+            if d < 0.0:
+                d, psi = -d, psi + pi
+            cs.append(0.5 * d * d)
+            psis.append(psi)
+    except ZeroDivisionError:  # hypot(ex, ey) is 0.0 only for a zero-length edge
+        raise InvalidInputError("polygon has duplicate consecutive vertices") from None
     if not outside:
         raise UnsupportedSceneError("apex inside or on polygon")
     return angles, cs, psis

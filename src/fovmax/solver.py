@@ -23,24 +23,25 @@ remaining cell can come within the tie tolerance (10**-digits times the
 polygon area) of the best area found. A visited cell is solved only
 when a second bound, end_bound, still reaches that far: the larger end
 value plus a curvature term from a lower bound on f'' (f'' is a sum of
-monotone terms). end_bound computes a visited cell's four boundary cuts
-(each boundary section's part at the two cell ends) and that curvature
-term once, straight from the partition's flat edge tables, and keeps
-them in the cell; a solved cell reuses its two end values, and only a
-solved cell builds its f' terms. For a cell whose middle covers many
-sections, end_bound first runs on an O(1) upper bound of the middle
-area; its values never fall as the middle rises, so a cell ruled out
-that way is ruled out by the exact sum too, which is then taken only for
-the cells that remain, and that second call only adds the exact middle
-to the kept cuts. The global maximum is the best cell result; ties
-within the tolerance resolve to the smallest direction.
+monotone terms). The loop reads a visited cell as a row of the cell
+table (CellTable.locate) and takes its four boundary cuts (each boundary
+section's part at the two cell ends) and that curvature term once,
+straight from the flat edge tables (_end_cuts). Only a cell it solves
+becomes a RotationCell, which gets the cuts and the middle sum already
+taken, and only a solved cell builds its f' terms. For a cell whose
+middle covers many sections, the bound is first taken on an O(1) upper
+bound of the middle area (SectionPartition.middle); its values never
+fall as the middle rises, so a cell ruled out that way is ruled out by
+the exact sum too, which is then taken only for the cells that remain.
+The global maximum is the best cell result; ties within the tolerance
+resolve to the smallest direction. The results are named tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .geometry import (
     ConvexPolygon,
@@ -81,8 +82,7 @@ def _as_precision(prec) -> Precision:
     return Precision(float(prec))
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     theta_star: float
     area: float
     cell_index: int
@@ -333,8 +333,7 @@ def _monotone_nodes(p: List[float], lo: float, hi: float) -> List[float]:
     return [lo] + roots + [hi]
 
 
-@dataclass(frozen=True)
-class CellBest:
+class CellBest(NamedTuple):
     theta: float
     area: float
     candidates_evaluated: int
@@ -417,38 +416,36 @@ def maximize_cell(
     )
 
 
-def _curvature_at_end(w: float, beta: float, lo: float, hi: float) -> float:
-    """The f'' term of (w, beta) at the cell end where it is smallest."""
-    x = (lo if w > 0.0 else hi) + beta
-    return 2.0 * w * math.tan(x) / math.cos(x) ** 2
-
-
-def _end_cuts(cell: RotationCell) -> Tuple[Optional[float], ...]:
+def _end_cuts(
+    part: SectionPartition, phi: float, lo: float, hi: float, right: Optional[int],
+    left: Optional[int], empty: bool
+) -> Tuple[Optional[float], ...]:
     """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
-    for end_bound: each cut is part.cut of a boundary section as
-    cell_objective takes it, None for a ray that does not move, and m is
-    the sum of the _slope_terms at their ends, in their order. A
-    single-section cell's right cuts are its whole objective and its left
-    ones None. Computed once per visited cell, straight from the flat edge
-    tables with every operation in the order _cut and _slope_terms use, so
-    the values are theirs bit for bit; a cut of a section from its fixed
-    end ray shares that ray's cosine between lo and hi.
+    for the cell [lo, hi] with the given boundary sections: each cut is
+    part.cut of a boundary section as cell_objective takes it, None for a
+    ray that does not move, and m is the sum of the _slope_terms at their
+    ends, in their order (see end_bound). An empty cell's right cuts are
+    0.0, a single-section cell's its whole objective, and their left ones
+    None. Straight from the flat edge tables, with every operation in the
+    order _cut and _slope_terms use, so the values are theirs bit for bit;
+    a cut from a section's fixed end ray shares that ray's cosine.
     """
-    if cell.empty:
-        return None, None, None, None, 0.0
-    lo, hi = cell.interval
-    r, l = cell.right_section, cell.left_section
-    part, phi = cell.part, cell.opening
+    if empty:
+        return 0.0, 0.0, None, None, 0.0
     c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
-    sin, cos = math.sin, math.cos
+    sin, cos, tan = math.sin, math.cos, math.tan
     m = 0.0
     r_lo = r_hi = l_lo = l_hi = None
-    if r is not None:
-        f, n = part.far_edges[r], part.near_edges[r]
+    # each (w, beta) of _slope_terms adds its f'' term 2 w tan(x) / cos(x)**2,
+    # x = theta + beta, at the end theta where that term is smallest
+    if right is not None:
+        f, n = part.far_edges[right], part.near_edges[right]
         cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
-        m += _curvature_at_end(-cf, 0.0 - pf, lo, hi)
-        m += _curvature_at_end(cn, 0.0 - pn, lo, hi)
-        if r == l:
+        x = (lo if -cf > 0.0 else hi) + (0.0 - pf)
+        m += 2.0 * -cf * tan(x) / cos(x) ** 2
+        x = (lo if cn > 0.0 else hi) + (0.0 - pn)
+        m += 2.0 * cn * tan(x) / cos(x) ** 2
+        if right == left:
             b = lo + phi
             s = sin(b - lo)
             r_lo = cf * s / (cos(lo - pf) * cos(b - pf)) - cn * s / (cos(lo - pn) * cos(b - pn))
@@ -456,19 +453,21 @@ def _end_cuts(cell: RotationCell) -> Tuple[Optional[float], ...]:
             s = sin(b - hi)
             r_hi = cf * s / (cos(hi - pf) * cos(b - pf)) - cn * s / (cos(hi - pn) * cos(b - pn))
         else:
-            e = rays[r + 1]
+            e = rays[right + 1]
             ef, en = cos(e - pf), cos(e - pn)
             s = sin(e - lo)
             r_lo = cf * s / (cos(lo - pf) * ef) - cn * s / (cos(lo - pn) * en)
             s = sin(e - hi)
             r_hi = cf * s / (cos(hi - pf) * ef) - cn * s / (cos(hi - pn) * en)
-    if l is not None:
-        f, n = part.far_edges[l], part.near_edges[l]
+    if left is not None:
+        f, n = part.far_edges[left], part.near_edges[left]
         cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
-        m += _curvature_at_end(cf, phi - pf, lo, hi)
-        m += _curvature_at_end(-cn, phi - pn, lo, hi)
-        if r != l:
-            a = rays[l]
+        x = (lo if cf > 0.0 else hi) + (phi - pf)
+        m += 2.0 * cf * tan(x) / cos(x) ** 2
+        x = (lo if -cn > 0.0 else hi) + (phi - pn)
+        m += 2.0 * -cn * tan(x) / cos(x) ** 2
+        if right != left:
+            a = rays[left]
             af, an = cos(a - pf), cos(a - pn)
             b = lo + phi
             s = sin(b - a)
@@ -477,6 +476,27 @@ def _end_cuts(cell: RotationCell) -> Tuple[Optional[float], ...]:
             s = sin(b - a)
             l_hi = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
     return r_lo, r_hi, l_lo, l_hi, m
+
+
+def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[float, float, float]:
+    """end_bound's values from a cell's _end_cuts, its middle area (None
+    for a cell without one, see SectionPartition.middle) and its width."""
+    r_lo, r_hi, l_lo, l_hi, m = cuts
+    if middle is None:
+        f_lo, f_hi = r_lo, r_hi
+    else:
+        # cell_objective's order: the middle, then the right cut, then the left
+        f_lo = f_hi = middle
+        if r_lo is not None:
+            f_lo += r_lo
+            f_hi += r_hi
+        if l_lo is not None:
+            f_lo += l_lo
+            f_hi += l_hi
+    if not math.isfinite(m):
+        return f_lo, f_hi, math.inf
+    # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
+    return f_lo, f_hi, (f_hi if f_hi > f_lo else f_lo) + (0.0 if 0.0 > -m else -m) * width**2 / 8.0
 
 
 def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float, float, float]:
@@ -498,30 +518,17 @@ def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float
     bound on f'' in its place, with the chord, would not bound f.
     """
     lo, hi = cell.interval
+    r, l, empty = cell.right_section, cell.left_section, cell.empty
     if cell._ends is None:
-        cell._ends = _end_cuts(cell)
-    r_lo, r_hi, l_lo, l_hi, m = cell._ends
-    r = cell.right_section
-    if cell.empty:
-        f_lo = f_hi = 0.0
-    elif r is not None and r == cell.left_section:
-        f_lo, f_hi = r_lo, r_hi
-    else:
-        # cell_objective's order: the middle, then the right cut, then the left
-        f_lo = f_hi = cell.middle_area if middle is None else middle
-        if r_lo is not None:
-            f_lo += r_lo
-            f_hi += r_hi
-        if l_lo is not None:
-            f_lo += l_lo
-            f_hi += l_hi
-    if not math.isfinite(m):
-        return f_lo, f_hi, math.inf
-    return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
+        cell._ends = _end_cuts(cell.part, cell.opening, lo, hi, r, l, empty)
+    if cell.part.middle(r, l, empty) is None:
+        middle = None
+    elif middle is None:
+        middle = cell.middle_area
+    return _end_values(cell._ends, middle, hi - lo)
 
 
-@dataclass(frozen=True)
-class SceneDetails:
+class SceneDetails(NamedTuple):
     """The partition, breakpoints and resolved direction domain of a scene;
     domain is None only when a fixed-direction evaluation's is empty."""
 
@@ -598,29 +605,32 @@ def solve_scene(
     tie_tol = precision.xtol * poly.area
     slack = _BOUND_SLACK * poly.area
     results = {}
-    best_area = -math.inf
-    bounds = cells.bound
-    for i in sorted(range(len(cells)), key=bounds.__getitem__, reverse=True):
-        if bounds[i] + slack < best_area - tie_tol:
+    best_area = floor = -math.inf  # floor: best_area less the tie tolerance
+    bounds, locate, middle_of = cells.bound, cells.locate, part.middle
+    for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] + slack < floor:
             break
-        cell = cells[i]
-        # a long middle is first bounded from above in O(1): a cell ruled
-        # out with that in place of the exact sum is ruled out by it too
-        ceiling = cell.middle_ceiling
-        if ceiling is not None and end_bound(cell, ceiling)[2] + slack < best_area - tie_tol:
+        lo, hi, r, l, empty = locate(i)
+        cuts = _end_cuts(part, phi, lo, hi, r, l, empty)
+        span = middle_of(r, l, empty)
+        middle = None
+        if span is not None:
+            # a long middle is first bounded from above in O(1): a cell ruled
+            # out with that in place of the exact sum is ruled out by it too
+            if span[2] is not None and _end_values(cuts, span[2], hi - lo)[2] + slack < floor:
+                continue
+            middle = part.middle_sum(span[0], span[1])
+        f_lo, f_hi, top = _end_values(cuts, middle, hi - lo)
+        if top + slack < floor:
             continue
-        f_lo, f_hi, top = end_bound(cell)
-        if top + slack < best_area - tie_tol:
-            continue
+        cell = RotationCell((lo, hi), r, l, bounds[i], part, phi, empty, middle, cuts)
         results[i] = maximize_cell(cell, precision, (f_lo, f_hi))
         best_area = max(best_area, results[i].area)
+        floor = best_area - tie_tol
 
     # deterministic reduction: max area, ties within 10^-digits of the best
     # resolve to the smallest direction (then lowest cell index)
-    winner_idx = min(
-        (i for i, r in results.items() if r.area >= best_area - tie_tol),
-        key=lambda i: (results[i].theta, i),
-    )
+    winner_idx = min((res.theta, i) for i, res in results.items() if res.area >= floor)[1]
     win = results[winner_idx]
     result = SolveResult(
         theta_star=normalize_angle(win.theta),

@@ -4,7 +4,8 @@ The polygon keeps its vertices as two float tuples, and the per-scene
 tables are flat sequences of floats and ints; the cell table keeps one
 float per cell, its bound. So building them leaves a few dozen container
 objects, the kind CPython's cyclic garbage collector tracks, instead of
-one per vertex, per edge line or per cell. A visited cell's f' terms are
+one per vertex, per edge line or per cell. The solver reads a visited
+cell from the table's rows, and a cell's RotationCell and f' terms are
 built only when the cell is solved.
 """
 
@@ -13,7 +14,7 @@ import gc
 import numpy as np
 
 from fovmax import solver
-from fovmax.cells import breakpoints, build_cells, vertex_partition
+from fovmax.cells import CellTable, breakpoints, build_cells, vertex_partition
 from fovmax.geometry import ConvexPolygon
 from fovmax.solver import maximize_global
 from conftest import random_convex_polygon
@@ -51,12 +52,13 @@ def test_partition_and_cells_leave_few_tracked_objects():
 
 
 def test_only_solved_cells_build_slope_terms(monkeypatch):
+    # the visit loop locates every visited cell once, from the table's rows
     visited, solved, built = [], [], []
-    real_bound, real_solve, real_terms = solver.end_bound, solver.maximize_cell, solver._slope_terms
+    real_locate, real_solve, real_terms = CellTable.locate, solver.maximize_cell, solver._slope_terms
 
-    def bound(cell, *args):
-        visited.append(cell)
-        return real_bound(cell, *args)
+    def locate(table, i):
+        visited.append(i)
+        return real_locate(table, i)
 
     def solve(cell, *args):
         solved.append(cell)
@@ -66,7 +68,7 @@ def test_only_solved_cells_build_slope_terms(monkeypatch):
         built.append(cell)
         return real_terms(cell)
 
-    monkeypatch.setattr(solver, "end_bound", bound)
+    monkeypatch.setattr(CellTable, "locate", locate)
     monkeypatch.setattr(solver, "maximize_cell", solve)
     monkeypatch.setattr(solver, "_slope_terms", terms)
     poly, apex, phi, _ = _span_scene(1024, 1024, 0.1)
@@ -76,4 +78,4 @@ def test_only_solved_cells_build_slope_terms(monkeypatch):
     ]
     assert [id(c) for c in built] == [id(c) for c in moving]
     # 7 cells solved of 205 visited
-    assert 0 < len(solved) and 10 * len(solved) < len({id(c) for c in visited})
+    assert 0 < len(solved) and 10 * len(solved) < len(set(visited))

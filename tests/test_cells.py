@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovmax.geometry import (
     ConvexPolygon,
@@ -211,6 +213,37 @@ def test_breakpoints_count_bound(rng):
         assert len(breakpoints(part.sorted_angles, phi)) <= 2 * len(poly)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    frac=st.floats(0.01, 0.99) | st.none(),
+    window=st.none() | st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.5)),
+)
+def test_breakpoints_are_more_than_the_merge_apart(seed, n, frac, window):
+    # so every consecutive pair gives a cell, and the solve path never
+    # meets a narrow pair; frac None takes an opening that is a difference
+    # of two ray angles, so that rays - phi land on rays
+    rng = np.random.default_rng(seed)
+    poly = random_convex_polygon(rng, n, rx=float(rng.uniform(0.8, 2.5)))
+    apex = external_apex(rng, poly)
+    part = vertex_partition(poly, apex)
+    rays = part.sorted_angles
+    if frac is None:
+        j, k = sorted(rng.choice(len(rays), 2, replace=False))
+        phi = rays[k] - rays[j]
+    else:
+        phi = frac * (rays[-1] - rays[0])
+    domain = None
+    if window is not None:
+        lo, width = rays[0] - phi, rays[-1] - rays[0] + phi
+        domain = (lo + window[0] * width, lo + (window[0] + window[1]) * width)
+    bps = breakpoints(rays, phi, domain)
+    assert all(b - a > 1e-12 for a, b in zip(bps, bps[1:]))
+    if bps:
+        assert len(build_cells(poly, apex, part, phi, bps)) == len(bps) - 1
+
+
 def test_section_areas_sum_to_polygon(rng, square_partition):
     assert sum(square_partition.section_areas) == pytest.approx(1.0, rel=1e-12)
     assert list(square_partition.section_areas) == pytest.approx([0.5, 0.5])
@@ -372,3 +405,18 @@ def test_single_ray_polygon_rejected():
     square = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     with pytest.raises(InvalidInputError, match="single ray"):
         vertex_partition(square, (-1e13, 0.0))
+
+
+@pytest.mark.parametrize(
+    "vertices, apex",
+    [
+        ([(1, 1), (2, 1), (2, 2), (2, 2), (1, 2)], (0.0, 0.0)),
+        ([(1, 1), (2, 1), (2, 1), (2, 2), (1, 2)], (0.0, -1.0)),
+    ],
+)
+def test_unvalidated_repeated_vertex_is_invalid_input(vertices, apex):
+    # a zero-length edge has no line: the partition names the defect
+    # instead of dividing by the edge's length
+    poly = ConvexPolygon(vertices, _validate=False)
+    with pytest.raises(InvalidInputError, match="duplicate consecutive vertices"):
+        vertex_partition(poly, apex)

@@ -1,5 +1,6 @@
-"""The O(1) upper bound on a long middle area (`RotationCell.middle_ceiling`)
-and the gate in `solve_scene` that tries it before the exact sum.
+"""The O(1) upper bound on a long middle area (`SectionPartition.middle`,
+which `RotationCell.middle_ceiling` reads) and the gate in `solve_scene`
+that tries it before the exact sum (`SectionPartition.middle_sum`).
 
 The gate may only save work: every answer, `candidates_evaluated`
 included, must be the one the exact sums give.
@@ -125,15 +126,13 @@ def test_gate_skips_most_long_sums(monkeypatch):
     # a count, not a timer: on a wide opening over 1,024 sections most
     # visited cells are ruled out without summing their middle areas
     summed = [0]
-    exact = RotationCell.middle_area
+    exact = SectionPartition.middle_sum
 
-    def counted(cell):
-        if cell._middle is None:
-            start, stop = cell._middle_range()
-            summed[0] += stop - start
-        return exact.fget(cell)
+    def counted(part, start, stop):
+        summed[0] += stop - start
+        return exact(part, start, stop)
 
-    monkeypatch.setattr(RotationCell, "middle_area", property(counted))
+    monkeypatch.setattr(SectionPartition, "middle_sum", counted)
     rng = np.random.default_rng(2)
     poly = random_convex_polygon(rng, 1024, rx=2.0)
     apex = external_apex(rng, poly)

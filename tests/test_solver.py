@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovmax.geometry import ConvexPolygon, InvalidInputError, normalize_angle
-from fovmax.cells import breakpoints, build_cells, vertex_partition
+from fovmax.cells import SectionPartition, breakpoints, build_cells, vertex_partition
 from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
 from fovmax import solver
 from fovmax.solver import (
+    CellBest,
     Precision,
+    SceneDetails,
+    SolveResult,
     _bracketed_newton,
     cell_objective,
     end_bound,
@@ -538,3 +541,43 @@ def test_tie_tolerance_scales_with_area(scale):
     assert res.theta_star == pytest.approx(0.735398, abs=1e-6)
     unit = maximize_global(SMALL_SQUARE, ORIGIN, 0.1, 8)
     assert res.theta_star == pytest.approx(unit.theta_star, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (SolveResult, ("theta_star", "area", "cell_index", "candidates_evaluated", "achieved_bracket")),
+        (CellBest, ("theta", "area", "candidates_evaluated", "achieved_bracket")),
+        (SceneDetails, ("partition", "breakpoints", "domain", "num_cells")),
+        (
+            SectionPartition,
+            (
+                "sorted_angles",
+                "near_edges",
+                "far_edges",
+                "edge_c",
+                "edge_psi",
+                "section_areas",
+                "area_prefix",
+                "abs_area_sum",
+                "apex",
+            ),
+        ),
+    ],
+    ids=lambda v: getattr(v, "__name__", "fields"),
+)
+def test_record_fields_keep_their_order(record, fields):
+    # the records are named tuples now: positional unpacking sees the
+    # fields in the order they had as dataclasses
+    assert record._fields == fields
+
+
+def test_solve_records_reject_assignment():
+    res = maximize_global(SMALL_SQUARE, ORIGIN, 0.1)
+    scene_res, details = solve_scene(SMALL_SQUARE, ORIGIN, 0.1)
+    assert scene_res == res
+    for record in (res, scene_res, details, details.partition):
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+    assert details.partition.num_sections == 2

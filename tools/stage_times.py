@@ -9,13 +9,18 @@ repetition of a scene the trees take turns, and each stage's best of
 --repeat runs is added to that tree's sum. The stages are the
 ConvexPolygon constructor, vertex_partition, breakpoints, build_cells and
 the visit loop (solve_scene less the three stages before it); whole is
-the constructor plus solve_scene. Times are in ms, summed over the scenes.
+the benchmark's operation, the constructor and maximize_global in one
+call. Times are in ms, summed over the scenes. Below them come each
+tree's scenes_per_s, solve_ms_p50 and solve_ms_p90, computed from the
+scenes' best whole times as perfbench/run.py computes them from its own
+(percentiles interpolated linearly).
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -24,15 +29,24 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("ConvexPolygon", "vertex_partition", "breakpoints", "build_cells", "visit", "whole")
 
 
+def _fovmax_modules() -> dict:
+    return {k: m for k, m in sys.modules.items() if k == "fovmax" or k.startswith("fovmax.")}
+
+
 def _load(src: Path):
-    """A fresh import of fovmax from src, kept apart from other copies."""
-    for name in [m for m in sys.modules if m == "fovmax" or m.startswith("fovmax.")]:
+    """A fresh import of fovmax from src, kept apart from other copies;
+    the caller's fovmax modules are put back afterwards."""
+    saved = _fovmax_modules()
+    for name in saved:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
         return importlib.import_module("fovmax.solver")
     finally:
         sys.path.remove(str(src))
+        for name in _fovmax_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def _stages(solver, scene, prec: float) -> dict:
@@ -49,6 +63,7 @@ def _stages(solver, scene, prec: float) -> dict:
         "breakpoints": lambda: solver.breakpoints(part.sorted_angles, phi, domain=dom),
         "build_cells": lambda: solver.build_cells(poly, apex, part, phi, bps),
         "solve_scene": lambda: solver.solve_scene(poly, apex, phi, prec, domain),
+        "whole": lambda: solver.maximize_global(poly_t(vs), apex, phi, prec, domain),
     }
 
 
@@ -66,8 +81,13 @@ def _scene_times(solvers, scene, prec: float, repeat: int) -> list:
     for out in best:
         solve = out.pop("solve_scene")
         out["visit"] = solve - out["vertex_partition"] - out["breakpoints"] - out["build_cells"]
-        out["whole"] = out["ConvexPolygon"] + solve
     return best
+
+
+def _percentile(ms: list, tenths: int) -> float:
+    """The given decile of ms, interpolated linearly as numpy.percentile
+    does (quantiles' inclusive method)."""
+    return ms[0] if len(ms) == 1 else statistics.quantiles(ms, n=10, method="inclusive")[tenths - 1]
 
 
 def main(argv=None) -> int:
@@ -79,7 +99,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
-    import scenes  # imports this checkout's fovmax, which _load then replaces
+    import scenes  # imports this checkout's fovmax, which _load keeps apart
 
     if args.small:
         scene_list, prec = scenes.small_scenes(args.seed)[: args.small], scenes.SMALL_PREC
@@ -87,14 +107,19 @@ def main(argv=None) -> int:
         scene_list, prec = scenes.large_polygons(args.seed), scenes.LARGE_PREC
     solvers = [_load(src.resolve()) for src in args.src]
     totals = [dict.fromkeys(STAGES, 0.0) for _ in solvers]
+    wholes = [[] for _ in solvers]
     for scene in scene_list:
-        for total, times in zip(totals, _scene_times(solvers, scene, prec, args.repeat)):
+        for total, whole, times in zip(totals, wholes, _scene_times(solvers, scene, prec, args.repeat)):
             for stage, ms in times.items():
                 total[stage] += ms
+            whole.append(times["whole"])
 
     print("%-18s" % "stage" + "".join("%14s" % src.resolve().parent.name for src in args.src))
     for stage in STAGES:
         print("%-18s" % stage + "".join("%14.2f" % total[stage] for total in totals))
+    print("%-18s" % "scenes_per_s" + "".join("%14.1f" % (1e3 * len(w) / sum(w)) for w in wholes))
+    print("%-18s" % "solve_ms_p50" + "".join("%14.4f" % _percentile(w, 4) for w in wholes))
+    print("%-18s" % "solve_ms_p90" + "".join("%14.4f" % _percentile(w, 8) for w in wholes))
     return 0
 
 
