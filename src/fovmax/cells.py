@@ -9,7 +9,8 @@ which sections are fully covered) only changes when a boundary ray crosses
 a vertex ray: the breakpoints are the vertex ray angles merged with the
 same angles shifted by -phi. Between consecutive breakpoints the covered
 middle area is constant and only the two boundary sections contribute
-moving terms.
+moving terms. Breakpoints lie more than 1e-12 rad apart, and
+build_cells rejects a pair that does not.
 
 The partition walks the polygon once from the apex (geometry._apex_walk):
 one loop over the vertex coordinates gives every vertex's angle, every
@@ -188,13 +189,6 @@ class SectionPartition(NamedTuple):
         f, n = self.far_edges[j], self.near_edges[j]
         return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
 
-    def cut_slopes(self, j: int, shift: float) -> List[Tuple[float, float]]:
-        """(w, beta) for section j's far and near lines: the derivative of
-        cut(j, a, theta + shift) in theta is sum(w / cos(theta + beta)**2)."""
-        c, psi = self.edge_c, self.edge_psi
-        f, n = self.far_edges[j], self.near_edges[j]
-        return [(c[f], shift - psi[f]), (-c[n], shift - psi[n])]
-
     def middle(self, right: Optional[int], left: Optional[int], empty: bool) -> Optional[tuple]:
         """(start, stop, ceiling) for a cell's middle, the sections start to
         stop - 1 strictly between its boundary rays (see RotationCell), or
@@ -251,7 +245,7 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
         edge_psi=psi,
         section_areas=tuple(areas),
         area_prefix=tuple(accumulate(areas, initial=0.0)),
-        # a scale only: middle_ceiling's margin covers how it rounds
+        # a scale only: the ceiling's margin in middle() covers how it rounds
         abs_area_sum=sum(map(abs, areas)),
         apex=(float(apex[0]), float(apex[1])),
     )
@@ -319,10 +313,10 @@ class RotationCell:
     boundary ray for interior directions (None when that ray is outside
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. middle_area
-    is the constant area of fully covered sections, summed on first use,
-    and middle_ceiling an upper bound on it that costs no sum (both from
-    SectionPartition.middle). _ends caches the boundary cuts at the cell's
-    ends and a curvature bound; the solver passes both caches in.
+    is the constant area of fully covered sections (see
+    SectionPartition.middle), summed on first use. _ends holds the
+    objective at the cell's two ends, or None to take them afresh; the
+    solver fills both slots with the values its bounds already took.
     bound is an upper bound on the cell's area: the intersection never
     leaves the sections the cell touches. The cell carries the scene's
     partition and the opening, so it can be solved standalone.
@@ -336,7 +330,7 @@ class RotationCell:
     opening: float
     empty: bool = False
     _middle: Optional[float] = field(default=None, repr=False)
-    _ends: Optional[Tuple[Optional[float], ...]] = field(default=None, repr=False)
+    _ends: Optional[Tuple[float, float]] = field(default=None, repr=False)
 
     @property
     def middle_area(self) -> float:
@@ -345,41 +339,19 @@ class RotationCell:
             self._middle = 0.0 if span is None else self.part.middle_sum(span[0], span[1])
         return self._middle
 
-    @property
-    def middle_ceiling(self) -> Optional[float]:
-        """An upper bound on middle_area that costs no sum, or None when
-        the cell has no middle, the middle spans fewer than _LONG_MIDDLE
-        sections or it is summed."""
-        if self._middle is not None:
-            return None
-        span = self.part.middle(self.right_section, self.left_section, self.empty)
-        return None if span is None else span[2]
-
-    @property
-    def right_section_end(self) -> Optional[float]:
-        r = self.right_section
-        return None if r is None else self.part.sorted_angles[r + 1]
-
-    @property
-    def left_section_start(self) -> Optional[float]:
-        l = self.left_section
-        return None if l is None else self.part.sorted_angles[l]
-
 
 class CellTable(Sequence[RotationCell]):
-    """The cells of one scene, one per breakpoint pair more than 1e-12 rad
-    wide, in order. bound[i] is cell i's area bound, the one value the
-    solver reads for every cell; _narrow lists the indices of the pairs
-    that give no cell, so cell i's pair is found from i. locate(i) gives
-    cell i's interval and boundary sections as plain values, and indexing
-    and iteration build a RotationCell from them on demand."""
+    """The cells of one scene, one per breakpoint pair, in order: cell i
+    spans bps[i] to bps[i + 1]. bound[i] is cell i's area bound, the one
+    value the solver reads for every cell. locate(i) gives cell i's
+    interval and boundary sections as plain values, and indexing and
+    iteration build a RotationCell from them on demand."""
 
     def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float]) -> None:
         self.part = part
         self.opening = opening
         self.bps = bps
         self.bound: List[float] = []
-        self._narrow: List[int] = []
         angles = part.sorted_angles
         # rays within 1e-12 rad outside the span still count as in it
         self._low, self._high = angles[0] - _ANGLE_MERGE, angles[-1] + _ANGLE_MERGE
@@ -399,10 +371,6 @@ class CellTable(Sequence[RotationCell]):
         0 <= i < len(self): its interval is its breakpoint pair, and its
         boundary sections are found by bisection at the interval's midpoint,
         which counts the rays at or below it as build_cells' walk does."""
-        for j in self._narrow:
-            if j > i:
-                break
-            i += 1
         lo, hi = self.bps[i], self.bps[i + 1]
         angles = self.part.sorted_angles
         low, high, last = self._low, self._high, len(angles) - 1
@@ -426,7 +394,7 @@ def build_cells(
     phi: float,
     bps: Sequence[float],
 ) -> CellTable:
-    """Cells for every positive-width consecutive breakpoint pair.
+    """One cell per breakpoint pair; a pair not over 1e-12 rad wide raises.
 
     Each cell's bound is the whole of every section it touches, from the
     section holding its right boundary ray to the one holding its left (a
@@ -447,11 +415,10 @@ def build_cells(
     end = [prefix[1], *prefix[1:m], prefix[m - 1]]
     rays = [*angles, math.inf]
     r = l = 0  # rays at or below the right / left probe
-    bound, narrow = table.bound, table._narrow
+    bound = table.bound
     for lo, hi in zip(bps, bps[1:]):
         if not hi - lo > _ANGLE_MERGE:
-            narrow.append(len(bound) + len(narrow))
-            continue
+            raise InvalidInputError("breakpoints must be more than 1e-12 rad apart")
         probe = 0.5 * (lo + hi)
         left_probe = probe + phi
         while rays[r] <= probe:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import ConvexPolygon, Point
+from .geometry import ConvexPolygon, InvalidInputError, Point
 from .cells import SectionPartition
 from . import oracle
 
@@ -150,7 +150,9 @@ def render_svg(
 
     parts.append('<circle class="apex" cx="%s" cy="%s" r="3"/>' % (_fmt(ax), _fmt(ay)))
 
-    if profile_samples is not None and profile_samples >= 2:
+    if profile_samples is not None:
+        if profile_samples < 2:
+            raise InvalidInputError("profile samples must be at least 2")
         parts.extend(
             _profile_inset(poly, apex, phi, theta_star, domain, profile_samples)
         )

@@ -21,13 +21,13 @@ Cells are visited best first by an upper bound on their area from
 prefix sums of the section areas, and the search stops once no
 remaining cell can come within the tie tolerance (10**-digits times the
 polygon area) of the best area found. A visited cell is solved only
-when a second bound, end_bound, still reaches that far: the larger end
-value plus a curvature term from a lower bound on f'' (f'' is a sum of
-monotone terms). The loop reads a visited cell as a row of the cell
-table (CellTable.locate) and takes its four boundary cuts (each boundary
-section's part at the two cell ends) and that curvature term once,
-straight from the flat edge tables (_end_cuts). Only a cell it solves
-becomes a RotationCell, which gets the cuts and the middle sum already
+when a second bound still reaches that far: the larger end value plus a
+curvature term from a lower bound on f'' (f'' is a sum of monotone
+terms). The loop reads a visited cell as a table row (CellTable.locate),
+takes its four boundary cuts (each boundary section's part at the two
+cell ends) and that curvature term from the edge tables (_end_cuts) and
+adds the middle area (_end_values). Only a cell it solves becomes a
+RotationCell, which gets the middle sum and the end values already
 taken, and only a solved cell builds its f' terms. For a cell whose
 middle covers many sections, the bound is first taken on an O(1) upper
 bound of the middle area (SectionPartition.middle); its values never
@@ -182,22 +182,21 @@ def objective_by_clipping(poly: ConvexPolygon, apex: Point, theta: float, phi: f
     return 0.0 if clipped is None else clipped.area
 
 
-def cell_objective(cell: RotationCell, theta: float, middle: Optional[float] = None) -> float:
-    """Objective inside a cell: the middle area (cell.middle_area unless
-    given) plus the closed-form parts of the boundary sections the
-    sector's rays cut. Rounding is monotone, so the value never falls
-    when the middle rises."""
+def cell_objective(cell: RotationCell, theta: float) -> float:
+    """Objective inside a cell: the middle area plus the closed-form
+    parts of the boundary sections the sector's rays cut, each from the
+    ray to its section's fixed end ray."""
     if cell.empty:
         return 0.0
     part, phi = cell.part, cell.opening
     r, l = cell.right_section, cell.left_section
     if r is not None and r == l:
         return part.cut(r, theta, theta + phi)
-    total = cell.middle_area if middle is None else middle
+    total = cell.middle_area
     if r is not None:
-        total += part.cut(r, theta, cell.right_section_end)
+        total += part.cut(r, theta, part.sorted_angles[r + 1])
     if l is not None:
-        total += part.cut(l, cell.left_section_start, theta + phi)
+        total += part.cut(l, part.sorted_angles[l], theta + phi)
     return total
 
 
@@ -206,16 +205,22 @@ def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
     one far/near pair per moving boundary ray; maximize_cell builds them
     for the cells it solves.
 
-    The left ray at theta + phi ends its section's cut; the right ray at
-    theta starts its section's cut, so its derivative enters negated. A
-    single-section cell has both rays in one section and so all four terms.
+    A section's far line gives w = c and its near line w = -c, with
+    beta = shift - psi for the ray at theta + shift. The left ray at
+    theta + phi ends its section's cut; the right ray at theta starts its
+    section's cut, so its terms enter negated. A single-section cell has
+    both rays in one section and so all four terms.
     """
     part = cell.part
+    c, psi = part.edge_c, part.edge_psi
+    r, l = cell.right_section, cell.left_section
     terms = []
-    if cell.right_section is not None:
-        terms += [(-w, beta) for w, beta in part.cut_slopes(cell.right_section, 0.0)]
-    if cell.left_section is not None:
-        terms += part.cut_slopes(cell.left_section, cell.opening)
+    if r is not None:
+        f, n = part.far_edges[r], part.near_edges[r]
+        terms += [(-c[f], 0.0 - psi[f]), (c[n], 0.0 - psi[n])]
+    if l is not None:
+        f, n, phi = part.far_edges[l], part.near_edges[l], cell.opening
+        terms += [(c[f], phi - psi[f]), (-c[n], phi - psi[n])]
     return terms
 
 
@@ -340,9 +345,7 @@ class CellBest(NamedTuple):
     achieved_bracket: float
 
 
-def maximize_cell(
-    cell: RotationCell, prec=8.0, ends: Optional[Tuple[float, float]] = None
-) -> CellBest:
+def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     """Best direction inside one cell.
 
     The sign of f' is the sign of a polynomial of degree at most 6 in
@@ -353,8 +356,8 @@ def maximize_cell(
     When rounding erases the sign change of f' at the mapped ends, the end
     at the polynomial's root (where the two signs disagree) stands in for
     it. The best of the roots and the two cell ends wins; ties go to the
-    smallest direction. ends, when given, holds cell_objective at the two
-    cell ends, as end_bound computed them.
+    smallest direction. The end values are cell._ends when the solver
+    filled it, and cell_objective at the two ends otherwise.
     """
     precision = _as_precision(prec)
     lo, hi = cell.interval
@@ -382,6 +385,7 @@ def maximize_cell(
             total += 2.0 * w * tan(theta + beta) / cos(theta + beta) ** 2
         return total
 
+    ends = cell._ends
     if ends is None:
         ends = (cell_objective(cell, lo), cell_objective(cell, hi))
     candidates = [(lo, 0.0, ends[0]), (hi, 0.0, ends[1])]
@@ -424,7 +428,7 @@ def _end_cuts(
     for the cell [lo, hi] with the given boundary sections: each cut is
     part.cut of a boundary section as cell_objective takes it, None for a
     ray that does not move, and m is the sum of the _slope_terms at their
-    ends, in their order (see end_bound). An empty cell's right cuts are
+    ends, in their order (see _end_values). An empty cell's right cuts are
     0.0, a single-section cell's its whole objective, and their left ones
     None. Straight from the flat edge tables, with every operation in the
     order _cut and _slope_terms use, so the values are theirs bit for bit;
@@ -479,8 +483,21 @@ def _end_cuts(
 
 
 def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[float, float, float]:
-    """end_bound's values from a cell's _end_cuts, its middle area (None
-    for a cell without one, see SectionPartition.middle) and its width."""
+    """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
+    middle area (None without one, see SectionPartition.middle) and width;
+    all three never fall when the middle rises.
+
+    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
+    cos(x) keeps its sign across a cell, since every line is cut at a
+    finite distance there, and tan(x) / cos(x)**2 increases with x on such
+    a branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
+    sum with each term taken at lo when w_k > 0 and at hi otherwise, is a
+    lower bound on f''. Then f - m/2 (theta - lo)(theta - hi) is convex,
+    so f never exceeds the larger end value plus max(-m, 0) * width**2 / 8
+    (Breiman and Cutler, A deterministic algorithm for global
+    optimization, 1993). The bound is inf when m is not finite. The upper
+    bound on f'' in its place, with the chord, would not bound f.
+    """
     r_lo, r_hi, l_lo, l_hi, m = cuts
     if middle is None:
         f_lo, f_hi = r_lo, r_hi
@@ -497,35 +514,6 @@ def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[flo
         return f_lo, f_hi, math.inf
     # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
     return f_lo, f_hi, (f_hi if f_hi > f_lo else f_lo) + (0.0 if 0.0 > -m else -m) * width**2 / 8.0
-
-
-def end_bound(cell: RotationCell, middle: Optional[float] = None) -> Tuple[float, float, float]:
-    """(f(lo), f(hi), an upper bound on f over the cell's interval), with
-    f taking the given middle area in place of cell.middle_area; all three
-    never fall when the middle rises. The boundary cuts and m come from
-    _end_cuts, kept in the cell's _ends slot, so calls with different
-    middles differ only in the middle they add.
-
-    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
-    cos(x) keeps its sign across a cell, since every line is cut at a
-    finite distance there, and tan(x) / cos(x)**2 increases with x on such
-    a branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
-    sum with each term taken at lo when w_k > 0 and at hi otherwise, is a
-    lower bound on f''. Then f - m/2 (theta - lo)(theta - hi) is convex,
-    so f never exceeds the larger end value plus max(-m, 0) * width**2 / 8
-    (Breiman and Cutler, A deterministic algorithm for global
-    optimization, 1993). The bound is inf when m is not finite. The upper
-    bound on f'' in its place, with the chord, would not bound f.
-    """
-    lo, hi = cell.interval
-    r, l, empty = cell.right_section, cell.left_section, cell.empty
-    if cell._ends is None:
-        cell._ends = _end_cuts(cell.part, cell.opening, lo, hi, r, l, empty)
-    if cell.part.middle(r, l, empty) is None:
-        middle = None
-    elif middle is None:
-        middle = cell.middle_area
-    return _end_values(cell._ends, middle, hi - lo)
 
 
 class SceneDetails(NamedTuple):
@@ -601,7 +589,7 @@ def solve_scene(
     # best first: a cell whose bound (plus rounding slack) lies below the
     # incumbent by more than the tie tolerance can neither win nor tie, and
     # neither can any cell after it in descending bound order; a visited
-    # cell whose end_bound falls below it the same way is skipped
+    # cell whose _end_values bound falls below it the same way is skipped
     tie_tol = precision.xtol * poly.area
     slack = _BOUND_SLACK * poly.area
     results = {}
@@ -623,8 +611,8 @@ def solve_scene(
         f_lo, f_hi, top = _end_values(cuts, middle, hi - lo)
         if top + slack < floor:
             continue
-        cell = RotationCell((lo, hi), r, l, bounds[i], part, phi, empty, middle, cuts)
-        results[i] = maximize_cell(cell, precision, (f_lo, f_hi))
+        cell = RotationCell((lo, hi), r, l, bounds[i], part, phi, empty, middle, (f_lo, f_hi))
+        results[i] = maximize_cell(cell, precision)
         best_area = max(best_area, results[i].area)
         floor = best_area - tie_tol
 

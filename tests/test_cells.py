@@ -221,8 +221,8 @@ def test_breakpoints_count_bound(rng):
     window=st.none() | st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.5)),
 )
 def test_breakpoints_are_more_than_the_merge_apart(seed, n, frac, window):
-    # so every consecutive pair gives a cell, and the solve path never
-    # meets a narrow pair; frac None takes an opening that is a difference
+    # so build_cells, which rejects a narrower pair, takes every list the
+    # solve path gives it; frac None takes an opening that is a difference
     # of two ray angles, so that rays - phi land on rays
     rng = np.random.default_rng(seed)
     poly = random_convex_polygon(rng, n, rx=float(rng.uniform(0.8, 2.5)))
@@ -263,8 +263,8 @@ def test_cell_descriptor_two_sections(square_partition):
     assert cell.right_section == 0
     assert cell.left_section == 1
     assert cell.middle_area == 0.0
-    assert cell.right_section_end == pytest.approx(angles[1])
-    assert cell.left_section_start == pytest.approx(angles[1])
+    # the right section ends on the ray the left one starts on
+    assert angles[cell.right_section + 1] == angles[cell.left_section] == angles[1]
 
 
 def test_cell_descriptor_single_section(square_partition):
@@ -320,9 +320,9 @@ def _moving_area(poly, part, cell, theta):
         return _area_raw(section_wedge(poly, part, r), theta, phi)
     total = 0.0
     if r is not None:
-        total += _area_raw(section_wedge(poly, part, r), theta, cell.right_section_end - theta)
+        total += _area_raw(section_wedge(poly, part, r), theta, part.sorted_angles[r + 1] - theta)
     if l is not None:
-        start = cell.left_section_start
+        start = part.sorted_angles[l]
         total += _area_raw(section_wedge(poly, part, l), start, theta + phi - start)
     return total
 
@@ -388,10 +388,10 @@ def test_lmr_stability_inside_cell(square_partition):
 
 
 def test_cell_descriptor_rejects_empty_interval(square_partition):
-    # a breakpoint interval at most 1e-12 rad wide gives no cell
+    # a breakpoint interval at most 1e-12 rad wide is not a cell
     for width in (0.0, 1e-13, 0.9e-12):
-        cells = build_cells(SMALL_SQUARE, ORIGIN, square_partition, 0.1, (0.7, 0.7 + width))
-        assert len(cells) == 0
+        with pytest.raises(InvalidInputError, match="more than 1e-12 rad apart"):
+            build_cells(SMALL_SQUARE, ORIGIN, square_partition, 0.1, (0.7, 0.7 + width))
 
 
 def test_merged_ray_still_gives_section():

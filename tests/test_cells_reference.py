@@ -532,7 +532,8 @@ def _breakpoint_lists(rays, phi, rng):
 def test_cell_table_matches_the_full_table():
     """Every cell's interval, sections, bound and empty flag as float.hex,
     against the table that kept them all, on plain and plateau-adjacent
-    openings (the opening just below, at and just above the span)."""
+    openings (the opening just below, at and just above the span); a
+    list with a pair not more than 1e-12 rad wide raises instead."""
     rng = np.random.default_rng(29)
     checked = {"cells": 0, "narrow": 0, "plateau": 0}
     for poly, apex in PARTITION_SCENES:
@@ -547,6 +548,11 @@ def test_cell_table_matches_the_full_table():
             if not 0.0 < phi < math.pi:
                 continue
             for bps in _breakpoint_lists(rays, phi, rng):
+                if any(not b - a > _ANGLE_MERGE for a, b in zip(bps, bps[1:])):
+                    with pytest.raises(InvalidInputError, match="more than 1e-12 rad apart"):
+                        build_cells(poly, apex, part, phi, bps)
+                    checked["narrow"] += 1
+                    continue
                 table = build_cells(poly, apex, part, phi, bps)
                 got = [
                     (c.interval[0].hex(), c.interval[1].hex(), c.right_section,
@@ -559,6 +565,5 @@ def test_cell_table_matches_the_full_table():
                 if expected:
                     assert table[-1].interval == table[len(table) - 1].interval
                 checked["cells"] += len(expected)
-                checked["narrow"] += len(bps) - 1 - len(expected)
                 checked["plateau"] += sum(e[2] is None and e[3] is None and not e[5] for e in expected)
     assert min(checked.values()) > 100, checked

@@ -317,6 +317,19 @@ def test_render_profile_inset(tmp_path, capsys):
     assert 'class="profile-mark"' in svg
 
 
+@pytest.mark.parametrize("samples", ["1", "0"])
+def test_render_profile_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
+    path = write_scenario(tmp_path)
+    out_path = tmp_path / "profile.svg"
+    argv = ["render", path, str(out_path), "--profile", "sweep", "--samples", samples]
+    code, _, err = run_main(capsys, argv)
+    assert code == 2
+    assert "profile samples must be at least 2" in err
+    assert not out_path.exists()
+    # without --profile the sample count is not read
+    assert run_main(capsys, ["render", path, str(out_path), "--samples", samples])[0] == 0
+
+
 def test_render_deterministic(tmp_path, capsys):
     path = write_scenario(tmp_path)
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"

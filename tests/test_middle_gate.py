@@ -1,6 +1,6 @@
-"""The O(1) upper bound on a long middle area (`SectionPartition.middle`,
-which `RotationCell.middle_ceiling` reads) and the gate in `solve_scene`
-that tries it before the exact sum (`SectionPartition.middle_sum`).
+"""The O(1) upper bound on a long middle area (the third value of
+`SectionPartition.middle`) and the gate in `solve_scene` that tries it
+before the exact sum (`SectionPartition.middle_sum`).
 
 The gate may only save work: every answer, `candidates_evaluated`
 included, must be the one the exact sums give.
@@ -39,6 +39,11 @@ def _partition(areas):
     )
 
 
+def _ceiling(cell):
+    span = cell.part.middle(cell.right_section, cell.left_section, cell.empty)
+    return None if span is None else span[2]
+
+
 _areas = st.floats(-1e3, 1e3) | st.floats(0.0, 1e-8) | st.floats(1e6, 1e8) | st.floats(-1e8, -1e6)
 
 
@@ -56,9 +61,8 @@ def test_middle_ceiling_bounds_the_middle_area(areas, data):
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cells, "_LONG_MIDDLE", 0)
-        ceiling = cell.middle_ceiling
+        ceiling = _ceiling(cell)
     assert ceiling >= cell.middle_area
-    assert cell.middle_ceiling is None  # summed now
 
 
 def _long_middles_only(mp, on):
@@ -77,7 +81,7 @@ def test_middle_ceiling_bounds_every_cell(seed, n, kind):
         _long_middles_only(mp, True)
         table = _scene_cells(seed, n, kind)
         for cell in table:
-            ceilings.append((cell, cell.middle_ceiling))
+            ceilings.append((cell, _ceiling(cell)))
     for cell, ceiling in ceilings:
         assert ceiling is None or ceiling >= cell.middle_area
 

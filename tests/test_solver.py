@@ -15,8 +15,9 @@ from fovmax.solver import (
     SceneDetails,
     SolveResult,
     _bracketed_newton,
+    _end_cuts,
+    _end_values,
     cell_objective,
-    end_bound,
     maximize_cell,
     maximize_global,
     objective_by_clipping,
@@ -318,7 +319,7 @@ def test_best_first_solves_a_fraction_of_cells_at_n1024(frac):
 
 def _prefix_bound_candidates(poly, apex, phi, prec=8):
     """Candidates evaluated by best-first solving on the prefix-sum bounds
-    alone: solve_scene's loop without end_bound."""
+    alone: solve_scene's loop without the second bound (_end_values)."""
     part = vertex_partition(poly, apex)
     cells = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
     tie_tol = Precision(prec).xtol * poly.area
@@ -336,10 +337,23 @@ def _prefix_bound_candidates(poly, apex, phi, prec=8):
 @pytest.mark.parametrize("frac", [0.1, 0.75], ids=["narrow", "wide"])
 def test_end_bound_cuts_candidates_at_n1024(frac):
     # a count, not a timer: most cells that reach the incumbent on their
-    # prefix-sum bound fall short of it on end_bound
+    # prefix-sum bound fall short of it on the second bound
     poly, apex, phi, _ = _span_scene(1024, 1024, frac)
     res = maximize_global(poly, apex, phi, 8)
     assert res.candidates_evaluated < _prefix_bound_candidates(poly, apex, phi) / 5
+
+
+def _cell_end_values(cell, middle=None):
+    """A table cell's (f(lo), f(hi), bound) as solve_scene takes them:
+    _end_values of its _end_cuts with the given middle area in place of
+    middle_area, and None for a cell without a middle."""
+    lo, hi = cell.interval
+    r, l, empty = cell.right_section, cell.left_section, cell.empty
+    if cell.part.middle(r, l, empty) is None:
+        middle = None
+    elif middle is None:
+        middle = cell.middle_area
+    return _end_values(_end_cuts(cell.part, cell.opening, lo, hi, r, l, empty), middle, hi - lo)
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,8 +363,9 @@ def test_end_bound_cuts_candidates_at_n1024(frac):
     kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
 )
 def test_end_bound_covers_cell_maximum(seed, n, kind):
-    # end_bound is at least the cell's solved maximum and every value on a
-    # 65-point grid, near-line triangles and restricted domains included
+    # the second bound is at least the cell's solved maximum and every
+    # value on a 65-point grid, near-line triangles and restricted domains
+    # included
     rng = np.random.default_rng(seed)
     domain = None
     if kind == "plain":
@@ -366,7 +381,7 @@ def test_end_bound_covers_cell_maximum(seed, n, kind):
     tol = 1e-12 * poly.area
     for cell in build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain)):
         lo, hi = cell.interval
-        f_lo, f_hi, top = end_bound(cell)
+        f_lo, f_hi, top = _cell_end_values(cell)
         assert (f_lo, f_hi) == (cell_objective(cell, lo), cell_objective(cell, hi))
         grid = max(cell_objective(cell, lo + (hi - lo) * k / 64) for k in range(65))
         assert top + tol >= grid

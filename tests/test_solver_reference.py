@@ -5,8 +5,8 @@ replaced.
   product, `_pmul`, whose operation order the straight-line code keeps.
 * `_root_free`: root isolation without the root-free test, in
   `maximize_cell` and at every level of `_monotone_nodes`.
-* `end_bound`: the curvature bound from `_slope_terms` and the end values
-  from `cell_objective`, recomputed on every call.
+* `_end_values` of `_end_cuts`: the curvature bound from `_slope_terms`
+  and the end values from `cell_objective` with a given middle area.
 
 All must match bit for bit.
 """
@@ -26,13 +26,11 @@ from fovmax.solver import (
     _root_free,
     _sign_changes,
     _slope_polynomial,
-    cell_objective,
-    end_bound,
     maximize_cell,
     maximize_global,
 )
 from conftest import external_apex, random_convex_polygon, random_scene
-from test_solver import _near_line_scene, _span_scene
+from test_solver import _cell_end_values, _near_line_scene, _span_scene
 
 
 def _pmul(p, q):
@@ -119,31 +117,48 @@ def _scene_cells(seed, n, kind):
     return build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain))
 
 
+def _cell_objective_reference(cell, theta, middle=None):
+    """cell_objective with the given middle area in place of
+    cell.middle_area, as it took one before _end_values added the middle."""
+    if cell.empty:
+        return 0.0
+    part, phi = cell.part, cell.opening
+    r, l = cell.right_section, cell.left_section
+    if r is not None and r == l:
+        return part.cut(r, theta, theta + phi)
+    total = cell.middle_area if middle is None else middle
+    if r is not None:
+        total += part.cut(r, theta, part.sorted_angles[r + 1])
+    if l is not None:
+        total += part.cut(l, part.sorted_angles[l], theta + phi)
+    return total
+
+
 def _end_bound_reference(cell, middle=None):
     lo, hi = cell.interval
     m = 0.0
     for w, beta in solver._slope_terms(cell):
         x = (lo if w > 0.0 else hi) + beta
         m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
-    f_lo, f_hi = cell_objective(cell, lo, middle), cell_objective(cell, hi, middle)
+    f_lo = _cell_objective_reference(cell, lo, middle)
+    f_hi = _cell_objective_reference(cell, hi, middle)
     if not math.isfinite(m):
         return f_lo, f_hi, math.inf
     return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
 
 
 def _check_end_bounds(table):
-    """end_bound with the middle ceiling and with the exact middle, in
-    both orders, against the reference on fresh copies of every cell.
-    Every cell with a middle gets a ceiling here."""
+    """The end values and bound with the middle ceiling and with the exact
+    middle against the reference, on fresh copies of every cell. Every
+    cell with a middle gets a ceiling here."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cells, "_LONG_MIDDLE", 0)
         for i in range(len(table)):
-            for ceiling_first in (True, False):
-                cell, ref = table[i], table[i]
-                ceiling = cell.middle_ceiling
-                middles = [ceiling, None] if ceiling_first else [None, ceiling]
-                got = [_hex(end_bound(cell, middle)) for middle in middles]
-                assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
+            cell, ref = table[i], table[i]
+            span = cell.part.middle(cell.right_section, cell.left_section, cell.empty)
+            middles = [None if span is None else span[2], None]
+            got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
+            assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
 
 
 @settings(max_examples=120, deadline=None)

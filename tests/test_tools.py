@@ -8,13 +8,18 @@ from pathlib import Path
 
 import fovmax.solver
 
-STAGE_TIMES = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / (name + ".py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_stage_times_runs(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("stage_times", STAGE_TIMES)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("stage_times")
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds perfbench/
     assert tool.main(["--small", "3", "--repeat", "1"]) == 0
     # the tool timed its own copy of the package and left this one in place
@@ -23,3 +28,16 @@ def test_stage_times_runs(monkeypatch, capsys):
     for row in (*tool.STAGES, "scenes_per_s", "solve_ms_p50", "solve_ms_p90"):
         assert len(rows[row]) == 1 and math.isfinite(float(rows[row][0])), row
     assert float(rows["scenes_per_s"][0]) > 0.0
+
+
+def test_answer_digest_is_repeatable(monkeypatch):
+    tool = _tool("answer_digest")
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import scenes
+
+    runs = [(scene, scenes.SMALL_PREC) for scene in scenes.small_scenes(1, 20)[:3]]
+    first = tool.digest(ROOT / "src", runs)
+    assert first == tool.digest(ROOT / "src", runs)
+    assert first[0] == 3 and len(first[1]) == 64
+    # the tool solved with its own copy of the package and left this one in place
+    assert sys.modules["fovmax.solver"] is fovmax.solver

@@ -1,0 +1,87 @@
+"""A digest of the solver's answers, for one or more source trees.
+
+    python tools/answer_digest.py [SRC ...]
+
+Each SRC is a directory that holds the fovmax package (default: this
+checkout's src/), imported apart from the others as tools/stage_times.py
+imports it. The corpus is perfbench's small_scenes for seeds 1 to 3 and
+large_polygons for seeds 1 and 2, each scene solved by solve_scene at its
+workload's precision and at 12 digits. Every solve gives one record:
+theta_star, area and achieved_bracket as float.hex, cell_index,
+candidates_evaluated, the cell count and the breakpoints as float.hex, or
+the type and message of what the scene raised. One line per tree gives
+the number of solves and the SHA-256 of the records, so equal digests
+mean bit-identical answers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+from typing import List, Tuple
+
+TOOLS = Path(__file__).resolve().parent
+ROOT = TOOLS.parent
+
+_spec = importlib.util.spec_from_file_location("stage_times", TOOLS / "stage_times.py")
+stage_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stage_times)
+
+
+def corpus(scenes) -> List[tuple]:
+    """(scene, prec) for every solve, from perfbench's scenes module."""
+    runs = []
+    for seed in (1, 2, 3):
+        small = scenes.small_scenes(seed)
+        runs += [(scene, prec) for prec in (scenes.SMALL_PREC, 12) for scene in small]
+    for seed in (1, 2):
+        large = scenes.large_polygons(seed)
+        runs += [(scene, prec) for prec in (scenes.LARGE_PREC, 12) for scene in large]
+    return runs
+
+
+def _record(solver, scene, prec) -> str:
+    try:
+        poly = solver.ConvexPolygon(scene.vertices)
+        res, details = solver.solve_scene(poly, scene.apex, scene.phi, prec, scene.domain)
+    # InvalidInputError and UnsupportedSceneError derive from these two
+    except (ValueError, RuntimeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    fields = [res.theta_star, res.area, res.achieved_bracket]
+    counts = [res.cell_index, res.candidates_evaluated, details.num_cells]
+    return " ".join(
+        [*(float(v).hex() for v in fields), *map(str, counts)]
+        + [float(b).hex() for b in details.breakpoints]
+    )
+
+
+def digest(src: Path, runs) -> Tuple[int, str]:
+    """(number of solves, SHA-256 hex digest of their records) for the
+    fovmax package in src; the caller's fovmax modules stay in place."""
+    solver = stage_times._load(src.resolve())
+    h = hashlib.sha256()
+    for scene, prec in runs:
+        h.update(_record(solver, scene, prec).encode() + b"\n")
+    return len(runs), h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="*", type=Path, default=[ROOT / "src"])
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import scenes  # imports this checkout's fovmax, which _load keeps apart
+
+    runs = corpus(scenes)
+    for src in args.src:
+        count, hexdigest = digest(src, runs)
+        print("%s  %d solves  sha256 %s" % (src, count, hexdigest))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
