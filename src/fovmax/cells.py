@@ -9,8 +9,8 @@ which sections are fully covered) only changes when a boundary ray crosses
 a vertex ray: the breakpoints are the vertex ray angles merged with the
 same angles shifted by -phi. Between consecutive breakpoints the covered
 middle area is constant and only the two boundary sections contribute
-moving terms. Breakpoints lie more than 1e-12 rad apart, and
-build_cells rejects a pair that does not.
+moving terms. Breakpoints lie within [first ray - phi, last ray], more
+than 1e-12 rad apart, and build_cells rejects a pair that does not.
 
 The partition walks the polygon once from the apex (geometry._apex_walk):
 one loop over the vertex coordinates gives every vertex's angle, every
@@ -23,8 +23,8 @@ over the sorted angles merges collinear rays and gives every vertex its
 ray. One pass over the polygon's edges then gives every section its near
 and far edge: an edge whose rays rise is a far edge of the sections
 between them, one whose rays fall a near edge. The breakpoints are one
-linear merge of two sorted runs, and build_cells finds each cell's
-boundary sections with two pointers.
+linear merge of two sorted runs. In build_cells two pointers over the
+rays give every cell's bound; CellTable.locate bisects for its sections.
 
 Every area comes from one closed form, wedge._cut: an edge line at
 distance d from the apex, whose perpendicular points at angle psi, cuts
@@ -38,10 +38,10 @@ per cell: the partition, a named tuple, keeps every edge line's d**2/2
 and psi in two tuples, and build_cells returns the cells as a CellTable
 that keeps one float per cell, its area bound, the one value the solver
 reads for every cell. CellTable.locate gives a cell's row, its interval
-from the breakpoints and its boundary sections by bisection, as plain
-values; the solver reads the cells it visits that way and builds a
-RotationCell only for a cell it solves. Indexing the table builds one
-from the same row.
+from the breakpoints and its boundary sections, as plain values; the
+solver reads the cells it visits that way and builds a RotationCell only
+for a cell it solves. Indexing the table builds one from the same row
+with the same calls, so a cell is the same however it is reached.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -63,6 +63,7 @@ from .geometry import (
     Point,
     UnsupportedSceneError,
     _apex_walk,
+    check_opening,
 )
 from .wedge import StaticWedge, _cut, wedge_from_lines
 
@@ -189,10 +190,10 @@ class SectionPartition(NamedTuple):
         f, n = self.far_edges[j], self.near_edges[j]
         return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
 
-    def middle(self, right: Optional[int], left: Optional[int], empty: bool) -> Optional[tuple]:
+    def middle(self, right: Optional[int], left: Optional[int]) -> Optional[tuple]:
         """(start, stop, ceiling) for a cell's middle, the sections start to
         stop - 1 strictly between its boundary rays (see RotationCell), or
-        None for an empty or a single-section cell, which has none.
+        None for a single-section cell, which has none.
 
         ceiling bounds their left-to-right sum from above by two prefix
         sums, or is None when they are fewer than _LONG_MIDDLE. With
@@ -206,7 +207,7 @@ class SectionPartition(NamedTuple):
         non-finite area makes the ceiling inf or nan, which rules nothing
         out.
         """
-        if empty or (right is not None and right == left):
+        if right is not None and right == left:
             return None
         start = 0 if right is None else right + 1
         stop = len(self.near_edges) if left is None else left
@@ -263,8 +264,7 @@ def breakpoints(
     intersection). Domain endpoints are included so consecutive pairs tile
     the domain. Returns an empty list for an empty domain.
     """
-    if not (0.0 < phi < math.pi):
-        raise InvalidInputError("opening must lie in (0, pi)")
+    check_opening(phi)
     lo = sorted_angles[0] - phi
     hi = sorted_angles[-1]
     if domain is not None:
@@ -305,6 +305,100 @@ def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> Static
     )
 
 
+def _end_cuts(
+    part: SectionPartition, phi: float, lo: float, hi: float, right: Optional[int],
+    left: Optional[int]
+) -> Tuple[Optional[float], ...]:
+    """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
+    for the cell [lo, hi] with the given boundary sections: each cut is
+    part.cut of a boundary section as solver.cell_objective takes it, None
+    for a ray that does not move, and m is the sum of the solver's
+    _slope_terms at their ends, in their order (see _end_values). A
+    single-section cell's right cuts are its whole objective, and its left
+    ones None. Straight from the flat edge tables, with every operation in
+    the order _cut and _slope_terms use, so the values are theirs bit for
+    bit; a cut from a section's fixed end ray shares that ray's cosine.
+    """
+    c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
+    sin, cos, tan = math.sin, math.cos, math.tan
+    m = 0.0
+    r_lo = r_hi = l_lo = l_hi = None
+    # each (w, beta) of _slope_terms adds its f'' term 2 w tan(x) / cos(x)**2,
+    # x = theta + beta, at the end theta where that term is smallest
+    if right is not None:
+        f, n = part.far_edges[right], part.near_edges[right]
+        cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
+        x = (lo if -cf > 0.0 else hi) + (0.0 - pf)
+        m += 2.0 * -cf * tan(x) / cos(x) ** 2
+        x = (lo if cn > 0.0 else hi) + (0.0 - pn)
+        m += 2.0 * cn * tan(x) / cos(x) ** 2
+        if right == left:
+            b = lo + phi
+            s = sin(b - lo)
+            r_lo = cf * s / (cos(lo - pf) * cos(b - pf)) - cn * s / (cos(lo - pn) * cos(b - pn))
+            b = hi + phi
+            s = sin(b - hi)
+            r_hi = cf * s / (cos(hi - pf) * cos(b - pf)) - cn * s / (cos(hi - pn) * cos(b - pn))
+        else:
+            e = rays[right + 1]
+            ef, en = cos(e - pf), cos(e - pn)
+            s = sin(e - lo)
+            r_lo = cf * s / (cos(lo - pf) * ef) - cn * s / (cos(lo - pn) * en)
+            s = sin(e - hi)
+            r_hi = cf * s / (cos(hi - pf) * ef) - cn * s / (cos(hi - pn) * en)
+    if left is not None:
+        f, n = part.far_edges[left], part.near_edges[left]
+        cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
+        x = (lo if cf > 0.0 else hi) + (phi - pf)
+        m += 2.0 * cf * tan(x) / cos(x) ** 2
+        x = (lo if -cn > 0.0 else hi) + (phi - pn)
+        m += 2.0 * -cn * tan(x) / cos(x) ** 2
+        if right != left:
+            a = rays[left]
+            af, an = cos(a - pf), cos(a - pn)
+            b = lo + phi
+            s = sin(b - a)
+            l_lo = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
+            b = hi + phi
+            s = sin(b - a)
+            l_hi = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
+    return r_lo, r_hi, l_lo, l_hi, m
+
+
+def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[float, float, float]:
+    """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
+    middle area (None without one, see SectionPartition.middle) and width;
+    all three never fall when the middle rises.
+
+    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
+    cos(x) keeps its sign across a cell, since every line is cut at a
+    finite distance there, and tan(x) / cos(x)**2 increases with x on such
+    a branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
+    sum with each term taken at lo when w_k > 0 and at hi otherwise, is a
+    lower bound on f''. Then f - m/2 (theta - lo)(theta - hi) is convex,
+    so f never exceeds the larger end value plus max(-m, 0) * width**2 / 8
+    (Breiman and Cutler, A deterministic algorithm for global
+    optimization, 1993). The bound is inf when m is not finite. The upper
+    bound on f'' in its place, with the chord, would not bound f.
+    """
+    r_lo, r_hi, l_lo, l_hi, m = cuts
+    if middle is None:
+        f_lo, f_hi = r_lo, r_hi
+    else:
+        # cell_objective's order: the middle, then the right cut, then the left
+        f_lo = f_hi = middle
+        if r_lo is not None:
+            f_lo += r_lo
+            f_hi += r_hi
+        if l_lo is not None:
+            f_lo += l_lo
+            f_hi += l_hi
+    if not math.isfinite(m):
+        return f_lo, f_hi, math.inf
+    # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
+    return f_lo, f_hi, (f_hi if f_hi > f_lo else f_lo) + (0.0 if 0.0 > -m else -m) * width**2 / 8.0
+
+
 @dataclass(eq=False, slots=True)
 class RotationCell:
     """One maximal direction interval with fixed combinatorial structure.
@@ -314,12 +408,13 @@ class RotationCell:
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. middle_area
     is the constant area of fully covered sections (see
-    SectionPartition.middle), summed on first use. _ends holds the
-    objective at the cell's two ends, or None to take them afresh; the
-    solver fills both slots with the values its bounds already took.
-    bound is an upper bound on the cell's area: the intersection never
-    leaves the sections the cell touches. The cell carries the scene's
-    partition and the opening, so it can be solved standalone.
+    SectionPartition.middle), 0.0 for a single-section cell, and ends the
+    objective at the cell's two ends (_end_values). bound is an upper bound
+    on the cell's area: the intersection never leaves the sections the
+    cell touches. The cell carries the scene's partition and the opening,
+    so it can be solved standalone. build_cells builds no empty cell, so
+    empty is a class attribute, always False, kept for callers that filter
+    on it (tests/test_acceptance.py criterion 6).
     """
 
     interval: Tuple[float, float]
@@ -328,24 +423,18 @@ class RotationCell:
     bound: float
     part: SectionPartition = field(repr=False)
     opening: float
-    empty: bool = False
-    _middle: Optional[float] = field(default=None, repr=False)
-    _ends: Optional[Tuple[float, float]] = field(default=None, repr=False)
-
-    @property
-    def middle_area(self) -> float:
-        if self._middle is None:
-            span = self.part.middle(self.right_section, self.left_section, self.empty)
-            self._middle = 0.0 if span is None else self.part.middle_sum(span[0], span[1])
-        return self._middle
+    middle_area: float
+    ends: Tuple[float, float]
+    empty = False  # not a field: no cell is empty
 
 
 class CellTable(Sequence[RotationCell]):
     """The cells of one scene, one per breakpoint pair, in order: cell i
     spans bps[i] to bps[i + 1]. bound[i] is cell i's area bound, the one
     value the solver reads for every cell. locate(i) gives cell i's
-    interval and boundary sections as plain values, and indexing and
-    iteration build a RotationCell from them on demand."""
+    interval and boundary sections as plain values. Indexing and iteration
+    build a RotationCell from them, with its middle area and end values
+    taken by the calls the solver's visit loop makes."""
 
     def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float]) -> None:
         self.part = part
@@ -362,12 +451,16 @@ class CellTable(Sequence[RotationCell]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        bound = self.bound[i]
-        lo, hi, rs, ls, empty = self.locate(i + len(self.bound) if i < 0 else i)
-        return RotationCell((lo, hi), rs, ls, bound, self.part, self.opening, empty)
+        bound, part, phi = self.bound[i], self.part, self.opening
+        lo, hi, rs, ls = self.locate(i + len(self.bound) if i < 0 else i)
+        span = part.middle(rs, ls)
+        middle = None if span is None else part.middle_sum(span[0], span[1])
+        ends = _end_values(_end_cuts(part, phi, lo, hi, rs, ls), middle, hi - lo)[:2]
+        middle = 0.0 if middle is None else middle
+        return RotationCell((lo, hi), rs, ls, bound, part, phi, middle, ends)
 
-    def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int], bool]:
-        """(lo, hi, right_section, left_section, empty) of cell i, for
+    def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int]]:
+        """(lo, hi, right_section, left_section) of cell i, for
         0 <= i < len(self): its interval is its breakpoint pair, and its
         boundary sections are found by bisection at the interval's midpoint,
         which counts the rays at or below it as build_cells' walk does."""
@@ -384,7 +477,7 @@ class CellTable(Sequence[RotationCell]):
             rs = bisect_right(angles, probe, 1, last) - 1
         if low <= left_probe <= high:
             ls = bisect_right(angles, left_probe, 1, last) - 1
-        return lo, hi, rs, ls, probe > high or left_probe < low
+        return lo, hi, rs, ls
 
 
 def build_cells(
@@ -394,14 +487,14 @@ def build_cells(
     phi: float,
     bps: Sequence[float],
 ) -> CellTable:
-    """One cell per breakpoint pair; a pair not over 1e-12 rad wide raises.
+    """One cell per breakpoint pair. A pair not over 1e-12 rad wide raises,
+    and so does one centred over 1e-12 rad outside [first ray - phi, last ray].
 
     Each cell's bound is the whole of every section it touches, from the
     section holding its right boundary ray to the one holding its left (a
-    ray outside the span counts as the first or the last section), and 0.0
-    when both rays miss the polygon on one side. The probes rise from cell
-    to cell, so one pointer per boundary ray walks the sorted rays once
-    instead of bisecting for every cell.
+    ray outside the span counts as the first or the last section). The
+    probes rise from cell to cell, so one pointer per boundary ray walks
+    the sorted rays once instead of bisecting for every cell.
     """
     angles = part.sorted_angles
     m = len(angles)
@@ -421,12 +514,11 @@ def build_cells(
             raise InvalidInputError("breakpoints must be more than 1e-12 rad apart")
         probe = 0.5 * (lo + hi)
         left_probe = probe + phi
+        if probe > high or left_probe < low:
+            raise InvalidInputError("breakpoints must lie within [first ray - phi, last ray]")
         while rays[r] <= probe:
             r += 1
         while rays[l] <= left_probe:
             l += 1
-        if probe > high or left_probe < low:
-            bound.append(0.0)
-        else:
-            bound.append(end[l] - first[r])
+        bound.append(end[l] - first[r])
     return table

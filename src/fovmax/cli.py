@@ -22,11 +22,12 @@ import time
 from typing import Optional, Sequence, Tuple
 
 from .geometry import TWO_PI, ConvexPolygon, InvalidInputError, UnsupportedSceneError
+from .geometry import check_opening
 from .cells import breakpoints as compute_breakpoints
 from .cells import vertex_partition
 from .oracle import grid_scan_max
 from .render import render_svg
-from .solver import SceneDetails, check_opening, direction_domain, solve_scene
+from .solver import SceneDetails, direction_domain, solve_scene
 from .solver import objective_by_clipping
 
 
@@ -52,14 +53,20 @@ def _jdump(obj, pretty: bool = False, level: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _require_pair(value, message: str) -> Tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
-    ):
+def _number(value, message: str) -> float:
+    """A JSON number, not a bool, as a float: past float range, +-inf."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidInputError(message)
-    return float(value[0]), float(value[1])
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _require_pair(value, message: str) -> Tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidInputError(message)
+    return _number(value[0], message), _number(value[1], message)
 
 
 def load_scenario(path: str) -> dict:
@@ -82,16 +89,11 @@ def load_scenario(path: str) -> dict:
         raise InvalidInputError("polygon needs at least 3 vertices")
     vertices = [_require_pair(v, "polygon vertices must be [x, y] pairs") for v in poly]
     apex = _require_pair(doc["apex"], "apex must be an [x, y] pair")
-    phi = doc["phi"]
-    if not isinstance(phi, (int, float)) or isinstance(phi, bool):
-        raise InvalidInputError("phi must be a number (radians)")
+    phi = _number(doc["phi"], "phi must be a number (radians)")
 
-    out = {"polygon": vertices, "apex": apex, "phi": float(phi)}
+    out = {"polygon": vertices, "apex": apex, "phi": phi}
     if "precision_digits" in doc and doc["precision_digits"] is not None:
-        pd = doc["precision_digits"]
-        if not isinstance(pd, (int, float)) or isinstance(pd, bool):
-            raise InvalidInputError("precision_digits must be a number")
-        out["precision_digits"] = float(pd)
+        out["precision_digits"] = _number(doc["precision_digits"], "precision_digits must be a number")
     if "domain" in doc and doc["domain"] is not None:
         out["domain"] = _require_pair(doc["domain"], "domain must be an [a, b] pair")
     return out

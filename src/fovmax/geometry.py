@@ -63,6 +63,12 @@ def _finite(*vals: float) -> bool:
     return all(math.isfinite(v) for v in vals)
 
 
+def check_opening(phi: float) -> None:
+    """Raise InvalidInputError unless the opening lies in (0, pi)."""
+    if not 0.0 < phi < math.pi:
+        raise InvalidInputError("sector opening must lie in (0, pi)")
+
+
 class Line:
     """Infinite line stored as an anchor point plus a unit direction.
 
@@ -219,10 +225,9 @@ class Sector:
         ax, ay = float(apex[0]), float(apex[1])
         direction = float(direction)
         opening = float(opening)
-        if not _finite(ax, ay, direction, opening):
+        check_opening(opening)
+        if not _finite(ax, ay, direction):
             raise InvalidInputError("sector parameters must be finite")
-        if not (0.0 < opening < math.pi):
-            raise InvalidInputError("sector opening must lie in (0, pi)")
         self.apex = (ax, ay)
         self.direction = direction
         self.opening = opening

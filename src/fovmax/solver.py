@@ -48,11 +48,13 @@ from .geometry import (
     InvalidInputError,
     Point,
     Sector,
+    check_opening,
     normalize_angle,
     overlap_interval,
     sector_clip,
 )
-from .cells import RotationCell, SectionPartition, breakpoints, build_cells, vertex_partition
+from .cells import RotationCell, SectionPartition, _end_cuts, _end_values, breakpoints
+from .cells import build_cells, vertex_partition
 # not used here: perfbench/spans.py wraps these names in traced runs
 from .wedge import opening_extrema, rotation_pieces  # noqa: F401
 
@@ -186,8 +188,6 @@ def cell_objective(cell: RotationCell, theta: float) -> float:
     """Objective inside a cell: the middle area plus the closed-form
     parts of the boundary sections the sector's rays cut, each from the
     ray to its section's fixed end ray."""
-    if cell.empty:
-        return 0.0
     part, phi = cell.part, cell.opening
     r, l = cell.right_section, cell.left_section
     if r is not None and r == l:
@@ -356,13 +356,10 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     When rounding erases the sign change of f' at the mapped ends, the end
     at the polynomial's root (where the two signs disagree) stands in for
     it. The best of the roots and the two cell ends wins; ties go to the
-    smallest direction. The end values are cell._ends when the solver
-    filled it, and cell_objective at the two ends otherwise.
+    smallest direction. The end values are cell.ends.
     """
     precision = _as_precision(prec)
     lo, hi = cell.interval
-    if cell.empty:
-        return CellBest(theta=lo, area=0.0, candidates_evaluated=1, achieved_bracket=0.0)
     if cell.left_section is None and cell.right_section is None:
         # constant containment cell
         return CellBest(
@@ -385,10 +382,7 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
             total += 2.0 * w * tan(theta + beta) / cos(theta + beta) ** 2
         return total
 
-    ends = cell._ends
-    if ends is None:
-        ends = (cell_objective(cell, lo), cell_objective(cell, hi))
-    candidates = [(lo, 0.0, ends[0]), (hi, 0.0, ends[1])]
+    candidates = [(lo, 0.0, cell.ends[0]), (hi, 0.0, cell.ends[1])]
     mid = 0.5 * (lo + hi)
     p = _slope_polynomial(terms, mid)
     t_lo, t_hi = tan(lo - mid), tan(hi - mid)
@@ -420,102 +414,6 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     )
 
 
-def _end_cuts(
-    part: SectionPartition, phi: float, lo: float, hi: float, right: Optional[int],
-    left: Optional[int], empty: bool
-) -> Tuple[Optional[float], ...]:
-    """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
-    for the cell [lo, hi] with the given boundary sections: each cut is
-    part.cut of a boundary section as cell_objective takes it, None for a
-    ray that does not move, and m is the sum of the _slope_terms at their
-    ends, in their order (see _end_values). An empty cell's right cuts are
-    0.0, a single-section cell's its whole objective, and their left ones
-    None. Straight from the flat edge tables, with every operation in the
-    order _cut and _slope_terms use, so the values are theirs bit for bit;
-    a cut from a section's fixed end ray shares that ray's cosine.
-    """
-    if empty:
-        return 0.0, 0.0, None, None, 0.0
-    c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
-    sin, cos, tan = math.sin, math.cos, math.tan
-    m = 0.0
-    r_lo = r_hi = l_lo = l_hi = None
-    # each (w, beta) of _slope_terms adds its f'' term 2 w tan(x) / cos(x)**2,
-    # x = theta + beta, at the end theta where that term is smallest
-    if right is not None:
-        f, n = part.far_edges[right], part.near_edges[right]
-        cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
-        x = (lo if -cf > 0.0 else hi) + (0.0 - pf)
-        m += 2.0 * -cf * tan(x) / cos(x) ** 2
-        x = (lo if cn > 0.0 else hi) + (0.0 - pn)
-        m += 2.0 * cn * tan(x) / cos(x) ** 2
-        if right == left:
-            b = lo + phi
-            s = sin(b - lo)
-            r_lo = cf * s / (cos(lo - pf) * cos(b - pf)) - cn * s / (cos(lo - pn) * cos(b - pn))
-            b = hi + phi
-            s = sin(b - hi)
-            r_hi = cf * s / (cos(hi - pf) * cos(b - pf)) - cn * s / (cos(hi - pn) * cos(b - pn))
-        else:
-            e = rays[right + 1]
-            ef, en = cos(e - pf), cos(e - pn)
-            s = sin(e - lo)
-            r_lo = cf * s / (cos(lo - pf) * ef) - cn * s / (cos(lo - pn) * en)
-            s = sin(e - hi)
-            r_hi = cf * s / (cos(hi - pf) * ef) - cn * s / (cos(hi - pn) * en)
-    if left is not None:
-        f, n = part.far_edges[left], part.near_edges[left]
-        cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
-        x = (lo if cf > 0.0 else hi) + (phi - pf)
-        m += 2.0 * cf * tan(x) / cos(x) ** 2
-        x = (lo if -cn > 0.0 else hi) + (phi - pn)
-        m += 2.0 * -cn * tan(x) / cos(x) ** 2
-        if right != left:
-            a = rays[left]
-            af, an = cos(a - pf), cos(a - pn)
-            b = lo + phi
-            s = sin(b - a)
-            l_lo = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
-            b = hi + phi
-            s = sin(b - a)
-            l_hi = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
-    return r_lo, r_hi, l_lo, l_hi, m
-
-
-def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[float, float, float]:
-    """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
-    middle area (None without one, see SectionPartition.middle) and width;
-    all three never fall when the middle rises.
-
-    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
-    cos(x) keeps its sign across a cell, since every line is cut at a
-    finite distance there, and tan(x) / cos(x)**2 increases with x on such
-    a branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
-    sum with each term taken at lo when w_k > 0 and at hi otherwise, is a
-    lower bound on f''. Then f - m/2 (theta - lo)(theta - hi) is convex,
-    so f never exceeds the larger end value plus max(-m, 0) * width**2 / 8
-    (Breiman and Cutler, A deterministic algorithm for global
-    optimization, 1993). The bound is inf when m is not finite. The upper
-    bound on f'' in its place, with the chord, would not bound f.
-    """
-    r_lo, r_hi, l_lo, l_hi, m = cuts
-    if middle is None:
-        f_lo, f_hi = r_lo, r_hi
-    else:
-        # cell_objective's order: the middle, then the right cut, then the left
-        f_lo = f_hi = middle
-        if r_lo is not None:
-            f_lo += r_lo
-            f_hi += r_hi
-        if l_lo is not None:
-            f_lo += l_lo
-            f_hi += l_hi
-    if not math.isfinite(m):
-        return f_lo, f_hi, math.inf
-    # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
-    return f_lo, f_hi, (f_hi if f_hi > f_lo else f_lo) + (0.0 if 0.0 > -m else -m) * width**2 / 8.0
-
-
 class SceneDetails(NamedTuple):
     """The partition, breakpoints and resolved direction domain of a scene;
     domain is None only when a fixed-direction evaluation's is empty."""
@@ -524,12 +422,6 @@ class SceneDetails(NamedTuple):
     breakpoints: Tuple[float, ...]
     domain: Optional[Tuple[float, float]]
     num_cells: int
-
-
-def check_opening(phi: float) -> None:
-    """Raise InvalidInputError unless the opening lies in (0, pi)."""
-    if not 0.0 < phi < math.pi:
-        raise InvalidInputError("sector opening must lie in (0, pi)")
 
 
 def direction_domain(
@@ -598,9 +490,9 @@ def solve_scene(
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[i] + slack < floor:
             break
-        lo, hi, r, l, empty = locate(i)
-        cuts = _end_cuts(part, phi, lo, hi, r, l, empty)
-        span = middle_of(r, l, empty)
+        lo, hi, r, l = locate(i)
+        cuts = _end_cuts(part, phi, lo, hi, r, l)
+        span = middle_of(r, l)
         middle = None
         if span is not None:
             # a long middle is first bounded from above in O(1): a cell ruled
@@ -611,7 +503,8 @@ def solve_scene(
         f_lo, f_hi, top = _end_values(cuts, middle, hi - lo)
         if top + slack < floor:
             continue
-        cell = RotationCell((lo, hi), r, l, bounds[i], part, phi, empty, middle, (f_lo, f_hi))
+        middle = 0.0 if middle is None else middle
+        cell = RotationCell((lo, hi), r, l, bounds[i], part, phi, middle, (f_lo, f_hi))
         results[i] = maximize_cell(cell, precision)
         best_area = max(best_area, results[i].area)
         floor = best_area - tie_tol

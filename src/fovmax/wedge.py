@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .geometry import (
-    InvalidInputError, NearSingularError, Point, TWO_PI, as_line, normalize_angle
+    InvalidInputError, NearSingularError, Point, TWO_PI, as_line, check_opening, normalize_angle
 )
 
 _SIN_EPS = 1e-9        # singularity guard on closed-form denominators
@@ -133,8 +133,7 @@ def wedge_from_lines(apex: Point, far_line, near_line) -> StaticWedge:
 
 
 def _check_sector_domain(w: StaticWedge, theta: float, phi: float) -> None:
-    if not (0.0 < phi < math.pi):
-        raise InvalidInputError("sector opening must lie in (0, pi)")
+    check_opening(phi)
     if w.direction_offset(theta) > w.window_width() - phi + _WINDOW_TOL:
         raise InvalidInputError("sector direction outside the wedge's admissible range")
 
@@ -191,8 +190,7 @@ def d_area_d_opening(w: StaticWedge, theta: float, phi: float) -> float:
     edge, and checks of an extremum evaluate at and slightly beyond it.
     The smooth continuation is what the extremum analysis differentiates.
     """
-    if not (0.0 < phi < math.pi):
-        raise InvalidInputError("sector opening must lie in (0, pi)")
+    check_opening(phi)
     return _density(w, theta + phi)
 
 
@@ -296,8 +294,7 @@ def rotation_pieces(
     (window endpoints are fine; those directions pass through polygon
     vertices, where the closed form stays finite).
     """
-    if not (0.0 < phi < math.pi):
-        raise InvalidInputError("opening must lie in (0, pi)")
+    check_opening(phi)
     if wL is not None and not wL.contains_direction(theta0 + phi, margin=-1e-6):
         raise InvalidInputError("left anchor outside its wedge window")
     if wR is not None and not wR.contains_direction(theta0, margin=-1e-6):

@@ -456,10 +456,13 @@ def test_build_cells_match_bisection():
         rays = part.sorted_angles
         for phi in (float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.3, 2.5))):
             lo, hi = rays[0] - phi, rays[-1]
-            # the breakpoints, and also a grid wider than the domain, so
-            # that empty cells on both sides show up
-            grids = [breakpoints(rays, phi), list(np.linspace(lo - 0.5, hi + 0.5, 41))]
-            for bps in grids:
+            # the breakpoints, and a grid wider than the domain, whose cells
+            # past it on either side would be empty: it raises, and its
+            # points within the domain make a grid that does not
+            wide = [float(v) for v in np.linspace(lo - 0.5, hi + 0.5, 41)]
+            with pytest.raises(InvalidInputError, match="within"):
+                build_cells(poly, apex, part, phi, wide)
+            for bps in (breakpoints(rays, phi), [v for v in wide if lo <= v <= hi]):
                 table = build_cells(poly, apex, part, phi, bps)
                 expected = reference_cells(part, phi, bps)
                 assert len(table) == len(expected)
@@ -508,6 +511,19 @@ def reference_cell_table(part, phi, bps):
     return out
 
 
+def _fault(bps, phi, low, high):
+    """What build_cells raises for bps, from its first faulty pair: a
+    pair not more than 1e-12 rad apart, or one whose sector misses the
+    span [low, high]; None when every pair is sound."""
+    for a, b in zip(bps, bps[1:]):
+        if not b - a > _ANGLE_MERGE:
+            return "more than 1e-12 rad apart"
+        probe = 0.5 * (a + b)
+        if probe > high or probe + phi < low:
+            return "within"
+    return None
+
+
 def _breakpoint_lists(rays, phi, rng):
     """Breakpoints with and without domains, the rays and rays - phi
     merged without deduplication, the breakpoints with extra points 3e-13
@@ -533,9 +549,10 @@ def test_cell_table_matches_the_full_table():
     """Every cell's interval, sections, bound and empty flag as float.hex,
     against the table that kept them all, on plain and plateau-adjacent
     openings (the opening just below, at and just above the span); a
-    list with a pair not more than 1e-12 rad wide raises instead."""
+    list with a pair not more than 1e-12 rad wide, or with one outside
+    [first ray - phi, last ray], raises instead."""
     rng = np.random.default_rng(29)
-    checked = {"cells": 0, "narrow": 0, "plateau": 0}
+    checked = {"cells": 0, "narrow": 0, "outside": 0, "plateau": 0}
     for poly, apex in PARTITION_SCENES:
         try:
             part = vertex_partition(poly, apex)
@@ -548,10 +565,11 @@ def test_cell_table_matches_the_full_table():
             if not 0.0 < phi < math.pi:
                 continue
             for bps in _breakpoint_lists(rays, phi, rng):
-                if any(not b - a > _ANGLE_MERGE for a, b in zip(bps, bps[1:])):
-                    with pytest.raises(InvalidInputError, match="more than 1e-12 rad apart"):
+                fault = _fault(bps, phi, rays[0] - _ANGLE_MERGE, rays[-1] + _ANGLE_MERGE)
+                if fault is not None:
+                    with pytest.raises(InvalidInputError, match=fault):
                         build_cells(poly, apex, part, phi, bps)
-                    checked["narrow"] += 1
+                    checked["narrow" if fault.startswith("more") else "outside"] += 1
                     continue
                 table = build_cells(poly, apex, part, phi, bps)
                 got = [

@@ -243,6 +243,32 @@ def test_opening_is_checked_first_with_or_without_at_theta(tmp_path, capsys, phi
     assert err == "error: sector opening must lie in (0, pi)\n"
 
 
+# each field's value with "@" for a number past float range, and the exit
+# code that number gives: only a precision of inf digits still solves
+_PAST_FLOAT_RANGE = {
+    "polygon": ([["@", 1], [2, 1], [2, 2], [1, 2]], 2),
+    "apex": (["-@", 0.0], 2),
+    "phi": ("@", 2),
+    "precision_digits": ("@", 0),
+    "domain": ([0.0, "@"], 2),
+}
+
+
+@pytest.mark.parametrize("field", list(_PAST_FLOAT_RANGE))
+def test_an_integer_past_float_range_reads_as_1e400(tmp_path, capsys, field):
+    # 1e400 and a 401-digit integer are the same JSON number, read as +-inf
+    value, code = _PAST_FLOAT_RANGE[field]
+    text = json.dumps(dict(SQUARE, **{field: value}))
+    got = []
+    for spelling in ("1e400", "1" + "0" * 400):
+        path = tmp_path / "scene.json"
+        path.write_text(text.replace('"@"', spelling).replace('"-@"', "-" + spelling))
+        exit_code, out, err = run_main(capsys, ["solve", str(path)])
+        got.append((exit_code, err, re.sub(r'"runtime_ms":[^,}]*', "", out)))
+    assert got[0][0] == code
+    assert got[1] == got[0]
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_main(capsys, ["solve", str(tmp_path / "nope.json")])
     assert code == 2

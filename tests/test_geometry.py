@@ -20,7 +20,11 @@ from fovmax.geometry import (
     vertex_angle,
     wrap_to_pi,
 )
+from fovmax.cells import breakpoints
+from fovmax.solver import solve_scene
+from fovmax.wedge import d_area_d_opening, rotation_pieces, two_sector_area
 from conftest import external_apex, random_convex_polygon
+from test_wedge import BASIC
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TALL_SQUARE = ConvexPolygon([(-1, 1), (1, 1), (1, 3), (-1, 3)])
@@ -201,6 +205,25 @@ def test_sector_requires_open_interval_opening():
         Sector((0, 0), 0.0, 0.0)
     with pytest.raises(InvalidInputError):
         Sector((0, 0), 0.0, math.pi)
+
+
+_OPENING_CHECKS = {
+    "breakpoints": lambda phi: breakpoints((0.5, 1.0), phi),
+    "Sector": lambda phi: Sector((0, 0), 0.0, phi),
+    "solve_scene": lambda phi: solve_scene(SMALL_SQUARE, (0.0, 0.0), phi),
+    "two_sector_area": lambda phi: two_sector_area(BASIC, 0.9, phi),
+    "d_area_d_opening": lambda phi: d_area_d_opening(BASIC, 0.9, phi),
+    "rotation_pieces": lambda phi: rotation_pieces(None, None, 0.9, phi, 0.0),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi, math.nan], ids=["0", "pi", "nan"])
+@pytest.mark.parametrize("entry", list(_OPENING_CHECKS))
+def test_every_opening_check_gives_one_message(entry, phi):
+    # one rule for an opening, NaN included, wherever it enters
+    with pytest.raises(InvalidInputError) as info:
+        _OPENING_CHECKS[entry](phi)
+    assert str(info.value) == "sector opening must lie in (0, pi)"
 
 
 def test_sector_contains_closed_boundary():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovmax import cells
-from fovmax.cells import RotationCell, SectionPartition, vertex_partition
+from fovmax.cells import SectionPartition, vertex_partition
 from fovmax.solver import solve_scene
 from conftest import external_apex, random_convex_polygon
 from test_solver import _near_line_scene, _span_scene
@@ -40,7 +40,7 @@ def _partition(areas):
 
 
 def _ceiling(cell):
-    span = cell.part.middle(cell.right_section, cell.left_section, cell.empty)
+    span = cell.part.middle(cell.right_section, cell.left_section)
     return None if span is None else span[2]
 
 
@@ -56,13 +56,12 @@ def test_middle_ceiling_bounds_the_middle_area(areas, data):
     start = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(start + 1, n))
     part = _partition(areas)
-    cell = RotationCell(
-        (0.0, 1.0), None if start == 0 else start - 1, None if stop == n else stop, 0.0, part, 1.0
-    )
+    right, left = None if start == 0 else start - 1, None if stop == n else stop
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cells, "_LONG_MIDDLE", 0)
-        ceiling = _ceiling(cell)
-    assert ceiling >= cell.middle_area
+        span = part.middle(right, left)
+    assert span[:2] == (start, stop)
+    assert span[2] >= part.middle_sum(start, stop)
 
 
 def _long_middles_only(mp, on):

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fovmax.solver import (
 )
 from conftest import external_apex, random_convex_polygon, random_scene
 
+ROOT = Path(__file__).resolve().parent.parent
 ORIGIN = (0.0, 0.0)
 SMALL_SQUARE = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
 TALL_SQUARE = ConvexPolygon([(-1, 1), (1, 1), (1, 3), (-1, 3)])
@@ -98,13 +101,16 @@ def test_constant_cell_takes_left_endpoint():
     assert best.area == pytest.approx(SMALL_SQUARE.area, rel=1e-12)
 
 
-def test_empty_cell_scores_zero():
+def test_build_cells_rejects_breakpoints_outside_the_span():
+    # a pair whose sector misses the polygon would make an empty cell; the
+    # admissible domain [first ray - phi, last ray] itself is one cell
     part = vertex_partition(SMALL_SQUARE, ORIGIN)
-    cell = build_cells(SMALL_SQUARE, ORIGIN, part, 0.1, (-2.4, -2.0))[0]
-    assert cell.empty
-    assert cell_objective(cell, -2.2) == 0.0
-    best = maximize_cell(cell, 8)
-    assert (best.theta, best.area) == (-2.4, 0.0)
+    first, last = part.span()
+    for bps in ((-2.4, -2.0), (first - 0.3, first - 0.2), (first - 0.1, last, last + 0.2)):
+        with pytest.raises(InvalidInputError, match=r"within \[first ray - phi, last ray\]"):
+            build_cells(SMALL_SQUARE, ORIGIN, part, 0.1, bps)
+    cell = build_cells(SMALL_SQUARE, ORIGIN, part, 0.1, (first - 0.1, last))[0]
+    assert (cell.right_section, cell.left_section, cell.empty) == (0, 1, False)
 
 
 def test_cell_argmax_matches_dense_grid(square_scene):
@@ -348,12 +354,52 @@ def _cell_end_values(cell, middle=None):
     _end_values of its _end_cuts with the given middle area in place of
     middle_area, and None for a cell without a middle."""
     lo, hi = cell.interval
-    r, l, empty = cell.right_section, cell.left_section, cell.empty
-    if cell.part.middle(r, l, empty) is None:
+    r, l = cell.right_section, cell.left_section
+    if cell.part.middle(r, l) is None:
         middle = None
     elif middle is None:
         middle = cell.middle_area
-    return _end_values(_end_cuts(cell.part, cell.opening, lo, hi, r, l, empty), middle, hi - lo)
+    return _end_values(_end_cuts(cell.part, cell.opening, lo, hi, r, l), middle, hi - lo)
+
+
+def _cell_bits(cell):
+    lo, hi = cell.interval
+    return (lo.hex(), hi.hex(), cell.right_section, cell.left_section, cell.bound.hex(),
+            cell.middle_area.hex(), cell.ends[0].hex(), cell.ends[1].hex())
+
+
+def test_solved_cells_are_their_table_rows(monkeypatch):
+    # the visit loop and CellTable.__getitem__ take a cell's middle area and
+    # end values by the same calls: small_scenes and one n = 1024 scene
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import scenes
+
+    runs = [
+        (ConvexPolygon(s.vertices), s.apex, s.phi, scenes.SMALL_PREC, s.domain)
+        for s in scenes.small_scenes(1)
+    ]
+    poly, apex, phi, domain = _span_scene(1024, 1024, 0.75)
+    runs.append((poly, apex, phi, 10, domain))
+    solved, tables = [], []
+    real_build, real_solve = solver.build_cells, solver.maximize_cell
+
+    def build(*args):
+        tables.append(real_build(*args))
+        return tables[-1]
+
+    def solve(cell, *args):
+        solved.append((tables[-1], cell))
+        return real_solve(cell, *args)
+
+    monkeypatch.setattr(solver, "build_cells", build)
+    monkeypatch.setattr(solver, "maximize_cell", solve)
+    for poly, apex, phi, prec, domain in runs:
+        solve_scene(poly, apex, phi, prec, domain)
+    for table, cell in solved:
+        assert _cell_bits(cell) == _cell_bits(table[table.bps.index(cell.interval[0])])
+    # the n = 1024 scene, solved last, solved cells too
+    big = sum(table is tables[-1] for table, _ in solved)
+    assert len(solved) > len(runs) and big > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -155,7 +155,7 @@ def _check_end_bounds(table):
         mp.setattr(cells, "_LONG_MIDDLE", 0)
         for i in range(len(table)):
             cell, ref = table[i], table[i]
-            span = cell.part.middle(cell.right_section, cell.left_section, cell.empty)
+            span = cell.part.middle(cell.right_section, cell.left_section)
             middles = [None if span is None else span[2], None]
             got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
             assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]

@@ -4,9 +4,11 @@
 
 Each SRC is a directory that holds the fovmax package (default: this
 checkout's src/), imported apart from the others as tools/stage_times.py
-imports it. The corpus is perfbench's small_scenes for seeds 1 to 3 and
-large_polygons for seeds 1 and 2, each scene solved by solve_scene at its
-workload's precision and at 12 digits. Every solve gives one record:
+imports it. The corpus is perfbench's small_scenes for seeds 1 to 3,
+large_polygons for seeds 1 and 2 and cli_scenes for seeds 1 to 10, each
+scene solved by solve_scene at its workload's precision and at 12 digits.
+Every fourth cli scene restricts its directions to a domain, so its
+breakpoints are clamped to that domain. Every solve gives one record:
 theta_star, area and achieved_bracket as float.hex, cell_index,
 candidates_evaluated, the cell count and the breakpoints as float.hex, or
 the type and message of what the scene raised. One line per tree gives
@@ -40,6 +42,9 @@ def corpus(scenes) -> List[tuple]:
     for seed in (1, 2):
         large = scenes.large_polygons(seed)
         runs += [(scene, prec) for prec in (scenes.LARGE_PREC, 12) for scene in large]
+    for seed in range(1, 11):
+        cli = scenes.cli_scenes(seed)
+        runs += [(scene, prec) for prec in (scenes.CLI_PREC, 12) for scene in cli]
     return runs
 
 
