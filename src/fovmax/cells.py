@@ -37,11 +37,16 @@ of n vertices leaves a few dozen container objects, not one per edge or
 per cell: the partition, a named tuple, keeps every edge line's d**2/2
 and psi in two tuples, and build_cells returns the cells as a CellTable
 that keeps one float per cell, its area bound, the one value the solver
-reads for every cell. CellTable.locate gives a cell's row, its interval
-from the breakpoints and its boundary sections, as plain values; the
-solver reads the cells it visits that way and builds a RotationCell only
-for a cell it solves. Indexing the table builds one from the same row
-with the same calls, so a cell is the same however it is reached.
+reads for every cell. CellTable.visit is the one path from a row to a
+cell. It reads the row (locate: the cell's interval and boundary
+sections), takes the boundary cuts at both cell ends and a lower bound
+on f'' from the edge tables (_end_cuts), in the operations of the cell's
+closed form (cell_objective, _slope_terms), and adds the middle area
+(_end_values). The larger end value plus a curvature term bounds the
+cell's area; a cell that bound rules out never becomes an object, and a
+long middle is first bounded in O(1) (SectionPartition.middle). Indexing
+the table is visit with no floor, so a cell is the same however it is
+reached.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -68,6 +73,7 @@ from .geometry import (
 from .wedge import StaticWedge, _cut, wedge_from_lines
 
 _ANGLE_MERGE = 1e-12
+_BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
 # SectionPartition.middle gives a ceiling for middle areas over at least
 # this many sections; a shorter sum costs less than the extra bound that a
 # cell the ceiling cannot rule out takes
@@ -305,19 +311,59 @@ def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> Static
     )
 
 
+def cell_objective(cell: RotationCell, theta: float) -> float:
+    """Objective inside a cell: the middle area plus the closed-form
+    parts of the boundary sections the sector's rays cut, each from the
+    ray to its section's fixed end ray."""
+    part, phi = cell.part, cell.opening
+    r, l = cell.right_section, cell.left_section
+    if r is not None and r == l:
+        return part.cut(r, theta, theta + phi)
+    total = cell.middle_area
+    if r is not None:
+        total += part.cut(r, theta, part.sorted_angles[r + 1])
+    if l is not None:
+        total += part.cut(l, part.sorted_angles[l], theta + phi)
+    return total
+
+
+def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
+    """(w, beta) pairs with f'(theta) = sum of w / cos(theta + beta)**2,
+    one far/near pair per moving boundary ray; solver.maximize_cell builds
+    them for the cells it solves.
+
+    A section's far line gives w = c and its near line w = -c, with
+    beta = shift - psi for the ray at theta + shift. The left ray at
+    theta + phi ends its section's cut; the right ray at theta starts its
+    section's cut, so its terms enter negated. A single-section cell has
+    both rays in one section and so all four terms.
+    """
+    part = cell.part
+    c, psi = part.edge_c, part.edge_psi
+    r, l = cell.right_section, cell.left_section
+    terms = []
+    if r is not None:
+        f, n = part.far_edges[r], part.near_edges[r]
+        terms += [(-c[f], 0.0 - psi[f]), (c[n], 0.0 - psi[n])]
+    if l is not None:
+        f, n, phi = part.far_edges[l], part.near_edges[l], cell.opening
+        terms += [(c[f], phi - psi[f]), (-c[n], phi - psi[n])]
+    return terms
+
+
 def _end_cuts(
     part: SectionPartition, phi: float, lo: float, hi: float, right: Optional[int],
     left: Optional[int]
 ) -> Tuple[Optional[float], ...]:
     """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
     for the cell [lo, hi] with the given boundary sections: each cut is
-    part.cut of a boundary section as solver.cell_objective takes it, None
-    for a ray that does not move, and m is the sum of the solver's
-    _slope_terms at their ends, in their order (see _end_values). A
-    single-section cell's right cuts are its whole objective, and its left
-    ones None. Straight from the flat edge tables, with every operation in
-    the order _cut and _slope_terms use, so the values are theirs bit for
-    bit; a cut from a section's fixed end ray shares that ray's cosine.
+    part.cut of a boundary section as cell_objective takes it, None for a
+    ray that does not move, and m is the sum of _slope_terms at their
+    ends, in their order (see _end_values). A single-section cell's right
+    cuts are its whole objective, and its left ones None. Straight from
+    the flat edge tables, with every operation in the order _cut and
+    _slope_terms use, so the values are theirs bit for bit; a cut from a
+    section's fixed end ray shares that ray's cosine.
     """
     c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
     sin, cos, tan = math.sin, math.cos, math.tan
@@ -431,15 +477,16 @@ class RotationCell:
 class CellTable(Sequence[RotationCell]):
     """The cells of one scene, one per breakpoint pair, in order: cell i
     spans bps[i] to bps[i + 1]. bound[i] is cell i's area bound, the one
-    value the solver reads for every cell. locate(i) gives cell i's
-    interval and boundary sections as plain values. Indexing and iteration
-    build a RotationCell from them, with its middle area and end values
-    taken by the calls the solver's visit loop makes."""
+    value the solver reads for every cell, and slack (_BOUND_SLACK times
+    the polygon area) the rounding any bound may hide. locate(i) gives
+    cell i's row as plain values, visit(i, floor) its RotationCell, and
+    indexing and iteration are visit with no floor."""
 
-    def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float]) -> None:
+    def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float], slack: float):
         self.part = part
         self.opening = opening
         self.bps = bps
+        self.slack = slack
         self.bound: List[float] = []
         angles = part.sorted_angles
         # rays within 1e-12 rad outside the span still count as in it
@@ -451,13 +498,31 @@ class CellTable(Sequence[RotationCell]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        bound, part, phi = self.bound[i], self.part, self.opening
-        lo, hi, rs, ls = self.locate(i + len(self.bound) if i < 0 else i)
-        span = part.middle(rs, ls)
-        middle = None if span is None else part.middle_sum(span[0], span[1])
-        ends = _end_values(_end_cuts(part, phi, lo, hi, rs, ls), middle, hi - lo)[:2]
+        n = len(self.bound)
+        # locate(-1) would read bps[-1] and bps[0], a pair that is no cell
+        if not -n <= i < n:
+            raise IndexError("cell index out of range")
+        return self.visit(i + n if i < 0 else i, -math.inf)
+
+    def visit(self, i: int, floor: float) -> Optional[RotationCell]:
+        """Cell i, for 0 <= i < len(self), as a RotationCell, or None when
+        its second bound (_end_values) plus slack falls below floor."""
+        part, phi, slack = self.part, self.opening, self.slack
+        lo, hi, r, l = self.locate(i)
+        cuts = _end_cuts(part, phi, lo, hi, r, l)
+        span = part.middle(r, l)
+        middle = None
+        if span is not None:
+            # a long middle is first bounded from above in O(1): a cell ruled
+            # out with that in place of the exact sum is ruled out by it too
+            if span[2] is not None and _end_values(cuts, span[2], hi - lo)[2] + slack < floor:
+                return None
+            middle = part.middle_sum(span[0], span[1])
+        f_lo, f_hi, top = _end_values(cuts, middle, hi - lo)
+        if top + slack < floor:
+            return None
         middle = 0.0 if middle is None else middle
-        return RotationCell((lo, hi), rs, ls, bound, part, phi, middle, ends)
+        return RotationCell((lo, hi), r, l, self.bound[i], part, phi, middle, (f_lo, f_hi))
 
     def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int]]:
         """(lo, hi, right_section, left_section) of cell i, for
@@ -498,7 +563,7 @@ def build_cells(
     """
     angles = part.sorted_angles
     m = len(angles)
-    table = CellTable(part, phi, bps)
+    table = CellTable(part, phi, bps, _BOUND_SLACK * poly.area)
     low, high = table._low, table._high
     prefix = part.area_prefix
     # with r sorted rays at or below a probe, the probe's section is

@@ -20,21 +20,11 @@ would compute has its sign, so the exit gives what isolation would.
 Cells are visited best first by an upper bound on their area from
 prefix sums of the section areas, and the search stops once no
 remaining cell can come within the tie tolerance (10**-digits times the
-polygon area) of the best area found. A visited cell is solved only
-when a second bound still reaches that far: the larger end value plus a
-curvature term from a lower bound on f'' (f'' is a sum of monotone
-terms). The loop reads a visited cell as a table row (CellTable.locate),
-takes its four boundary cuts (each boundary section's part at the two
-cell ends) and that curvature term from the edge tables (_end_cuts) and
-adds the middle area (_end_values). Only a cell it solves becomes a
-RotationCell, which gets the middle sum and the end values already
-taken, and only a solved cell builds its f' terms. For a cell whose
-middle covers many sections, the bound is first taken on an O(1) upper
-bound of the middle area (SectionPartition.middle); its values never
-fall as the middle rises, so a cell ruled out that way is ruled out by
-the exact sum too, which is then taken only for the cells that remain.
-The global maximum is the best cell result; ties within the tolerance
-resolve to the smallest direction. The results are named tuples.
+polygon area) of the best area found. Each visited cell goes through
+CellTable.visit, which rules it out on a second bound (see cells) or
+returns it for maximize_cell. The global maximum is the best cell
+result; ties within the tolerance resolve to the smallest direction.
+The results are named tuples.
 """
 
 from __future__ import annotations
@@ -53,14 +43,13 @@ from .geometry import (
     overlap_interval,
     sector_clip,
 )
-from .cells import RotationCell, SectionPartition, _end_cuts, _end_values, breakpoints
-from .cells import build_cells, vertex_partition
+from .cells import RotationCell, SectionPartition, _slope_terms, breakpoints, build_cells
+from .cells import cell_objective, vertex_partition
 # not used here: perfbench/spans.py wraps these names in traced runs
 from .wedge import opening_extrema, rotation_pieces  # noqa: F401
 
 _MIN_WIDTH = 1e-12
 _MAX_ITER = 200  # a backstop for _bracketed_newton
-_BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
 
 
 @dataclass(frozen=True)
@@ -70,8 +59,8 @@ class Precision:
     digits: float
 
     def __post_init__(self):
-        if not (self.digits > 1.0):
-            raise InvalidInputError("precision digits must exceed 1")
+        if not (1.0 < self.digits < math.inf):
+            raise InvalidInputError("precision digits must be finite and exceed 1")
 
     @property
     def xtol(self) -> float:
@@ -182,46 +171,6 @@ def objective_by_clipping(poly: ConvexPolygon, apex: Point, theta: float, phi: f
     """Reference objective by sector clipping."""
     clipped = sector_clip(poly, Sector(apex, theta, phi))
     return 0.0 if clipped is None else clipped.area
-
-
-def cell_objective(cell: RotationCell, theta: float) -> float:
-    """Objective inside a cell: the middle area plus the closed-form
-    parts of the boundary sections the sector's rays cut, each from the
-    ray to its section's fixed end ray."""
-    part, phi = cell.part, cell.opening
-    r, l = cell.right_section, cell.left_section
-    if r is not None and r == l:
-        return part.cut(r, theta, theta + phi)
-    total = cell.middle_area
-    if r is not None:
-        total += part.cut(r, theta, part.sorted_angles[r + 1])
-    if l is not None:
-        total += part.cut(l, part.sorted_angles[l], theta + phi)
-    return total
-
-
-def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
-    """(w, beta) pairs with f'(theta) = sum of w / cos(theta + beta)**2,
-    one far/near pair per moving boundary ray; maximize_cell builds them
-    for the cells it solves.
-
-    A section's far line gives w = c and its near line w = -c, with
-    beta = shift - psi for the ray at theta + shift. The left ray at
-    theta + phi ends its section's cut; the right ray at theta starts its
-    section's cut, so its terms enter negated. A single-section cell has
-    both rays in one section and so all four terms.
-    """
-    part = cell.part
-    c, psi = part.edge_c, part.edge_psi
-    r, l = cell.right_section, cell.left_section
-    terms = []
-    if r is not None:
-        f, n = part.far_edges[r], part.near_edges[r]
-        terms += [(-c[f], 0.0 - psi[f]), (c[n], 0.0 - psi[n])]
-    if l is not None:
-        f, n, phi = part.far_edges[l], part.near_edges[l], cell.opening
-        terms += [(c[f], phi - psi[f]), (-c[n], phi - psi[n])]
-    return terms
 
 
 def _horner(p: List[float], x: float) -> float:
@@ -480,34 +429,20 @@ def solve_scene(
 
     # best first: a cell whose bound (plus rounding slack) lies below the
     # incumbent by more than the tie tolerance can neither win nor tie, and
-    # neither can any cell after it in descending bound order; a visited
-    # cell whose _end_values bound falls below it the same way is skipped
+    # neither can any cell after it in descending bound order; visit rules
+    # out a cell whose second bound falls below it the same way
     tie_tol = precision.xtol * poly.area
-    slack = _BOUND_SLACK * poly.area
     results = {}
     best_area = floor = -math.inf  # floor: best_area less the tie tolerance
-    bounds, locate, middle_of = cells.bound, cells.locate, part.middle
+    bounds, slack, visit = cells.bound, cells.slack, cells.visit
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[i] + slack < floor:
             break
-        lo, hi, r, l = locate(i)
-        cuts = _end_cuts(part, phi, lo, hi, r, l)
-        span = middle_of(r, l)
-        middle = None
-        if span is not None:
-            # a long middle is first bounded from above in O(1): a cell ruled
-            # out with that in place of the exact sum is ruled out by it too
-            if span[2] is not None and _end_values(cuts, span[2], hi - lo)[2] + slack < floor:
-                continue
-            middle = part.middle_sum(span[0], span[1])
-        f_lo, f_hi, top = _end_values(cuts, middle, hi - lo)
-        if top + slack < floor:
-            continue
-        middle = 0.0 if middle is None else middle
-        cell = RotationCell((lo, hi), r, l, bounds[i], part, phi, middle, (f_lo, f_hi))
-        results[i] = maximize_cell(cell, precision)
-        best_area = max(best_area, results[i].area)
-        floor = best_area - tie_tol
+        cell = visit(i, floor)
+        if cell is not None:
+            results[i] = maximize_cell(cell, precision)
+            best_area = max(best_area, results[i].area)
+            floor = best_area - tie_tol
 
     # deterministic reduction: max area, ties within 10^-digits of the best
     # resolve to the smallest direction (then lowest cell index)

@@ -23,6 +23,7 @@ from fovmax.cells import (
 from fovmax.oracle import clip_area_at
 from fovmax.wedge import _area_raw, two_sector_area
 from conftest import external_apex, random_convex_polygon, random_scene
+from test_solver import _cell_bits
 
 ORIGIN = (0.0, 0.0)
 SMALL_SQUARE = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -308,6 +309,22 @@ def test_cells_tile_admissible_domain(square_partition):
         for a, b in zip(cells[:-1], cells[1:]):
             assert a.interval[1] == b.interval[0]
         assert all(c.interval[1] > c.interval[0] for c in cells)
+
+
+def test_cell_table_index_edges(rng):
+    # a negative index past the front would read bps[-1] and bps[0], a pair
+    # that is no cell, without the range check
+    poly = random_convex_polygon(rng, 9, rx=2.0)
+    apex = external_apex(rng, poly)
+    part = vertex_partition(poly, apex)
+    table = build_cells(poly, apex, part, 0.4, breakpoints(part.sorted_angles, 0.4))
+    n = len(table)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    assert _cell_bits(table[-1]) == _cell_bits(table[n - 1])
+    assert _cell_bits(table[-n]) == _cell_bits(table[0])
+    assert len(list(table)) == n
 
 
 def _moving_area(poly, part, cell, theta):

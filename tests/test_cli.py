@@ -212,8 +212,12 @@ def test_invalid_scenarios_exit_2(tmp_path, capsys, overrides, fragment):
         ({"domain": [math.nan, 1.0]}, [], "interval endpoints must be finite"),
         ({}, ["--domain=0,inf"], "interval endpoints must be finite"),
         ({}, ["--domain=nan,1", "--at-theta", "0.5"], "interval endpoints must be finite"),
+        ({}, ["--precision", "inf"], "precision digits must be finite"),
     ],
-    ids=["nan_apex", "infinite_apex", "nan_domain", "infinite_domain_flag", "nan_domain_at_theta"],
+    ids=[
+        "nan_apex", "infinite_apex", "nan_domain", "infinite_domain_flag", "nan_domain_at_theta",
+        "infinite_precision_flag",
+    ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, overrides, flags, fragment):
     # the scenario file spells these NaN, -Infinity, as Python's json reads them
@@ -244,12 +248,12 @@ def test_opening_is_checked_first_with_or_without_at_theta(tmp_path, capsys, phi
 
 
 # each field's value with "@" for a number past float range, and the exit
-# code that number gives: only a precision of inf digits still solves
+# code that number gives
 _PAST_FLOAT_RANGE = {
     "polygon": ([["@", 1], [2, 1], [2, 2], [1, 2]], 2),
     "apex": (["-@", 0.0], 2),
     "phi": ("@", 2),
-    "precision_digits": ("@", 0),
+    "precision_digits": ("@", 2),
     "domain": ([0.0, "@"], 2),
 }
 

@@ -1,6 +1,6 @@
 """The O(1) upper bound on a long middle area (the third value of
-`SectionPartition.middle`) and the gate in `solve_scene` that tries it
-before the exact sum (`SectionPartition.middle_sum`).
+`SectionPartition.middle`) and the gate in `CellTable.visit` that tries
+it before the exact sum (`SectionPartition.middle_sum`).
 
 The gate may only save work: every answer, `candidates_evaluated`
 included, must be the one the exact sums give.
@@ -18,7 +18,7 @@ from fovmax import cells
 from fovmax.cells import SectionPartition, vertex_partition
 from fovmax.solver import solve_scene
 from conftest import external_apex, random_convex_polygon
-from test_solver import _near_line_scene, _span_scene
+from test_solver import _cell_bits, _cell_end_values, _near_line_scene, _span_scene
 from test_solver_reference import _scene_cells
 
 
@@ -83,6 +83,28 @@ def test_middle_ceiling_bounds_every_cell(seed, n, kind):
             ceilings.append((cell, _ceiling(cell)))
     for cell, ceiling in ceilings:
         assert ceiling is None or ceiling >= cell.middle_area
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
+    on=st.booleans(),
+)
+def test_visit_rules_out_exactly_what_the_second_bound_does(seed, n, kind, on):
+    # a floor just above a cell's second bound plus the slack rules it out,
+    # and one at or just below it gives the cell indexing gives, with the
+    # ceiling tried first on every middle or on none
+    with pytest.MonkeyPatch.context() as mp:
+        _long_middles_only(mp, on)
+        table = _scene_cells(seed, n, kind)
+        for i, cell in enumerate(table):
+            reach = _cell_end_values(cell)[2] + table.slack
+            for floor in (math.nextafter(reach, -math.inf), reach):
+                assert _cell_bits(table.visit(i, floor)) == _cell_bits(cell)
+            if math.isfinite(reach):
+                assert table.visit(i, math.nextafter(reach, math.inf)) is None
 
 
 def _scene(seed, n, kind):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovmax.geometry import ConvexPolygon, InvalidInputError, normalize_angle
-from fovmax.cells import SectionPartition, breakpoints, build_cells, vertex_partition
+from fovmax.cells import SectionPartition, _end_cuts, _end_values, breakpoints, build_cells
+from fovmax.cells import vertex_partition
 from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
 from fovmax import solver
 from fovmax.solver import (
@@ -17,8 +18,6 @@ from fovmax.solver import (
     SceneDetails,
     SolveResult,
     _bracketed_newton,
-    _end_cuts,
-    _end_values,
     cell_objective,
     maximize_cell,
     maximize_global,
@@ -36,8 +35,9 @@ TALL_SQUARE = ConvexPolygon([(-1, 1), (1, 1), (1, 3), (-1, 3)])
 
 def test_precision_xtol():
     assert Precision(8).xtol == pytest.approx(1e-8)
-    with pytest.raises(InvalidInputError):
-        Precision(1.0)
+    for digits in (1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            Precision(digits)
     with pytest.raises(InvalidInputError):
         maximize_global(SMALL_SQUARE, ORIGIN, 0.1, prec=0.5)
 
@@ -329,10 +329,9 @@ def _prefix_bound_candidates(poly, apex, phi, prec=8):
     part = vertex_partition(poly, apex)
     cells = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
     tie_tol = Precision(prec).xtol * poly.area
-    slack = 1e-9 * poly.area
     best, total = -math.inf, 0
     for i in sorted(range(len(cells)), key=cells.bound.__getitem__, reverse=True):
-        if cells.bound[i] + slack < best - tie_tol:
+        if cells.bound[i] + cells.slack < best - tie_tol:
             break
         r = maximize_cell(cells[i], prec)
         total += r.candidates_evaluated
@@ -369,8 +368,8 @@ def _cell_bits(cell):
 
 
 def test_solved_cells_are_their_table_rows(monkeypatch):
-    # the visit loop and CellTable.__getitem__ take a cell's middle area and
-    # end values by the same calls: small_scenes and one n = 1024 scene
+    # the visit loop solves the cell CellTable.visit gives, which is the
+    # one indexing gives: small_scenes and one n = 1024 scene
     monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
     import scenes
 
