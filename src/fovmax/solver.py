@@ -8,15 +8,22 @@ where each moving term is a boundary section's far-line cut minus its
 near-line cut, d**2/2 * (tan(b - psi) - tan(a - psi)) between the section
 ray and the sector's boundary ray (see cells). Its derivative is
 f'(theta) = sum_k w_k / cos(theta + beta_k)**2 with at most four terms,
-and its sign is that of a polynomial of degree at most 6 in
-tan(theta - mid), so a cell has at most 6 critical points. They are
-isolated exactly by recursing on the polynomial's derivatives and
-polished by a bracketed Newton iteration on the true f' to the requested
-number of digits; there is no chunking and no clipping fallback. Before
-isolating, a root-free test rules out most polynomials, and at each
-level of the recursion most derivatives: when the constant coefficient
-outweighs the others on the cell's range, every value the isolation
-would compute has its sign, so the exit gives what isolation would.
+and f'' is the sum of the terms 2 w_k tan(x) / cos(x)**2, x = theta +
+beta_k, each rising across the cell. Taking each at the end where it is
+largest bounds f'' from above; where that bound is below 0 (nine in ten
+solved cells on the small benchmark scenes) the cell is concave, so f'
+falls across it and its signs at the two ends settle the cell: one
+bracketed Newton run on [lo, hi] when f' changes sign, none otherwise.
+On every other cell the sign of f' is that of a polynomial of degree at
+most 6 in tan(theta - mid), so the cell has at most 6 critical points.
+They are isolated exactly by recursing on the polynomial's derivatives
+and polished by the same Newton iteration on the true f' to the
+requested number of digits, or to float resolution when that comes
+first; there is no chunking and no clipping fallback. Before isolating,
+a root-free test rules out most polynomials, and at each level of the
+recursion most derivatives: when the constant coefficient outweighs the
+others on the cell's range, every value the isolation would compute has
+its sign, so the exit gives what isolation would.
 Cells are visited best first by an upper bound on their area from
 prefix sums of the section areas, and the search stops once no
 remaining cell can come within the tie tolerance (10**-digits times the
@@ -98,7 +105,10 @@ def _bracketed_newton(
     previous step (a bisection counts as a step of the bracket's old
     width) and shrinks |g| or changes its sign; anything else bisects. The
     step rule keeps slowly converging Newton sequences (multiple roots)
-    from starving the bracket; the cap is just a backstop. Newton tends to
+    from starving the bracket; the cap is just a backstop. The run also
+    stops when no float lies strictly inside the bracket, since no point
+    can then shrink it, so a tolerance below the float spacing of the root
+    returns what the cap would return, at float resolution. Newton tends to
     close in on a root from one side and leave the far end of the bracket
     for bisection to walk down to xtol, so a Newton point within xtol / 2
     of an end, or past it by less than the bracket's width, moves to
@@ -127,24 +137,28 @@ def _bracketed_newton(
             lo, glo = x, gx
         else:
             hi, ghi = x, gx
-        if hi - lo < xtol:
-            return 0.5 * (lo + hi), hi - lo, it
+        mid, width = 0.5 * (lo + hi), hi - lo
+        # a midpoint that rounds to an end leaves no float inside the bracket
+        if width < xtol or not lo < mid < hi:
+            return mid, width, it
         nxt = None
         if gprime is not None:
             d = gprime(x)
             if d != 0.0 and math.isfinite(d):
                 cand = x - gx / d
-                width = hi - lo
                 if lo - width < cand < hi + width:
-                    cand = min(max(cand, lo + h), hi - h)
+                    # min(max(cand, lo + h), hi - h), spelled out
+                    if cand < lo + h:
+                        cand = lo + h
+                    if cand > hi - h:
+                        cand = hi - h
                 step = abs(cand - x)
                 if lo < cand < hi and 2.0 * step <= last_step:
                     gc = g(cand)
                     if abs(gc) < abs(gx) or (gc > 0.0) != (gx > 0.0):
                         nxt = (cand, gc, step)
         if nxt is None:
-            mid = 0.5 * (lo + hi)
-            nxt = (mid, g(mid), hi - lo)
+            nxt = (mid, g(mid), width)
         x, gx, last_step = nxt
     return 0.5 * (lo + hi), hi - lo, _MAX_ITER
 
@@ -287,6 +301,42 @@ def _monotone_nodes(p: List[float], lo: float, hi: float) -> List[float]:
     return [lo] + roots + [hi]
 
 
+def _end_slopes(
+    terms: List[Tuple[float, float]], lo: float, hi: float
+) -> Tuple[float, float, bool]:
+    """(f'(lo), f'(hi), concave) for a cell's _slope_terms, where concave
+    means f'' < 0 across [lo, hi]. The slopes are maximize_cell's, bit
+    for bit: the same operations, summed left to right from 0.0.
+
+    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k,
+    and each term increases with x across a cell (see cells._end_values),
+    so its value at hi when w_k > 0 and at lo otherwise bounds it from
+    above: the mirror of the lower bound m that _end_values uses. top sums
+    these bounds and scale their magnitudes, and the cell is concave when
+    top + 1e-9 * scale < 0. Each computed bound is within 10 * 2**-53 of
+    its exact value at the same float x (tan and cos within an ulp each,
+    then the square, the product and the quotient), and the left-to-right
+    sum of at most four adds at most 3 * 2**-53 * scale, so the margin
+    leaves the exact bounds summing below 0. Rounding theta + beta is
+    monotone in theta, so every x that f' or f'' is evaluated at inside
+    the cell lies between those at lo and hi, where each term is at most
+    its bound. A NaN or an infinite term fails the test. On a concave
+    cell f' decreases, so f has at most one critical point, a maximum,
+    inside exactly when f'(lo) > 0 > f'(hi).
+    """
+    cos, tan = math.cos, math.tan
+    g_lo = g_hi = top = scale = 0.0
+    for w, beta in terms:
+        x, y = lo + beta, hi + beta
+        q, r = cos(x) ** 2, cos(y) ** 2
+        g_lo += w / q
+        g_hi += w / r
+        v = 2.0 * w * tan(y) / r if w > 0.0 else 2.0 * w * tan(x) / q
+        top += v
+        scale += abs(v)
+    return g_lo, g_hi, top + 1e-9 * scale < 0.0
+
+
 class CellBest(NamedTuple):
     theta: float
     area: float
@@ -297,17 +347,21 @@ class CellBest(NamedTuple):
 def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     """Best direction inside one cell.
 
-    The sign of f' is the sign of a polynomial of degree at most 6 in
-    tan(theta - mid), so the cell has at most 6 critical points, and none
-    when the polynomial passes _root_free. Each sign change of the
-    polynomial, isolated exactly, maps back to a bracket in theta, and a
-    safeguarded Newton run on the true f' polishes its root.
-    When rounding erases the sign change of f' at the mapped ends, the end
-    at the polynomial's root (where the two signs disagree) stands in for
-    it. The best of the roots and the two cell ends wins; ties go to the
-    smallest direction. The end values are cell.ends.
+    A concave cell (_end_slopes) has at most one critical point, a maximum,
+    and the signs of f' at its ends say whether it is inside: if so, a
+    safeguarded Newton run on the true f' polishes it on [lo, hi], and
+    otherwise the better end wins at once. On any other cell the sign of
+    f' is the sign of a polynomial of degree at most 6 in tan(theta - mid),
+    so the cell has at most 6 critical points, and none when the
+    polynomial passes _root_free. Each sign change of the polynomial,
+    isolated exactly, maps back to a bracket in theta, and the same Newton
+    run polishes its root. When rounding erases the sign change of f' at
+    the mapped ends, the end at the polynomial's root (where the two signs
+    disagree) stands in for it. The best of the roots and the two cell
+    ends wins; ties go to the smallest direction. The end values are
+    cell.ends.
     """
-    precision = _as_precision(prec)
+    xtol = _as_precision(prec).xtol
     lo, hi = cell.interval
     if cell.left_section is None and cell.right_section is None:
         # constant containment cell
@@ -316,6 +370,12 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
         )
 
     terms = _slope_terms(cell)
+    ga, gb, concave = _end_slopes(terms, lo, hi)
+    if concave and not (ga > 0.0 > gb or ga == 0.0 or gb == 0.0):
+        f_lo, f_hi = cell.ends
+        if f_hi > f_lo:
+            return CellBest(theta=hi, area=f_hi, candidates_evaluated=2, achieved_bracket=0.0)
+        return CellBest(theta=lo, area=f_lo, candidates_evaluated=2, achieved_bracket=0.0)
     cos, tan = math.cos, math.tan
 
     # left to right: sum() of floats rounds differently from 3.12 on
@@ -331,25 +391,29 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
             total += 2.0 * w * tan(theta + beta) / cos(theta + beta) ** 2
         return total
 
-    candidates = [(lo, 0.0, cell.ends[0]), (hi, 0.0, cell.ends[1])]
-    mid = 0.5 * (lo + hi)
-    p = _slope_polynomial(terms, mid)
-    t_lo, t_hi = tan(lo - mid), tan(hi - mid)
-    # max(-t_lo, t_hi) is the larger |t|, since t_lo <= t_hi
-    if _root_free(p, max(-t_lo, t_hi)):
-        brackets = []
+    if concave:
+        # a zero end is the root, as _bracketed_newton takes it
+        roots = [_bracketed_newton(slope, curvature, lo, hi, xtol, ga, gb)[:2]]
     else:
-        brackets = _sign_changes(p, _monotone_nodes(p, t_lo, t_hi))
-    for a, b, pa, _ in brackets:
-        ta = min(max(mid + math.atan(a), lo), hi)
-        tb = min(max(mid + math.atan(b), lo), hi)
-        ga, gb = slope(ta), slope(tb)
-        res = _bracketed_newton(slope, curvature, ta, tb, precision.xtol, ga, gb)
-        if res is None:
-            theta, bracket = ta if (ga > 0.0) != (pa > 0.0) else tb, 0.0
-        else:
-            theta, bracket = res[:2]
-        candidates.append((theta, bracket, cell_objective(cell, theta)))
+        roots = []
+        mid = 0.5 * (lo + hi)
+        p = _slope_polynomial(terms, mid)
+        t_lo, t_hi = tan(lo - mid), tan(hi - mid)
+        # the larger |t|, max(-t_lo, t_hi) spelled out, since t_lo <= t_hi
+        if not _root_free(p, t_hi if t_hi > -t_lo else -t_lo):
+            for a, b, pa, _ in _sign_changes(p, _monotone_nodes(p, t_lo, t_hi)):
+                # min(max(mid + atan(.), lo), hi), spelled out
+                ta, tb = mid + math.atan(a), mid + math.atan(b)
+                ta = lo if ta < lo else hi if ta > hi else ta
+                tb = lo if tb < lo else hi if tb > hi else tb
+                ga, gb = slope(ta), slope(tb)
+                res = _bracketed_newton(slope, curvature, ta, tb, xtol, ga, gb)
+                if res is None:
+                    roots.append((ta if (ga > 0.0) != (pa > 0.0) else tb, 0.0))
+                else:
+                    roots.append(res[:2])
+    candidates = [(lo, 0.0, cell.ends[0]), (hi, 0.0, cell.ends[1])]
+    candidates += [(theta, bracket, cell_objective(cell, theta)) for theta, bracket in roots]
 
     best_theta, best_area, best_bracket = lo, -math.inf, 0.0
     for theta, bracket, area in candidates:

@@ -433,6 +433,144 @@ def test_end_bound_covers_cell_maximum(seed, n, kind):
         assert top + tol >= maximize_cell(cell, 8).area
 
 
+def _concave_scene(seed, n, kind, phi):
+    """A scene of the given kind (plain, a near-line apex on either side of
+    an edge's line, or a restricted domain) with opening phi; its domain
+    or None."""
+    rng = np.random.default_rng(seed)
+    if kind in ("inner", "outer"):
+        poly, apex, _ = _near_line_scene(rng, 1.0 if kind == "inner" else -1.0, n)
+    else:
+        poly = random_convex_polygon(rng, n, rx=2.0)
+        apex = external_apex(rng, poly)
+    domain = None
+    if kind == "domain":
+        first, last = vertex_partition(poly, apex).span()
+        start, width = first - phi, last - first + phi
+        a, b = float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.15, 0.4))
+        domain = (start + a * width, start + (a + b) * width)
+    return poly, apex, domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 10),
+    kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
+    log_phi=st.floats(-8.0, math.log10(3.0)),
+    prec=st.sampled_from([6, 8, 10]),
+)
+def test_concave_cells_are_concave_and_solved(seed, n, kind, log_phi, prec):
+    # every cell that takes the concave exit has f'' < 0 at 33 points
+    # across it, and its direction is within 10**-prec of a reference: the
+    # best of a 65-point grid of cell_objective, refined by bisection on
+    # the sign of f' between the grid point's neighbours
+    phi = 10.0**log_phi
+    poly, apex, domain = _concave_scene(seed, n, kind, phi)
+    part = vertex_partition(poly, apex)
+    xtol = 10.0**-prec
+    for cell in build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain)):
+        if cell.right_section is None and cell.left_section is None:
+            continue
+        lo, hi = cell.interval
+        terms = solver._slope_terms(cell)
+        if not solver._end_slopes(terms, lo, hi)[2]:
+            continue
+
+        def slope(t):
+            return sum(w / math.cos(t + beta) ** 2 for w, beta in terms)
+
+        def curvature(t):
+            # maximize_cell's f'', summed left to right
+            total = 0.0
+            for w, beta in terms:
+                total += 2.0 * w * math.tan(t + beta) / math.cos(t + beta) ** 2
+            return total
+
+        def noise(t):
+            return 1e-12 * sum(abs(w) / math.cos(t + beta) ** 2 for w, beta in terms)
+
+        assert all(curvature(lo + (hi - lo) * k / 32) < 0.0 for k in range(33))
+
+        grid = [lo + (hi - lo) * k / 64 for k in range(65)]
+        k = max(range(65), key=lambda i: cell_objective(cell, grid[i]))
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
+        if slope(a) <= 0.0:
+            ref = a
+        elif slope(b) >= 0.0:
+            ref = b
+        else:
+            while a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                a, b = (m, b) if slope(m) > 0.0 else (a, m)
+            ref = 0.5 * (a + b)
+        # a plateau: f' is within its rounding of 0 near the reference, so
+        # the grid cannot tell where the maximum lies
+        e = 0.25 * xtol
+        if (ref - e >= lo and slope(ref - e) <= noise(ref - e)) or (
+            ref + e <= hi and slope(ref + e) >= -noise(ref + e)
+        ):
+            continue
+        assert abs(maximize_cell(cell, prec).theta - ref) <= xtol
+
+
+def test_concave_cells_build_no_slope_polynomial(monkeypatch):
+    # a count, not a timer: the slope polynomials that 500 seeded scenes
+    # build, equal on two runs
+    built, solved = [], []
+    real_poly, real_solve = solver._slope_polynomial, solver.maximize_cell
+
+    def poly(*args):
+        built.append(1)
+        return real_poly(*args)
+
+    def solve(*args):
+        solved.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(solver, "_slope_polynomial", poly)
+    monkeypatch.setattr(solver, "maximize_cell", solve)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        solved.clear()
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            maximize_global(*random_scene(rng), prec=10)
+        counts.append((len(built), len(solved)))
+    assert counts[0] == counts[1]
+    # 18 polynomials for 372 solved cells; every solved cell built one
+    # before concave cells took their own path
+    assert counts[0][0] <= 25 and counts[0][1] > 300
+
+
+def test_polish_stops_at_float_resolution(monkeypatch):
+    # a count, not a timer: past about 15 digits no float lies inside the
+    # bracket before it is 10**-prec wide; the polish stops there with
+    # prec 15's direction, and ran to the 200-step backstop before
+    rng = np.random.default_rng(3)
+    poly = random_convex_polygon(rng, 64)
+    apex = external_apex(rng, poly)
+    iterations = []
+
+    def counted(*args):
+        res = _bracketed_newton(*args)
+        if res is not None:
+            iterations.append(res[2])
+        return res
+
+    monkeypatch.setattr(solver, "_bracketed_newton", counted)
+    base = maximize_global(poly, apex, 0.8, 15).theta_star
+    for prec in (16, 20, 300):
+        iterations.clear()
+        assert maximize_global(poly, apex, 0.8, prec).theta_star == base
+        assert 0 < max(iterations) <= 20
+    # a zero tolerance ends with the root's neighbouring floats
+    root, width, its = _bracketed_newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, 0.0)
+    assert width <= math.ulp(root) and abs(root - math.sqrt(2.0)) <= math.ulp(root)
+    assert its < 60
+
+
 def test_newton_closes_the_far_side():
     # a count, not a timer: Newton reaches sqrt(2) from above, and bisection
     # alone walked the lower end up to xtol (36 iterations)

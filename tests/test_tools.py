@@ -41,3 +41,27 @@ def test_answer_digest_is_repeatable(monkeypatch):
     assert first[0] == 3 and len(first[1]) == 64
     # the tool solved with its own copy of the package and left this one in place
     assert sys.modules["fovmax.solver"] is fovmax.solver
+
+
+def test_answer_digest_lists_what_moved(monkeypatch):
+    tool = _tool("answer_digest")
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import scenes
+
+    runs = [(scene, scenes.SMALL_PREC) for scene in scenes.small_scenes(1, 20)[:3]]
+    old = tool.records(ROOT / "src", runs)
+    assert tool.moves(runs, old, old, lambda scene: 1.0) == [
+        "0 of 3 records differ; largest |dtheta| 0 x 10**-prec, largest area loss 0 x polygon area"
+    ]
+    # one record moved by a quarter of 10**-prec and lost 1e-3 of its area
+    fields = old[1].split()
+    theta, area = float.fromhex(fields[0]), float.fromhex(fields[1])
+    fields[:2] = [(theta + 0.25 * 10.0**-scenes.SMALL_PREC).hex(), (area - 2e-3).hex()]
+    new = [old[0], " ".join(fields), "ValueError: moved"]
+    lines = tool.moves(runs, old, new, lambda scene: 2.0)
+    assert len(lines) == 3 and lines[0].splitlines()[1:] == ["  - " + old[1], "  + " + new[1]]
+    assert lines[1].endswith("+ ValueError: moved")
+    assert lines[2] == (
+        "2 of 3 records differ; largest |dtheta| 0.25 x 10**-prec, largest area loss 0.001"
+        " x polygon area"
+    )

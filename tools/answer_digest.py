@@ -13,7 +13,11 @@ theta_star, area and achieved_bracket as float.hex, cell_index,
 candidates_evaluated, the cell count and the breakpoints as float.hex, or
 the type and message of what the scene raised. One line per tree gives
 the number of solves and the SHA-256 of the records, so equal digests
-mean bit-identical answers.
+mean bit-identical answers. With two trees or more, every record of a
+later tree that differs from the first tree's is printed, old and new,
+followed by one summary line per later tree: how many records differ,
+the largest |delta theta| (mod 2 pi) in units of 10**-prec, and the
+largest area loss as a share of the polygon area.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -63,14 +68,47 @@ def _record(solver, scene, prec) -> str:
     )
 
 
+def records(src: Path, runs) -> List[str]:
+    """The record of every solve in runs, for the fovmax package in src;
+    the caller's fovmax modules stay in place."""
+    solver = stage_times._load(src.resolve())
+    return [_record(solver, scene, prec) for scene, prec in runs]
+
+
+def _sha256(recs: List[str]) -> str:
+    h = hashlib.sha256()
+    for rec in recs:
+        h.update(rec.encode() + b"\n")
+    return h.hexdigest()
+
+
 def digest(src: Path, runs) -> Tuple[int, str]:
     """(number of solves, SHA-256 hex digest of their records) for the
-    fovmax package in src; the caller's fovmax modules stay in place."""
-    solver = stage_times._load(src.resolve())
-    h = hashlib.sha256()
-    for scene, prec in runs:
-        h.update(_record(solver, scene, prec).encode() + b"\n")
-    return len(runs), h.hexdigest()
+    fovmax package in src."""
+    return len(runs), _sha256(records(src, runs))
+
+
+def moves(runs, old: List[str], new: List[str], polygon_area) -> List[str]:
+    """One entry per solve whose record differs between old and new, then
+    a summary line. polygon_area(scene) gives the area that the area loss
+    is divided by; a record of a raised error moves no number."""
+    out = []
+    dtheta = loss = 0.0
+    for (scene, prec), a, b in zip(runs, old, new):
+        if a == b:
+            continue
+        out.append("%s prec %g\n  - %s\n  + %s" % (scene.family, prec, a, b))
+        try:
+            (ta, aa), (tb, ab) = [map(float.fromhex, rec.split()[:2]) for rec in (a, b)]
+        except ValueError:
+            continue
+        dtheta = max(dtheta, abs(math.remainder(tb - ta, 2.0 * math.pi)) * 10.0**prec)
+        loss = max(loss, (aa - ab) / polygon_area(scene))
+    out.append(
+        "%d of %d records differ; largest |dtheta| %.3g x 10**-prec, largest area loss %.3g"
+        " x polygon area" % (len(out), len(runs), dtheta, loss)
+    )
+    return out
 
 
 def main(argv=None) -> int:
@@ -81,10 +119,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import scenes  # imports this checkout's fovmax, which _load keeps apart
 
+    from fovmax.geometry import ConvexPolygon
+
     runs = corpus(scenes)
-    for src in args.src:
-        count, hexdigest = digest(src, runs)
-        print("%s  %d solves  sha256 %s" % (src, count, hexdigest))
+    trees = [records(src, runs) for src in args.src]
+    for src, recs in zip(args.src, trees):
+        print("%s  %d solves  sha256 %s" % (src, len(recs), _sha256(recs)))
+    for src, recs in zip(args.src[1:], trees[1:]):
+        print("%s against %s:" % (src, args.src[0]))
+        for line in moves(runs, trees[0], recs, lambda scene: ConvexPolygon(scene.vertices).area):
+            print(line)
     return 0
 
 
