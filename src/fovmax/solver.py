@@ -9,21 +9,16 @@ near-line cut, d**2/2 * (tan(b - psi) - tan(a - psi)) between the section
 ray and the sector's boundary ray (see cells). Its derivative is
 f'(theta) = sum_k w_k / cos(theta + beta_k)**2 with at most four terms,
 and f'' is the sum of the terms 2 w_k tan(x) / cos(x)**2, x = theta +
-beta_k, each rising across the cell. Taking each at the end where it is
-largest bounds f'' from above; where that bound is below 0 (nine in ten
-solved cells on the small benchmark scenes) the cell is concave, so f'
-falls across it and its signs at the two ends settle the cell: one
-bracketed Newton run on [lo, hi] when f' changes sign, none otherwise.
-On every other cell the sign of f' is that of a polynomial of degree at
-most 6 in tan(theta - mid), so the cell has at most 6 critical points.
-They are isolated exactly by recursing on the polynomial's derivatives
-and polished by the same Newton iteration on the true f' to the
-requested number of digits, or to float resolution when that comes
-first; there is no chunking and no clipping fallback. Before isolating,
-a root-free test rules out most polynomials, and at each level of the
-recursion most derivatives: when the constant coefficient outweighs the
-others on the cell's range, every value the isolation would compute has
-its sign, so the exit gives what isolation would.
+beta_k, each rising across the cell, so taking each at one end of an
+interval or the other bounds f'' there (the curvature bound of Breiman
+and Cutler, see cells._end_values). One rule finds a cell's maxima
+(_maxima): a piece of the cell, the whole cell first, takes one Newton
+run when it is concave and f' falls across it, nothing when f'' > 0 or
+f' keeps one sign on it, its midpoint when it is too narrow to split
+and f' falls across it, and splits at its midpoint otherwise. Nine in
+ten solved cells on the small benchmark scenes are concave as a whole.
+Roots are polished to 10**-digits, or to float resolution when that
+comes first; minima are not polished.
 Cells are visited best first by an upper bound on their area from
 prefix sums of the section areas, and the search stops once no
 remaining cell can come within the tie tolerance (10**-digits times the
@@ -110,10 +105,11 @@ def _bracketed_newton(
     can then shrink it, so a tolerance below the float spacing of the root
     returns what the cap would return, at float resolution. Newton tends to
     close in on a root from one side and leave the far end of the bracket
-    for bisection to walk down to xtol, so a Newton point within xtol / 2
-    of an end, or past it by less than the bracket's width, moves to
-    xtol / 2 inside the bracket: when the root lies within xtol / 2 of that
-    end, one evaluation closes the bracket.
+    for bisection to walk down to xtol, so a Newton point within h of an
+    end, or past it by less than the bracket's width, moves to h inside
+    the bracket: when the root lies within h of that end, one evaluation
+    closes the bracket. h is xtol / 2, or the float spacing at the
+    bracket's larger end when that is more.
     """
     if glo is None:
         glo = g(lo)
@@ -126,7 +122,11 @@ def _bracketed_newton(
     if (glo > 0.0) == (ghi > 0.0):
         return None
 
+    # a smaller nudge would round back onto the bracket's end
     h = 0.5 * xtol
+    spacing = math.ulp(hi if hi > -lo else lo)
+    if h < spacing:
+        h = spacing
     x = 0.5 * (lo + hi)
     gx = g(x)
     last_step = hi - lo
@@ -187,142 +187,13 @@ def objective_by_clipping(poly: ConvexPolygon, apex: Point, theta: float, phi: f
     return 0.0 if clipped is None else clipped.area
 
 
-def _horner(p: List[float], x: float) -> float:
-    v = 0.0
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
-def _root_free(p: List[float], bound: float) -> bool:
-    """True when every Horner value of p at |t| <= bound has p[0]'s sign.
-
-    The test is |p[0]| > (1 + 1e-9) * S, where S is the sum over k >= 1 of
-    |p[k]| bound**k plus 1e-300 times the sum over k < deg p of bound**k.
-    In floating point, Horner's value at t is the sum of p[k] t**k
-    (1 + e_k) with |e_k| <= 13 * 2**-53 up to degree 6, plus at most
-    2**-1075 times the sum over k < deg p of |t|**k from products that
-    underflow. The 1e-9 margin covers the first error and the rounding of
-    S, the 1e-300 terms the second, so the value has p[0]'s sign. A NaN,
-    an infinite p[k] past p[0] or an all-zero p fails the test; an
-    infinite p[0] passes, and every Horner value is then that infinity.
-    With no sign change at any node, skipping root isolation for p gives
-    what isolation would.
-    """
-    s = 0.0
-    for c in p[:0:-1]:
-        s = (s + abs(c)) * bound + 1e-300
-    return abs(p[0]) > (1.0 + 1e-9) * s
-
-
-def _slope_polynomial(terms: List[Tuple[float, float]], mid: float) -> List[float]:
-    """Coefficients, constant first, of a polynomial in t = tan(theta - mid)
-    with the sign of f'(theta) wherever |theta - mid| < pi/2.
-
-    cos(theta + beta) = cos(theta - mid) * (cos(a) - t sin(a)) with
-    a = mid + beta, so f' times cos(theta - mid)**2 times every
-    q_k = (cos(a_k) - t sin(a_k))**2, all positive inside a cell, is
-    sum_k w_k prod_{j != k} q_j. Per far/near pair that is A = w_0 q_1 +
-    w_1 q_0 over Q = q_0 q_1, and two pairs give A_0 Q_1 + A_1 Q_0. Each
-    product coefficient is summed from 0.0 in ascending powers of its
-    first factor.
-    """
-    cos, sin = math.cos, math.sin
-    (w0, b0), (w1, b1) = terms[0], terms[1]
-    a, b = mid + b0, mid + b1
-    x0, x1, x2 = cos(a) ** 2, -sin(2.0 * a), sin(a) ** 2
-    y0, y1, y2 = cos(b) ** 2, -sin(2.0 * b), sin(b) ** 2
-    p0, p1, p2 = w0 * y0 + w1 * x0, w0 * y1 + w1 * x1, w0 * y2 + w1 * x2
-    if len(terms) == 2:
-        return [p0, p1, p2]
-    (w2, b2), (w3, b3) = terms[2], terms[3]
-    a, b = mid + b2, mid + b3
-    u0, u1, u2 = cos(a) ** 2, -sin(2.0 * a), sin(a) ** 2
-    v0, v1, v2 = cos(b) ** 2, -sin(2.0 * b), sin(b) ** 2
-    r0, r1, r2 = w2 * v0 + w3 * u0, w2 * v1 + w3 * u1, w2 * v2 + w3 * u2
-    # Q_0 = q_0 q_1 and Q_1 = q_2 q_3
-    s0 = 0.0 + x0 * y0
-    s1 = 0.0 + x0 * y1 + x1 * y0
-    s2 = 0.0 + x0 * y2 + x1 * y1 + x2 * y0
-    s3 = 0.0 + x1 * y2 + x2 * y1
-    s4 = 0.0 + x2 * y2
-    t0 = 0.0 + u0 * v0
-    t1 = 0.0 + u0 * v1 + u1 * v0
-    t2 = 0.0 + u0 * v2 + u1 * v1 + u2 * v0
-    t3 = 0.0 + u1 * v2 + u2 * v1
-    t4 = 0.0 + u2 * v2
-    return [
-        (0.0 + p0 * t0) + (0.0 + r0 * s0),
-        (0.0 + p0 * t1 + p1 * t0) + (0.0 + r0 * s1 + r1 * s0),
-        (0.0 + p0 * t2 + p1 * t1 + p2 * t0) + (0.0 + r0 * s2 + r1 * s1 + r2 * s0),
-        (0.0 + p0 * t3 + p1 * t2 + p2 * t1) + (0.0 + r0 * s3 + r1 * s2 + r2 * s1),
-        (0.0 + p0 * t4 + p1 * t3 + p2 * t2) + (0.0 + r0 * s4 + r1 * s3 + r2 * s2),
-        (0.0 + p1 * t4 + p2 * t3) + (0.0 + r1 * s4 + r2 * s3),
-        (0.0 + p2 * t4) + (0.0 + r2 * s4),
-    ]
-
-
-def _sign_changes(p: List[float], nodes: List[float]) -> List[Tuple[float, float, float, float]]:
-    """(a, b, p(a), p(b)) for consecutive nodes across which p changes sign;
-    nodes where p is exactly 0 are skipped, so a root there is still
-    bracketed by its neighbours."""
-    out = []
-    prev = None
-    for x in nodes:
-        v = _horner(p, x)
-        if v == 0.0:
-            continue
-        if prev is not None and (v > 0.0) != (prev[1] > 0.0):
-            out.append((prev[0], x, prev[1], v))
-        prev = (x, v)
-    return out
-
-
-def _monotone_nodes(p: List[float], lo: float, hi: float) -> List[float]:
-    """lo, the real roots of p' inside (lo, hi), and hi, ascending.
-
-    p is monotone between consecutive nodes, so each of its sign changes
-    there brackets exactly one root. The roots of p' come the same way
-    from the roots of p'', down to a linear derivative (Collins and Loos,
-    Real zeros of polynomials, 1982). A root-free p' (see _root_free)
-    makes p monotone on the whole range.
-    """
-    dp = [k * c for k, c in enumerate(p)][1:]
-    if len(dp) < 2 or _root_free(dp, max(-lo, hi)):
-        return [lo, hi]
-    ddp = [k * c for k, c in enumerate(dp)][1:]
-    tol = 1e-13 * (hi - lo)
-    roots = []
-    for a, b, va, vb in _sign_changes(dp, _monotone_nodes(dp, lo, hi)):
-        res = _bracketed_newton(
-            lambda t: _horner(dp, t), lambda t: _horner(ddp, t), a, b, tol, va, vb
-        )
-        roots.append(res[0])
-    return [lo] + roots + [hi]
-
-
 def _end_slopes(
     terms: List[Tuple[float, float]], lo: float, hi: float
 ) -> Tuple[float, float, bool]:
-    """(f'(lo), f'(hi), concave) for a cell's _slope_terms, where concave
-    means f'' < 0 across [lo, hi]. The slopes are maximize_cell's, bit
-    for bit: the same operations, summed left to right from 0.0.
-
-    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k,
-    and each term increases with x across a cell (see cells._end_values),
-    so its value at hi when w_k > 0 and at lo otherwise bounds it from
-    above: the mirror of the lower bound m that _end_values uses. top sums
-    these bounds and scale their magnitudes, and the cell is concave when
-    top + 1e-9 * scale < 0. Each computed bound is within 10 * 2**-53 of
-    its exact value at the same float x (tan and cos within an ulp each,
-    then the square, the product and the quotient), and the left-to-right
-    sum of at most four adds at most 3 * 2**-53 * scale, so the margin
-    leaves the exact bounds summing below 0. Rounding theta + beta is
-    monotone in theta, so every x that f' or f'' is evaluated at inside
-    the cell lies between those at lo and hi, where each term is at most
-    its bound. A NaN or an infinite term fails the test. On a concave
-    cell f' decreases, so f has at most one critical point, a maximum,
-    inside exactly when f'(lo) > 0 > f'(hi).
+    """(f'(lo), f'(hi), concave) for a cell's _slope_terms: the concave
+    test of _curvature_bounds on the whole cell, bit for bit, reading only
+    the f'' terms its upper bound needs. The slopes are _maxima's slope,
+    bit for bit: the same operations, summed left to right from 0.0.
     """
     cos, tan = math.cos, math.tan
     g_lo = g_hi = top = scale = 0.0
@@ -337,45 +208,93 @@ def _end_slopes(
     return g_lo, g_hi, top + 1e-9 * scale < 0.0
 
 
-class CellBest(NamedTuple):
-    theta: float
-    area: float
-    candidates_evaluated: int
-    achieved_bracket: float
+def _slope_at(terms: List[Tuple[float, float]], x: float) -> tuple:
+    """(x, f'(x), the sum of its terms' magnitudes, each term's f'' term
+    2 w tan(y) / cos(y)**2 at y = x + beta): a piece end as _maxima reads
+    it, with _end_slopes' operations."""
+    cos, tan = math.cos, math.tan
+    g = s = 0.0
+    vs = []
+    for w, beta in terms:
+        y = x + beta
+        q = cos(y) ** 2
+        u = w / q
+        g += u
+        s += abs(u)
+        vs.append(2.0 * w * tan(y) / q)
+    return x, g, s, vs
 
 
-def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
-    """Best direction inside one cell.
+def _curvature_bounds(
+    terms: List[Tuple[float, float]], va: List[float], vb: List[float]
+) -> Tuple[float, float]:
+    """(low, high) with low <= f'' <= high across a piece whose ends have
+    the f'' terms va and vb (_slope_at).
 
-    A concave cell (_end_slopes) has at most one critical point, a maximum,
-    and the signs of f' at its ends say whether it is inside: if so, a
-    safeguarded Newton run on the true f' polishes it on [lo, hi], and
-    otherwise the better end wins at once. On any other cell the sign of
-    f' is the sign of a polynomial of degree at most 6 in tan(theta - mid),
-    so the cell has at most 6 critical points, and none when the
-    polynomial passes _root_free. Each sign change of the polynomial,
-    isolated exactly, maps back to a bracket in theta, and the same Newton
-    run polishes its root. When rounding erases the sign change of f' at
-    the mapped ends, the end at the polynomial's root (where the two signs
-    disagree) stands in for it. The best of the roots and the two cell
-    ends wins; ties go to the smallest direction. The end values are
-    cell.ends.
+    Each term rises with x = theta + beta across a cell (see
+    cells._end_values), so it is smallest at the piece's left end when
+    w > 0 and at its right end otherwise, and largest at the other;
+    rounding theta + beta is monotone in theta, so every x evaluated
+    inside the piece lies between those at its ends. Each computed term
+    is within 10 * 2**-53 of its exact value at the same float x (tan and
+    cos within an ulp each, then the square, the product and the
+    quotient), and the left-to-right sum of at most four adds at most
+    3 * 2**-53 times their magnitudes, so moving each sum outwards by
+    1e-9 times its terms' magnitudes leaves the exact bounds inside. A
+    NaN or an infinite term fails every test on the bounds.
     """
-    xtol = _as_precision(prec).xtol
-    lo, hi = cell.interval
-    if cell.left_section is None and cell.right_section is None:
-        # constant containment cell
-        return CellBest(
-            theta=lo, area=cell.middle_area, candidates_evaluated=1, achieved_bracket=0.0
-        )
+    low = high = s_low = s_high = 0.0
+    for (w, _), u, v in zip(terms, va, vb):
+        if not w > 0.0:
+            u, v = v, u
+        low += u
+        s_low += abs(u)
+        high += v
+        s_high += abs(v)
+    return low - 1e-9 * s_low, high + 1e-9 * s_high
 
-    terms = _slope_terms(cell)
+
+def _settled(a: float, ga: float, b: float, gb: float, low: float, high: float) -> bool:
+    """True when f has no maximum inside the piece [a, b], given its end
+    slopes and low <= f'' <= high across it (_curvature_bounds): f' rises
+    (low > 0), or keeps one sign on each half, where it lies within
+    ga + [low, high] * t at t <= h = (b - a) / 2 from a and within
+    gb - [low, high] * t at t <= h from b. Here low <= 0 <= high, and each
+    margin of _curvature_bounds exceeds 3 * 2**-53 times |low| or |high|,
+    which covers the rounding of h and of the product; a product that
+    underflows errs by less than the float spacing, so each comparison
+    that holds in floats holds exactly.
+    """
+    if low > 0.0:
+        return True
+    h = 0.5 * (b - a)
+    if ga > 0.0 and gb > 0.0:
+        return ga > -low * h and gb > high * h
+    if ga < 0.0 and gb < 0.0:
+        return -ga > high * h and -gb > -low * h
+    return False
+
+
+def _maxima(
+    terms: List[Tuple[float, float]], lo: float, hi: float, xtol: float
+) -> List[Tuple[float, float]]:
+    """(theta, bracket width) of each maximum of f inside [lo, hi], from a
+    cell's _slope_terms, ascending.
+
+    One rule for pieces of the cell, the whole cell first; each piece takes
+    the first case that fits. Concave (high < 0, see _curvature_bounds):
+    when f' falls across it (f' > 0 at its left end and < 0 at its right
+    one, or exactly 0 at an end), one _bracketed_newton run polishes its
+    one maximum. Settled (_settled): no maximum. Too narrow (below xtol,
+    no float strictly inside, or f' within its rounding of 0): its
+    midpoint, when f' falls across it. Anything else splits at its
+    midpoint. _end_slopes tells a cell concave as a whole; any other cell
+    evaluates its ends and each split point once (_slope_at), shared by
+    the two pieces that meet there, so both can report a zero there.
+    """
     ga, gb, concave = _end_slopes(terms, lo, hi)
     if concave and not (ga > 0.0 > gb or ga == 0.0 or gb == 0.0):
-        f_lo, f_hi = cell.ends
-        if f_hi > f_lo:
-            return CellBest(theta=hi, area=f_hi, candidates_evaluated=2, achieved_bracket=0.0)
-        return CellBest(theta=lo, area=f_lo, candidates_evaluated=2, achieved_bracket=0.0)
+        return []
     cos, tan = math.cos, math.tan
 
     # left to right: sum() of floats rounds differently from 3.12 on
@@ -393,38 +312,59 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
 
     if concave:
         # a zero end is the root, as _bracketed_newton takes it
-        roots = [_bracketed_newton(slope, curvature, lo, hi, xtol, ga, gb)[:2]]
-    else:
-        roots = []
-        mid = 0.5 * (lo + hi)
-        p = _slope_polynomial(terms, mid)
-        t_lo, t_hi = tan(lo - mid), tan(hi - mid)
-        # the larger |t|, max(-t_lo, t_hi) spelled out, since t_lo <= t_hi
-        if not _root_free(p, t_hi if t_hi > -t_lo else -t_lo):
-            for a, b, pa, _ in _sign_changes(p, _monotone_nodes(p, t_lo, t_hi)):
-                # min(max(mid + atan(.), lo), hi), spelled out
-                ta, tb = mid + math.atan(a), mid + math.atan(b)
-                ta = lo if ta < lo else hi if ta > hi else ta
-                tb = lo if tb < lo else hi if tb > hi else tb
-                ga, gb = slope(ta), slope(tb)
-                res = _bracketed_newton(slope, curvature, ta, tb, xtol, ga, gb)
-                if res is None:
-                    roots.append((ta if (ga > 0.0) != (pa > 0.0) else tb, 0.0))
-                else:
-                    roots.append(res[:2])
-    candidates = [(lo, 0.0, cell.ends[0]), (hi, 0.0, cell.ends[1])]
-    candidates += [(theta, bracket, cell_objective(cell, theta)) for theta, bracket in roots]
+        return [_bracketed_newton(slope, curvature, lo, hi, xtol, ga, gb)[:2]]
+    roots = []
+    pieces = [(_slope_at(terms, lo), _slope_at(terms, hi))]
+    while pieces:
+        left, right = pieces.pop()
+        (a, ga, sa, va), (b, gb, sb, vb) = left, right
+        falls = ga > 0.0 > gb or ga == 0.0 or gb == 0.0
+        low, high = _curvature_bounds(terms, va, vb)
+        mid = 0.5 * (a + b)
+        if high < 0.0:
+            if falls:
+                roots.append(_bracketed_newton(slope, curvature, a, b, xtol, ga, gb)[:2])
+        elif _settled(a, ga, b, gb, low, high):
+            pass
+        # |f'| <= |ga| + |gb| + (high - low) * (b - a) here, and computed f'
+        # errs by up to about 2**-50 times its terms' magnitudes, at most
+        # sa + sb inside (each is largest at an end): no split can do better
+        elif b - a < xtol or not a < mid < b or (
+            abs(ga) + abs(gb) + (high - low) * (b - a) < 2.0**-50 * (sa + sb)
+        ):
+            if falls:
+                roots.append((mid, b - a))
+        else:
+            split = _slope_at(terms, mid)
+            pieces += [(split, right), (left, split)]
+    return roots
 
-    best_theta, best_area, best_bracket = lo, -math.inf, 0.0
-    for theta, bracket, area in candidates:
-        if area > best_area or (area == best_area and theta < best_theta):
-            best_theta, best_area, best_bracket = theta, area, bracket
-    return CellBest(
-        theta=best_theta,
-        area=best_area,
-        candidates_evaluated=len(candidates),
-        achieved_bracket=best_bracket,
-    )
+
+class CellBest(NamedTuple):
+    theta: float
+    area: float
+    candidates_evaluated: int
+    achieved_bracket: float
+
+
+def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
+    """Best direction inside one cell: the best of its two ends
+    (cell.ends) and the maxima _maxima finds inside, polished to
+    10**-digits or float resolution; ties go to the smallest direction.
+    candidates_evaluated counts the ends, the Newton roots and the
+    float-resolution midpoints; no minimum is polished.
+    """
+    lo, hi = cell.interval
+    if cell.left_section is None and cell.right_section is None:
+        return CellBest(lo, cell.middle_area, 1, 0.0)  # constant containment cell
+    f_lo, f_hi = cell.ends
+    roots = _maxima(_slope_terms(cell), lo, hi, _as_precision(prec).xtol)
+    best = (hi, f_hi, 0.0) if f_hi > f_lo else (lo, f_lo, 0.0)
+    for theta, bracket in roots:
+        area = cell_objective(cell, theta)
+        if area > best[1] or (area == best[1] and theta < best[0]):
+            best = (theta, area, bracket)
+    return CellBest(best[0], best[1], 2 + len(roots), best[2])
 
 
 class SceneDetails(NamedTuple):

@@ -452,6 +452,25 @@ def _concave_scene(seed, n, kind, phi):
     return poly, apex, domain
 
 
+def _slope_functions(terms):
+    """f', f'' (maximize_cell's, summed left to right) and the rounding
+    scale of f' for (w, beta) terms."""
+
+    def slope(t):
+        return sum(w / math.cos(t + beta) ** 2 for w, beta in terms)
+
+    def curvature(t):
+        total = 0.0
+        for w, beta in terms:
+            total += 2.0 * w * math.tan(t + beta) / math.cos(t + beta) ** 2
+        return total
+
+    def noise(t):
+        return 1e-12 * sum(abs(w) / math.cos(t + beta) ** 2 for w, beta in terms)
+
+    return slope, curvature, noise
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -461,40 +480,49 @@ def _concave_scene(seed, n, kind, phi):
     prec=st.sampled_from([6, 8, 10]),
 )
 def test_concave_cells_are_concave_and_solved(seed, n, kind, log_phi, prec):
-    # every cell that takes the concave exit has f'' < 0 at 33 points
-    # across it, and its direction is within 10**-prec of a reference: the
-    # best of a 65-point grid of cell_objective, refined by bisection on
-    # the sign of f' between the grid point's neighbours
+    # every moving cell's direction is within 10**-prec of a reference: the
+    # best of a grid of cell_objective (65 points on a cell concave as a
+    # whole, 513 on any other), refined by bisection on the sign of f'
+    # between the grid point's neighbours. A concave cell has f'' < 0 at 33
+    # points across it; a piece settled as convex has f'' > 0 at 33 points,
+    # and one settled by its slopes keeps their sign there
     phi = 10.0**log_phi
     poly, apex, domain = _concave_scene(seed, n, kind, phi)
     part = vertex_partition(poly, apex)
     xtol = 10.0**-prec
+    settled = []
+    real_settled = solver._settled
+
+    def record(a, ga, b, gb, low, high):
+        out = real_settled(a, ga, b, gb, low, high)
+        if out:
+            settled.append((a, ga, b, low))
+        return out
+
     for cell in build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain)):
         if cell.right_section is None and cell.left_section is None:
             continue
         lo, hi = cell.interval
         terms = solver._slope_terms(cell)
-        if not solver._end_slopes(terms, lo, hi)[2]:
-            continue
+        slope, curvature, noise = _slope_functions(terms)
+        concave = solver._end_slopes(terms, lo, hi)[2]
+        if concave:
+            assert all(curvature(lo + (hi - lo) * k / 32) < 0.0 for k in range(33))
+        settled.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_settled", record)
+            theta = maximize_cell(cell, prec).theta
+        for a, ga, b, low in settled:
+            points = [a + (b - a) * k / 32 for k in range(33)]
+            if low > 0.0:
+                assert all(curvature(t) > 0.0 for t in points)
+            else:
+                assert all(slope(t) * ga > 0.0 or abs(slope(t)) <= noise(t) for t in points)
 
-        def slope(t):
-            return sum(w / math.cos(t + beta) ** 2 for w, beta in terms)
-
-        def curvature(t):
-            # maximize_cell's f'', summed left to right
-            total = 0.0
-            for w, beta in terms:
-                total += 2.0 * w * math.tan(t + beta) / math.cos(t + beta) ** 2
-            return total
-
-        def noise(t):
-            return 1e-12 * sum(abs(w) / math.cos(t + beta) ** 2 for w, beta in terms)
-
-        assert all(curvature(lo + (hi - lo) * k / 32) < 0.0 for k in range(33))
-
-        grid = [lo + (hi - lo) * k / 64 for k in range(65)]
-        k = max(range(65), key=lambda i: cell_objective(cell, grid[i]))
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
+        size = 64 if concave else 512
+        grid = [lo + (hi - lo) * k / size for k in range(size + 1)]
+        k = max(range(size + 1), key=lambda i: cell_objective(cell, grid[i]))
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, size)]
         if slope(a) <= 0.0:
             ref = a
         elif slope(b) >= 0.0:
@@ -511,37 +539,114 @@ def test_concave_cells_are_concave_and_solved(seed, n, kind, log_phi, prec):
             ref + e <= hi and slope(ref + e) >= -noise(ref + e)
         ):
             continue
-        assert abs(maximize_cell(cell, prec).theta - ref) <= xtol
+        assert abs(theta - ref) <= xtol
+
+
+def _synthetic_terms(betas, zeros):
+    """(w, beta) terms for the betas whose f' = sum w / cos(x + beta)**2
+    meets each (x, k) of zeros: the k-th derivative of f' is 0 at x (k up
+    to 2); the weights span the null space, oriented so f' > 0 at -0.1."""
+    rows = []
+    for x, k in zeros:
+        y = x + np.asarray(betas)
+        sec2, tan = 1.0 / np.cos(y) ** 2, np.tan(y)
+        rows.append([sec2, 2.0 * tan * sec2, 2.0 * sec2 * (sec2 + 2.0 * tan * tan)][k])
+    w = np.linalg.svd(np.asarray(rows))[2][-1]
+    terms = [(float(a), b) for a, b in zip(w, betas)]
+    if _slope_functions(terms)[0](-0.1) < 0.0:
+        terms = [(-a, b) for a, b in terms]
+    return terms
+
+
+BETAS = [-0.5, -0.1, 0.3, 0.6]
+SYNTHETIC = {
+    # f' >= 0 touches 0 at 0, and falls through 0 at 0.25
+    "double": (_synthetic_terms(BETAS, [(0.0, 0), (0.0, 1), (0.25, 0)]), -0.4, 0.45, 0.25),
+    # f' ~ -x**3 at 0
+    "triple": (_synthetic_terms(BETAS, [(0.0, 0), (0.0, 1), (0.0, 2)]), -0.4, 0.45, 0.0),
+    # two odd pairs: f'(0) is exactly 0, at the first split point
+    "split_zero": ([(1.0, 0.4), (-1.0, -0.4), (-3.0, 0.2), (3.0, -0.2)], -0.5, 0.5, 0.0),
+    # f' > 0 at both ends dips below 0 between 0.1 and 0.2
+    "dip": (_synthetic_terms(BETAS, [(0.1, 0), (0.2, 0), (0.9, 0)]), -0.4, 0.45, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHETIC))
+def test_pieces_at_multiple_and_exact_roots(monkeypatch, case):
+    # a count, not a timer: the pieces _maxima takes where f' has a double
+    # root, a triple root, an exact zero at the cell's midpoint, or two
+    # close roots between ends of one sign. A root
+    # lands within 10**-prec of the maximum, and past float resolution the
+    # pieces stop growing with prec
+    terms, lo, hi, top = SYNTHETIC[case]
+    pieces = []
+    real_bounds = solver._curvature_bounds
+
+    def counted(*args):
+        pieces.append(1)
+        return real_bounds(*args)
+
+    monkeypatch.setattr(solver, "_curvature_bounds", counted)
+    counts = {}
+    for prec in (6, 10, 16, 300):
+        pieces.clear()
+        roots = solver._maxima(terms, lo, hi, 10.0**-prec)
+        counts[prec] = len(pieces)
+        # top is the maximum of the exact weights, up to about 1e-14 for
+        # the rounded ones; f' of the triple root lies within its rounding
+        # of 0 for about 5e-6 on either side, so no float search resolves
+        # it further
+        if prec == 6 or (prec == 10 and case != "triple"):
+            assert min(abs(theta - top) for theta, _ in roots) <= 10.0**-prec
+    assert counts[16] == counts[300]
+    if case in ("split_zero", "dip"):
+        assert max(counts.values()) <= 2.0 * math.log2((hi - lo) / 10.0**-6) + 8
+    else:
+        # near a multiple root f' is a small difference of large terms, so
+        # the f'' bounds settle a piece beside it only when the piece is
+        # much narrower than its distance from the root: 279 pieces at
+        # prec 6 and 367 from prec 10 on for the double root, 2,465 at
+        # prec 6 and 10,041 from prec 8 on for the triple root
+        assert counts[300] <= {"double": 400, "triple": 11000}[case]
 
 
 def test_concave_cells_build_no_slope_polynomial(monkeypatch):
-    # a count, not a timer: the slope polynomials that 500 seeded scenes
-    # build, equal on two runs
-    built, solved = [], []
-    real_poly, real_solve = solver._slope_polynomial, solver.maximize_cell
+    # a count, not a timer: the pieces that 500 seeded scenes take past the
+    # concave test of the whole cell, the cells that take any, and the cells
+    # they solve, equal on two runs. No cell builds a slope polynomial, and
+    # a cell concave as a whole takes no piece
+    assert not hasattr(solver, "_slope_polynomial")
+    pieces, split, solved = [], [], []
+    real_bounds, real_maxima = solver._curvature_bounds, solver._maxima
 
-    def poly(*args):
-        built.append(1)
-        return real_poly(*args)
+    def bounds(*args):
+        pieces.append(1)
+        return real_bounds(*args)
 
-    def solve(*args):
+    def maxima(terms, lo, hi, xtol):
+        before = len(pieces)
+        out = real_maxima(terms, lo, hi, xtol)
         solved.append(1)
-        return real_solve(*args)
+        if len(pieces) > before:
+            assert not solver._end_slopes(terms, lo, hi)[2]
+            split.append(1)
+        return out
 
-    monkeypatch.setattr(solver, "_slope_polynomial", poly)
-    monkeypatch.setattr(solver, "maximize_cell", solve)
+    monkeypatch.setattr(solver, "_curvature_bounds", bounds)
+    monkeypatch.setattr(solver, "_maxima", maxima)
     counts = []
     for _ in range(2):
-        built.clear()
+        pieces.clear()
+        split.clear()
         solved.clear()
         rng = np.random.default_rng(7)
         for _ in range(500):
             maximize_global(*random_scene(rng), prec=10)
-        counts.append((len(built), len(solved)))
+        counts.append((len(pieces), len(split), len(solved)))
     assert counts[0] == counts[1]
-    # 18 polynomials for 372 solved cells; every solved cell built one
-    # before concave cells took their own path
-    assert counts[0][0] <= 25 and counts[0][1] > 300
+    # 76 pieces in 18 cells for 372 solved cells; the same 18 cells built a
+    # slope polynomial before the piece rule
+    assert counts[0][0] <= 100 and counts[0][1] <= 25 and counts[0][2] > 300
 
 
 def test_polish_stops_at_float_resolution(monkeypatch):
@@ -569,6 +674,31 @@ def test_polish_stops_at_float_resolution(monkeypatch):
     root, width, its = _bracketed_newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, 0.0)
     assert width <= math.ulp(root) and abs(root - math.sqrt(2.0)) <= math.ulp(root)
     assert its < 60
+
+
+def test_newton_nudge_is_at_least_a_float_spacing(monkeypatch):
+    # a count, not a timer: past about 15 digits xtol / 2 is below the float
+    # spacing at the root, and a nudge by it rounded back onto the bracket's
+    # end, so bisection walked the far end down (13 iterations at prec 16,
+    # 20 and 300); a nudge of one spacing keeps prec 15's path and direction
+    rng = np.random.default_rng(3)
+    poly = random_convex_polygon(rng, 64)
+    apex = external_apex(rng, poly)
+    iterations = []
+
+    def counted(*args):
+        res = _bracketed_newton(*args)
+        if res is not None:
+            iterations.append(res[2])
+        return res
+
+    monkeypatch.setattr(solver, "_bracketed_newton", counted)
+    base = maximize_global(poly, apex, 0.8, 15)
+    assert max(iterations) == 4
+    for prec in (16, 20, 300):
+        iterations.clear()
+        assert maximize_global(poly, apex, 0.8, prec).theta_star == base.theta_star
+        assert max(iterations) <= 5
 
 
 def test_newton_closes_the_far_side():
@@ -609,7 +739,7 @@ def test_polish_iterations_per_root(monkeypatch):
 
     monkeypatch.setattr(solver, "_bracketed_newton", counted)
     rng = np.random.default_rng(31)
-    for _ in range(60):
+    for _ in range(100):
         poly, apex, phi = random_scene(rng)
         part = vertex_partition(poly, apex)
         for cell in build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi)):
@@ -717,8 +847,9 @@ def test_inner_near_line_scene_solves():
 
 
 def test_tiny_opening_candidates_per_cell():
-    # a count, not a timer: at most the two ends and six critical points
-    # per cell, however small the opening against the cell's width
+    # a count, not a timer: at most the two ends and six maxima or
+    # float-resolution midpoints per cell, however small the opening
+    # against the cell's width
     rng = np.random.default_rng(77)
     poly = random_convex_polygon(rng, 8, rx=2.0)
     apex = external_apex(rng, poly)

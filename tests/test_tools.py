@@ -51,7 +51,9 @@ def test_answer_digest_lists_what_moved(monkeypatch):
     runs = [(scene, scenes.SMALL_PREC) for scene in scenes.small_scenes(1, 20)[:3]]
     old = tool.records(ROOT / "src", runs)
     assert tool.moves(runs, old, old, lambda scene: 1.0) == [
-        "0 of 3 records differ; largest |dtheta| 0 x 10**-prec, largest area loss 0 x polygon area"
+        "0 of 3 records differ (0 moved theta_star, area or cell_index, 0 changed only"
+        " candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec, largest"
+        " area loss 0 x polygon area"
     ]
     # one record moved by a quarter of 10**-prec and lost 1e-3 of its area
     fields = old[1].split()
@@ -62,6 +64,18 @@ def test_answer_digest_lists_what_moved(monkeypatch):
     assert len(lines) == 3 and lines[0].splitlines()[1:] == ["  - " + old[1], "  + " + new[1]]
     assert lines[1].endswith("+ ValueError: moved")
     assert lines[2] == (
-        "2 of 3 records differ; largest |dtheta| 0.25 x 10**-prec, largest area loss 0.001"
-        " x polygon area"
+        "2 of 3 records differ (1 moved theta_star, area or cell_index, 0 changed only"
+        " candidates_evaluated or achieved_bracket); largest |dtheta| 0.25 x 10**-prec,"
+        " largest area loss 0.001 x polygon area"
+    )
+    # one record changed only its candidate count and bracket, one its cell index
+    counted, moved = old[0].split(), old[2].split()
+    counted[4] = str(int(counted[4]) + 1)
+    counted[2] = (float.fromhex(counted[2]) + 1e-12).hex()
+    moved[3] = str(int(moved[3]) + 1)
+    new = [" ".join(counted), old[1], " ".join(moved)]
+    assert tool.moves(runs, old, new, lambda scene: 1.0)[-1] == (
+        "2 of 3 records differ (1 moved theta_star, area or cell_index, 1 changed only"
+        " candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec, largest"
+        " area loss 0 x polygon area"
     )

@@ -16,8 +16,10 @@ the number of solves and the SHA-256 of the records, so equal digests
 mean bit-identical answers. With two trees or more, every record of a
 later tree that differs from the first tree's is printed, old and new,
 followed by one summary line per later tree: how many records differ,
-the largest |delta theta| (mod 2 pi) in units of 10**-prec, and the
-largest area loss as a share of the polygon area.
+how many of those moved theta_star, area or cell_index and how many
+changed only candidates_evaluated or achieved_bracket, the largest
+|delta theta| (mod 2 pi) in units of 10**-prec, and the largest area
+loss as a share of the polygon area.
 """
 
 from __future__ import annotations
@@ -94,19 +96,28 @@ def moves(runs, old: List[str], new: List[str], polygon_area) -> List[str]:
     is divided by; a record of a raised error moves no number."""
     out = []
     dtheta = loss = 0.0
+    moved = counts_only = 0
     for (scene, prec), a, b in zip(runs, old, new):
         if a == b:
             continue
         out.append("%s prec %g\n  - %s\n  + %s" % (scene.family, prec, a, b))
+        fa, fb = a.split(), b.split()
         try:
-            (ta, aa), (tb, ab) = [map(float.fromhex, rec.split()[:2]) for rec in (a, b)]
+            (ta, aa), (tb, ab) = [map(float.fromhex, f[:2]) for f in (fa, fb)]
         except ValueError:
             continue
+        # theta_star, area, achieved_bracket, cell_index, candidates_evaluated, ...
+        if fa[:2] != fb[:2] or fa[3] != fb[3]:
+            moved += 1
+        elif fa[5:] == fb[5:]:
+            counts_only += 1
         dtheta = max(dtheta, abs(math.remainder(tb - ta, 2.0 * math.pi)) * 10.0**prec)
         loss = max(loss, (aa - ab) / polygon_area(scene))
     out.append(
-        "%d of %d records differ; largest |dtheta| %.3g x 10**-prec, largest area loss %.3g"
-        " x polygon area" % (len(out), len(runs), dtheta, loss)
+        "%d of %d records differ (%d moved theta_star, area or cell_index, %d changed only"
+        " candidates_evaluated or achieved_bracket); largest |dtheta| %.3g x 10**-prec,"
+        " largest area loss %.3g x polygon area"
+        % (len(out), len(runs), moved, counts_only, dtheta, loss)
     )
     return out
 

@@ -7,13 +7,14 @@ checkout's src/). The scenes are perfbench's large_polygons for the seed
 (or small_scenes with --small N, the first N of them). Within every
 repetition of a scene the trees take turns, and each stage's best of
 --repeat runs is added to that tree's sum. The stages are the
-ConvexPolygon constructor, vertex_partition, breakpoints, build_cells and
-the visit loop (solve_scene less the three stages before it); whole is
-the benchmark's operation, the constructor and maximize_global in one
-call. Times are in ms, summed over the scenes. Below them come each
-tree's scenes_per_s, solve_ms_p50 and solve_ms_p90, computed from the
-scenes' best whole times as perfbench/run.py computes them from its own
-(percentiles interpolated linearly).
+ConvexPolygon constructor, vertex_partition, breakpoints, build_cells,
+maximize_cell (one call for each cell that the scene's solve passes to
+it, timed together) and the visit loop (solve_scene less the four stages
+before it); whole is the benchmark's operation, the constructor and
+maximize_global in one call. Times are in ms, summed over the scenes.
+Below them come each tree's scenes_per_s, solve_ms_p50 and solve_ms_p90,
+computed from the scenes' best whole times as perfbench/run.py computes
+them from its own (percentiles interpolated linearly).
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("ConvexPolygon", "vertex_partition", "breakpoints", "build_cells", "visit", "whole")
+STAGES = (
+    "ConvexPolygon", "vertex_partition", "breakpoints", "build_cells", "maximize_cell",
+    "visit", "whole",
+)
 
 
 def _fovmax_modules() -> dict:
@@ -49,6 +53,22 @@ def _load(src: Path):
         sys.modules.update(saved)
 
 
+def _solved_cells(solver, poly, apex, phi, prec: float, domain) -> list:
+    """(cell, precision) for each maximize_cell call of one solve_scene."""
+    real, calls = solver.maximize_cell, []
+
+    def record(cell, precision):
+        calls.append((cell, precision))
+        return real(cell, precision)
+
+    solver.maximize_cell = record
+    try:
+        solver.solve_scene(poly, apex, phi, prec, domain)
+    finally:
+        solver.maximize_cell = real
+    return calls
+
+
 def _stages(solver, scene, prec: float) -> dict:
     """One call per stage of a solve of the scene, each ready to time."""
     poly_t = solver.ConvexPolygon
@@ -57,11 +77,18 @@ def _stages(solver, scene, prec: float) -> dict:
     part = solver.vertex_partition(poly, apex)
     dom = solver.direction_domain(part, phi, domain)
     bps = solver.breakpoints(part.sorted_angles, phi, domain=dom)
+    solved = _solved_cells(solver, poly, apex, phi, prec, domain)
+
+    def maximize_cells():
+        for cell, precision in solved:
+            solver.maximize_cell(cell, precision)
+
     return {
         "ConvexPolygon": lambda: poly_t(vs),
         "vertex_partition": lambda: solver.vertex_partition(poly, apex),
         "breakpoints": lambda: solver.breakpoints(part.sorted_angles, phi, domain=dom),
         "build_cells": lambda: solver.build_cells(poly, apex, part, phi, bps),
+        "maximize_cell": maximize_cells,
         "solve_scene": lambda: solver.solve_scene(poly, apex, phi, prec, domain),
         "whole": lambda: solver.maximize_global(poly_t(vs), apex, phi, prec, domain),
     }
@@ -80,7 +107,9 @@ def _scene_times(solvers, scene, prec: float, repeat: int) -> list:
                 out[stage] = min(out[stage], 1e3 * (time.perf_counter() - t))
     for out in best:
         solve = out.pop("solve_scene")
-        out["visit"] = solve - out["vertex_partition"] - out["breakpoints"] - out["build_cells"]
+        out["visit"] = solve - sum(
+            out[stage] for stage in ("vertex_partition", "breakpoints", "build_cells", "maximize_cell")
+        )
     return best
 
 
