@@ -11,12 +11,15 @@ f'(theta) = sum_k w_k / cos(theta + beta_k)**2 with at most four terms,
 and f'' is the sum of the terms 2 w_k tan(x) / cos(x)**2, x = theta +
 beta_k, each rising across the cell, so taking each at one end of an
 interval or the other bounds f'' there (the curvature bound of Breiman
-and Cutler, see cells._end_values). One rule finds a cell's maxima
-(_maxima): a piece of the cell, the whole cell first, takes one Newton
-run when it is concave and f' falls across it, nothing when f'' > 0 or
-f' keeps one sign on it, its midpoint when it is too narrow to split
-and f' falls across it, and splits at its midpoint otherwise. Nine in
-ten solved cells on the small benchmark scenes are concave as a whole.
+and Cutler, see cells._end_values). Two evaluators read the terms:
+_on_piece gives f' at a piece's ends and its f'' bounds in one pass,
+and _at_point gives f' and f'' at one direction for a Newton step. One
+rule finds a cell's maxima (_maxima): a piece of the cell, the whole
+cell first, takes one Newton run when it is concave and f' falls across
+it, nothing when f'' > 0 or f' keeps one sign on it, its midpoint when
+it is too narrow to split and f' falls across it, and splits at its
+midpoint otherwise. Nine in ten solved cells on the small benchmark
+scenes are concave as a whole.
 Roots are polished to 10**-digits, or to float resolution when that
 comes first; minima are not polished.
 Cells are visited best first by an upper bound on their area from
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .geometry import (
@@ -84,15 +88,15 @@ class SolveResult(NamedTuple):
 
 
 def _bracketed_newton(
-    g: Callable[[float], float],
-    gprime: Optional[Callable[[float], float]],
+    point: Callable[[float], Tuple[float, float]],
     lo: float,
     hi: float,
     xtol: float,
     glo: Optional[float] = None,
     ghi: Optional[float] = None,
 ) -> Optional[Tuple[float, float, int]]:
-    """Root of g in [lo, hi] by Newton steps safeguarded with bisection.
+    """Root of g in [lo, hi] by Newton steps safeguarded with bisection,
+    where point(x) gives (g(x), g'(x)) in one evaluation.
 
     Requires a sign change; returns (root, final bracket width, iterations)
     or None without one; a root where g is exactly 0 has width 0. A Newton
@@ -112,9 +116,9 @@ def _bracketed_newton(
     bracket's larger end when that is more.
     """
     if glo is None:
-        glo = g(lo)
+        glo = point(lo)[0]
     if ghi is None:
-        ghi = g(hi)
+        ghi = point(hi)[0]
     if glo == 0.0:
         return lo, 0.0, 0
     if ghi == 0.0:
@@ -128,7 +132,7 @@ def _bracketed_newton(
     if h < spacing:
         h = spacing
     x = 0.5 * (lo + hi)
-    gx = g(x)
+    gx, dx = point(x)
     last_step = hi - lo
     for it in range(_MAX_ITER):
         if gx == 0.0:
@@ -142,24 +146,22 @@ def _bracketed_newton(
         if width < xtol or not lo < mid < hi:
             return mid, width, it
         nxt = None
-        if gprime is not None:
-            d = gprime(x)
-            if d != 0.0 and math.isfinite(d):
-                cand = x - gx / d
-                if lo - width < cand < hi + width:
-                    # min(max(cand, lo + h), hi - h), spelled out
-                    if cand < lo + h:
-                        cand = lo + h
-                    if cand > hi - h:
-                        cand = hi - h
-                step = abs(cand - x)
-                if lo < cand < hi and 2.0 * step <= last_step:
-                    gc = g(cand)
-                    if abs(gc) < abs(gx) or (gc > 0.0) != (gx > 0.0):
-                        nxt = (cand, gc, step)
+        if dx != 0.0 and math.isfinite(dx):
+            cand = x - gx / dx
+            if lo - width < cand < hi + width:
+                # min(max(cand, lo + h), hi - h), spelled out
+                if cand < lo + h:
+                    cand = lo + h
+                if cand > hi - h:
+                    cand = hi - h
+            step = abs(cand - x)
+            if lo < cand < hi and 2.0 * step <= last_step:
+                at = point(cand)
+                if abs(at[0]) < abs(gx) or (at[0] > 0.0) != (gx > 0.0):
+                    nxt = (cand, at, step)
         if nxt is None:
-            nxt = (mid, g(mid), width)
-        x, gx, last_step = nxt
+            nxt = (mid, point(mid), width)
+        x, (gx, dx), last_step = nxt
     return 0.5 * (lo + hi), hi - lo, _MAX_ITER
 
 
@@ -177,7 +179,10 @@ def safeguarded_root(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InvalidInputError("invalid bracket: lo must be smaller than hi")
-    res = _bracketed_newton(g, gprime, lo, hi, _as_precision(prec).xtol)
+    # without gprime every slope reads 0, so every step bisects
+    res = _bracketed_newton(
+        lambda x: (g(x), 0.0 if gprime is None else gprime(x)), lo, hi, _as_precision(prec).xtol
+    )
     return None if res is None else res[0]
 
 
@@ -187,53 +192,15 @@ def objective_by_clipping(poly: ConvexPolygon, apex: Point, theta: float, phi: f
     return 0.0 if clipped is None else clipped.area
 
 
-def _end_slopes(
-    terms: List[Tuple[float, float]], lo: float, hi: float
-) -> Tuple[float, float, bool]:
-    """(f'(lo), f'(hi), concave) for a cell's _slope_terms: the concave
-    test of _curvature_bounds on the whole cell, bit for bit, reading only
-    the f'' terms its upper bound needs. The slopes are _maxima's slope,
-    bit for bit: the same operations, summed left to right from 0.0.
-    """
-    cos, tan = math.cos, math.tan
-    g_lo = g_hi = top = scale = 0.0
-    for w, beta in terms:
-        x, y = lo + beta, hi + beta
-        q, r = cos(x) ** 2, cos(y) ** 2
-        g_lo += w / q
-        g_hi += w / r
-        v = 2.0 * w * tan(y) / r if w > 0.0 else 2.0 * w * tan(x) / q
-        top += v
-        scale += abs(v)
-    return g_lo, g_hi, top + 1e-9 * scale < 0.0
+def _on_piece(terms: List[Tuple[float, float]], a: float, b: float) -> tuple:
+    """(f'(a), f'(b), low, high, sa, sb) on the piece [a, b] of a cell with
+    these _slope_terms, in one pass: low <= f'' <= high across the piece,
+    and sa and sb are the sums of the magnitudes of the terms of f'(a) and
+    f'(b), which bound the rounding of f' (see _maxima).
 
-
-def _slope_at(terms: List[Tuple[float, float]], x: float) -> tuple:
-    """(x, f'(x), the sum of its terms' magnitudes, each term's f'' term
-    2 w tan(y) / cos(y)**2 at y = x + beta): a piece end as _maxima reads
-    it, with _end_slopes' operations."""
-    cos, tan = math.cos, math.tan
-    g = s = 0.0
-    vs = []
-    for w, beta in terms:
-        y = x + beta
-        q = cos(y) ** 2
-        u = w / q
-        g += u
-        s += abs(u)
-        vs.append(2.0 * w * tan(y) / q)
-    return x, g, s, vs
-
-
-def _curvature_bounds(
-    terms: List[Tuple[float, float]], va: List[float], vb: List[float]
-) -> Tuple[float, float]:
-    """(low, high) with low <= f'' <= high across a piece whose ends have
-    the f'' terms va and vb (_slope_at).
-
-    Each term rises with x = theta + beta across a cell (see
-    cells._end_values), so it is smallest at the piece's left end when
-    w > 0 and at its right end otherwise, and largest at the other;
+    Each f'' term 2 w tan(x) / cos(x)**2, x = theta + beta, rises across a
+    cell (see cells._end_values), so it is smallest at the piece's left end
+    when w > 0 and at its right end otherwise, and largest at the other;
     rounding theta + beta is monotone in theta, so every x evaluated
     inside the piece lies between those at its ends. Each computed term
     is within 10 * 2**-53 of its exact value at the same float x (tan and
@@ -241,26 +208,51 @@ def _curvature_bounds(
     quotient), and the left-to-right sum of at most four adds at most
     3 * 2**-53 times their magnitudes, so moving each sum outwards by
     1e-9 times its terms' magnitudes leaves the exact bounds inside. A
-    NaN or an infinite term fails every test on the bounds.
+    NaN or an infinite term fails every test on the bounds. Every sum
+    runs left to right from 0.0 (sum() of floats rounds differently from
+    3.12 on), with _at_point's operations, so a direction's f' is the
+    same on every piece that ends there and in the Newton run.
     """
-    low = high = s_low = s_high = 0.0
-    for (w, _), u, v in zip(terms, va, vb):
+    cos, tan = math.cos, math.tan
+    ga = gb = sa = sb = low = high = s_low = s_high = 0.0
+    for w, beta in terms:
+        x, y = a + beta, b + beta
+        q, r = cos(x) ** 2, cos(y) ** 2
+        u, v = w / q, w / r
+        ga += u
+        sa += abs(u)
+        gb += v
+        sb += abs(v)
+        u, v = 2.0 * w * tan(x) / q, 2.0 * w * tan(y) / r
         if not w > 0.0:
             u, v = v, u
         low += u
         s_low += abs(u)
         high += v
         s_high += abs(v)
-    return low - 1e-9 * s_low, high + 1e-9 * s_high
+    return ga, gb, low - 1e-9 * s_low, high + 1e-9 * s_high, sa, sb
+
+
+def _at_point(terms: List[Tuple[float, float]], theta: float) -> Tuple[float, float]:
+    """(f'(theta), f''(theta)) for a cell's _slope_terms, with _on_piece's
+    operations: the point function of _maxima's Newton runs."""
+    cos, tan = math.cos, math.tan
+    g = c = 0.0
+    for w, beta in terms:
+        x = theta + beta
+        q = cos(x) ** 2
+        g += w / q
+        c += 2.0 * w * tan(x) / q
+    return g, c
 
 
 def _settled(a: float, ga: float, b: float, gb: float, low: float, high: float) -> bool:
     """True when f has no maximum inside the piece [a, b], given its end
-    slopes and low <= f'' <= high across it (_curvature_bounds): f' rises
+    slopes and low <= f'' <= high across it (_on_piece): f' rises
     (low > 0), or keeps one sign on each half, where it lies within
     ga + [low, high] * t at t <= h = (b - a) / 2 from a and within
     gb - [low, high] * t at t <= h from b. Here low <= 0 <= high, and each
-    margin of _curvature_bounds exceeds 3 * 2**-53 times |low| or |high|,
+    margin of _on_piece exceeds 3 * 2**-53 times |low| or |high|,
     which covers the rounding of h and of the product; a product that
     underflows errs by less than the float spacing, so each comparison
     that holds in floats holds exactly.
@@ -281,49 +273,30 @@ def _maxima(
     """(theta, bracket width) of each maximum of f inside [lo, hi], from a
     cell's _slope_terms, ascending.
 
-    One rule for pieces of the cell, the whole cell first; each piece takes
-    the first case that fits. Concave (high < 0, see _curvature_bounds):
-    when f' falls across it (f' > 0 at its left end and < 0 at its right
-    one, or exactly 0 at an end), one _bracketed_newton run polishes its
-    one maximum. Settled (_settled): no maximum. Too narrow (below xtol,
-    no float strictly inside, or f' within its rounding of 0): its
-    midpoint, when f' falls across it. Anything else splits at its
-    midpoint. _end_slopes tells a cell concave as a whole; any other cell
-    evaluates its ends and each split point once (_slope_at), shared by
-    the two pieces that meet there, so both can report a zero there.
+    One rule for pieces of the cell, the whole cell first; each piece is
+    evaluated once (_on_piece) and takes the first case that fits. Concave
+    (high < 0): when f' falls across it (f' > 0 at its left end and < 0
+    at its right one, or exactly 0 at an end), one _bracketed_newton run
+    polishes its one maximum. Settled (_settled): no maximum. Too narrow
+    (below xtol, no float strictly inside, or f' within its rounding of
+    0): its midpoint, when f' falls across it. Anything else splits at its
+    midpoint. An exact zero of f' at a cell end is that end's candidate
+    already, and one at a split point is an end of both pieces that meet
+    there: neither is reported again.
     """
-    ga, gb, concave = _end_slopes(terms, lo, hi)
-    if concave and not (ga > 0.0 > gb or ga == 0.0 or gb == 0.0):
-        return []
-    cos, tan = math.cos, math.tan
-
-    # left to right: sum() of floats rounds differently from 3.12 on
-    def slope(theta: float) -> float:
-        total = 0.0
-        for w, beta in terms:
-            total += w / cos(theta + beta) ** 2
-        return total
-
-    def curvature(theta: float) -> float:
-        total = 0.0
-        for w, beta in terms:
-            total += 2.0 * w * tan(theta + beta) / cos(theta + beta) ** 2
-        return total
-
-    if concave:
-        # a zero end is the root, as _bracketed_newton takes it
-        return [_bracketed_newton(slope, curvature, lo, hi, xtol, ga, gb)[:2]]
     roots = []
-    pieces = [(_slope_at(terms, lo), _slope_at(terms, hi))]
+    pieces = [(lo, hi)]
     while pieces:
-        left, right = pieces.pop()
-        (a, ga, sa, va), (b, gb, sb, vb) = left, right
+        a, b = pieces.pop()
+        ga, gb, low, high, sa, sb = _on_piece(terms, a, b)
         falls = ga > 0.0 > gb or ga == 0.0 or gb == 0.0
-        low, high = _curvature_bounds(terms, va, vb)
         mid = 0.5 * (a + b)
         if high < 0.0:
             if falls:
-                roots.append(_bracketed_newton(slope, curvature, a, b, xtol, ga, gb)[:2])
+                theta, width, _ = _bracketed_newton(partial(_at_point, terms), a, b, xtol, ga, gb)
+                # width 0: an exact zero; pieces go left to right, so roots ascend
+                if width > 0.0 or not (theta in (lo, hi) or roots and roots[-1][0] == theta):
+                    roots.append((theta, width))
         elif _settled(a, ga, b, gb, low, high):
             pass
         # |f'| <= |ga| + |gb| + (high - low) * (b - a) here, and computed f'
@@ -335,8 +308,7 @@ def _maxima(
             if falls:
                 roots.append((mid, b - a))
         else:
-            split = _slope_at(terms, mid)
-            pieces += [(split, right), (left, split)]
+            pieces += [(mid, b), (a, mid)]
     return roots
 
 

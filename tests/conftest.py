@@ -12,6 +12,35 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def piece_counts(monkeypatch):
+    """A list that gains, for each cell solver._maxima solves, the pieces it
+    takes past the concave test of the whole cell: none for a cell concave
+    as a whole, otherwise every piece, the whole cell among them."""
+    from fovmax import solver
+
+    real_piece, real_maxima = solver._on_piece, solver._maxima
+    highs, counts = [], []
+
+    def on_piece(terms, a, b):
+        out = real_piece(terms, a, b)
+        highs.append(out[3])
+        return out
+
+    def maxima(terms, lo, hi, xtol):
+        highs.clear()
+        out = real_maxima(terms, lo, hi, xtol)
+        # a cell concave as a whole is its only piece
+        concave = highs[0] < 0.0
+        assert not concave or len(highs) == 1
+        counts.append(0 if concave else len(highs))
+        return out
+
+    monkeypatch.setattr(solver, "_on_piece", on_piece)
+    monkeypatch.setattr(solver, "_maxima", maxima)
+    return counts
+
+
 def random_convex_polygon(rng, n, center=(0.0, 0.0), rx=1.0, ry=None, rot=None):
     """Convex CCW polygon: jittered points on a rotated ellipse.
 

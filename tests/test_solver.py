@@ -505,7 +505,7 @@ def test_concave_cells_are_concave_and_solved(seed, n, kind, log_phi, prec):
         lo, hi = cell.interval
         terms = solver._slope_terms(cell)
         slope, curvature, noise = _slope_functions(terms)
-        concave = solver._end_slopes(terms, lo, hi)[2]
+        concave = solver._on_piece(terms, lo, hi)[3] < 0.0
         if concave:
             assert all(curvature(lo + (hi - lo) * k / 32) < 0.0 for k in range(33))
         settled.clear()
@@ -572,26 +572,17 @@ SYNTHETIC = {
 
 
 @pytest.mark.parametrize("case", sorted(SYNTHETIC))
-def test_pieces_at_multiple_and_exact_roots(monkeypatch, case):
+def test_pieces_at_multiple_and_exact_roots(piece_counts, case):
     # a count, not a timer: the pieces _maxima takes where f' has a double
     # root, a triple root, an exact zero at the cell's midpoint, or two
     # close roots between ends of one sign. A root
     # lands within 10**-prec of the maximum, and past float resolution the
     # pieces stop growing with prec
     terms, lo, hi, top = SYNTHETIC[case]
-    pieces = []
-    real_bounds = solver._curvature_bounds
-
-    def counted(*args):
-        pieces.append(1)
-        return real_bounds(*args)
-
-    monkeypatch.setattr(solver, "_curvature_bounds", counted)
     counts = {}
     for prec in (6, 10, 16, 300):
-        pieces.clear()
         roots = solver._maxima(terms, lo, hi, 10.0**-prec)
-        counts[prec] = len(pieces)
+        counts[prec] = piece_counts[-1]
         # top is the maximum of the exact weights, up to about 1e-14 for
         # the rounded ones; f' of the triple root lies within its rounding
         # of 0 for about 5e-6 on either side, so no float search resolves
@@ -610,39 +601,29 @@ def test_pieces_at_multiple_and_exact_roots(monkeypatch, case):
         assert counts[300] <= {"double": 400, "triple": 11000}[case]
 
 
-def test_concave_cells_build_no_slope_polynomial(monkeypatch):
+def test_an_exact_zero_is_reported_once():
+    # f'(0) is exactly 0: at the split point of [-0.5, 0.5] it ends both
+    # halves, which each reported it, and at a cell end it is that end's
+    # candidate, which maximize_cell evaluated again as a root
+    terms = SYNTHETIC["split_zero"][0]
+    assert solver._maxima(terms, -0.5, 0.5, 1e-10) == [(0.0, 0.0)]
+    assert solver._maxima(terms, -0.5, 0.0, 1e-10) == []
+    assert solver._maxima(terms, 0.0, 0.5, 1e-10) == []
+
+
+def test_concave_cells_build_no_slope_polynomial(piece_counts):
     # a count, not a timer: the pieces that 500 seeded scenes take past the
     # concave test of the whole cell, the cells that take any, and the cells
     # they solve, equal on two runs. No cell builds a slope polynomial, and
-    # a cell concave as a whole takes no piece
+    # a cell concave as a whole takes no piece (piece_counts checks it)
     assert not hasattr(solver, "_slope_polynomial")
-    pieces, split, solved = [], [], []
-    real_bounds, real_maxima = solver._curvature_bounds, solver._maxima
-
-    def bounds(*args):
-        pieces.append(1)
-        return real_bounds(*args)
-
-    def maxima(terms, lo, hi, xtol):
-        before = len(pieces)
-        out = real_maxima(terms, lo, hi, xtol)
-        solved.append(1)
-        if len(pieces) > before:
-            assert not solver._end_slopes(terms, lo, hi)[2]
-            split.append(1)
-        return out
-
-    monkeypatch.setattr(solver, "_curvature_bounds", bounds)
-    monkeypatch.setattr(solver, "_maxima", maxima)
     counts = []
     for _ in range(2):
-        pieces.clear()
-        split.clear()
-        solved.clear()
+        piece_counts.clear()
         rng = np.random.default_rng(7)
         for _ in range(500):
             maximize_global(*random_scene(rng), prec=10)
-        counts.append((len(pieces), len(split), len(solved)))
+        counts.append((sum(piece_counts), sum(map(bool, piece_counts)), len(piece_counts)))
     assert counts[0] == counts[1]
     # 76 pieces in 18 cells for 372 solved cells; the same 18 cells built a
     # slope polynomial before the piece rule
@@ -671,7 +652,7 @@ def test_polish_stops_at_float_resolution(monkeypatch):
         assert maximize_global(poly, apex, 0.8, prec).theta_star == base
         assert 0 < max(iterations) <= 20
     # a zero tolerance ends with the root's neighbouring floats
-    root, width, its = _bracketed_newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, 0.0)
+    root, width, its = _bracketed_newton(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, 0.0)
     assert width <= math.ulp(root) and abs(root - math.sqrt(2.0)) <= math.ulp(root)
     assert its < 60
 
@@ -704,9 +685,7 @@ def test_newton_nudge_is_at_least_a_float_spacing(monkeypatch):
 def test_newton_closes_the_far_side():
     # a count, not a timer: Newton reaches sqrt(2) from above, and bisection
     # alone walked the lower end up to xtol (36 iterations)
-    root, width, iterations = _bracketed_newton(
-        lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, 1e-10
-    )
+    root, width, iterations = _bracketed_newton(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, 1e-10)
     assert width < 1e-10
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert iterations <= 6
@@ -715,7 +694,7 @@ def test_newton_closes_the_far_side():
 def test_exact_zero_reports_a_zero_width():
     # g is 0 at the first midpoint: the root is exact, whatever bracket is
     # still held around it
-    assert _bracketed_newton(lambda x: x - 0.5, lambda x: 1.0, 0.0, 1.0, 1e-10) == (0.5, 0.0, 0)
+    assert _bracketed_newton(lambda x: (x - 0.5, 1.0), 0.0, 1.0, 1e-10) == (0.5, 0.0, 0)
     # a seeded scene whose winning polish lands on an exact zero of f'; it
     # reported the 0.0545-wide bracket it still held
     rng = np.random.default_rng(5)
@@ -731,8 +710,8 @@ def test_polish_iterations_per_root(monkeypatch):
     # including roots at a cell's end, where Newton points past the bracket
     polishes = []
 
-    def counted(g, gprime, lo, hi, xtol, *args):
-        res = _bracketed_newton(g, gprime, lo, hi, xtol, *args)
+    def counted(point, lo, hi, xtol, *args):
+        res = _bracketed_newton(point, lo, hi, xtol, *args)
         if res is not None and xtol == 1e-10:
             polishes.append(res[2])
         return res

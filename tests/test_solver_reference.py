@@ -98,31 +98,16 @@ def test_end_bound_matches_reference_at_n1024():
     _check_end_bounds(_scene_cells(7, 1024, "plain"))
 
 
-def test_most_solved_cells_skip_root_isolation(monkeypatch):
+def test_most_solved_cells_skip_root_isolation(piece_counts):
     # a count, not a timer: on seeded random scenes the concave test of the
     # whole cell settles at least half of the solved cells; the others
     # isolate their maxima by splitting the cell into pieces
-    solved, isolated, pieces = [0], [0], [0]
-    real_maxima, real_bounds = solver._maxima, solver._curvature_bounds
-
-    def counted_maxima(terms, lo, hi, xtol):
-        before = pieces[0]
-        out = real_maxima(terms, lo, hi, xtol)
-        solved[0] += bool(terms)
-        isolated[0] += pieces[0] > before
-        return out
-
-    def counted_bounds(*args):
-        pieces[0] += 1
-        return real_bounds(*args)
-
-    monkeypatch.setattr(solver, "_maxima", counted_maxima)
-    monkeypatch.setattr(solver, "_curvature_bounds", counted_bounds)
     rng = np.random.default_rng(41)
     for _ in range(300):
         poly, apex, phi = random_scene(rng, phi_hi=1.2)
         maximize_global(poly, apex, phi, 10)
+    solved, isolated = len(piece_counts), sum(map(bool, piece_counts))
     # 499 solved cells, of which 28 take pieces (225 isolated the roots of
     # a slope polynomial before the piece rule)
-    assert solved[0] > 400
-    assert isolated[0] <= solved[0] // 2
+    assert solved > 400
+    assert isolated <= solved // 2

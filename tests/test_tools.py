@@ -30,6 +30,18 @@ def test_stage_times_runs(monkeypatch, capsys):
     assert float(rows["scenes_per_s"][0]) > 0.0
 
 
+def test_stage_times_compares_two_trees(monkeypatch, capsys):
+    # the A/B mode behind every timing comparison: one column per tree
+    tool = _tool("stage_times")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert tool.main(["--small", "3", "--repeat", "1", str(ROOT / "src"), str(ROOT / "src")]) == 0
+    assert sys.modules["fovmax.solver"] is fovmax.solver
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert len(rows["stage"]) == 2
+    for row in (*tool.STAGES, "scenes_per_s", "solve_ms_p50", "solve_ms_p90"):
+        assert len(rows[row]) == 2 and all(math.isfinite(float(v)) for v in rows[row]), row
+
+
 def test_answer_digest_is_repeatable(monkeypatch):
     tool = _tool("answer_digest")
     monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
