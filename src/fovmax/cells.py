@@ -23,8 +23,11 @@ over the sorted angles merges collinear rays and gives every vertex its
 ray. One pass over the polygon's edges then gives every section its near
 and far edge: an edge whose rays rise is a far edge of the sections
 between them, one whose rays fall a near edge. The breakpoints are one
-linear merge of two sorted runs. In build_cells two pointers over the
-rays give every cell's bound; CellTable.locate bisects for its sections.
+sort of the rays and the rays shifted by -phi, two sorted runs that it
+merges in linear time, then one pass that clamps them to the direction
+domain and drops any within 1e-12 rad of the last one kept. In
+build_cells two pointers over the rays give every cell's bound;
+CellTable.locate bisects for its sections.
 
 Every area comes from one closed form, wedge._cut: an edge line at
 distance d from the apex, whose perpendicular points at angle psi, cuts
@@ -43,10 +46,11 @@ sections), takes the boundary cuts at both cell ends and a lower bound
 on f'' from the edge tables (_end_cuts), in the operations of the cell's
 closed form (cell_objective, _slope_terms), and adds the middle area
 (_end_values). The larger end value plus a curvature term bounds the
-cell's area; a cell that bound rules out never becomes an object, and a
-long middle is first bounded in O(1) (SectionPartition.middle). Indexing
-the table is visit with no floor, so a cell is the same however it is
-reached.
+cell's area. visit takes that bound with the middle's O(1) ceiling from
+two prefix sums (SectionPartition.middle) in place of the middle area, in
+one test: a cell it rules out never becomes an object, and only a cell
+it returns has its middle summed section by section. Indexing the table
+is visit with no floor, so a cell is the same however it is reached.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -56,7 +60,7 @@ special casing; results are mapped back to [0, 2pi) at the solver surface.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -74,10 +78,6 @@ from .wedge import StaticWedge, _cut, wedge_from_lines
 
 _ANGLE_MERGE = 1e-12
 _BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
-# SectionPartition.middle gives a ceiling for middle areas over at least
-# this many sections; a shorter sum costs less than the extra bound that a
-# cell the ceiling cannot rule out takes
-_LONG_MIDDLE = 32
 
 
 class AngularOrder(NamedTuple):
@@ -201,24 +201,22 @@ class SectionPartition(NamedTuple):
         stop - 1 strictly between its boundary rays (see RotationCell), or
         None for a single-section cell, which has none.
 
-        ceiling bounds their left-to-right sum from above by two prefix
-        sums, or is None when they are fewer than _LONG_MIDDLE. With
-        u = 2**-53, n sections and A the sum of the areas' magnitudes, a
-        left-to-right sum of up to n of the areas (middle_sum, or any
-        area_prefix entry) is within gamma_n * A of its exact value, where
-        gamma_n = n u / (1 - n u) <= 1.02 n u; the prefix difference adds
-        at most u (1 + 2 gamma_n) A. So the difference and the sum lie
-        within 4 (n + 1) u A of each other, and the margin, 8 (n + 1) u A,
-        also covers the rounding of A and of the final addition. A
-        non-finite area makes the ceiling inf or nan, which rules nothing
-        out.
+        ceiling bounds their left-to-right sum (middle_sum) from above in
+        O(1), by two prefix sums plus a rounding margin; CellTable.visit
+        rules a cell out with it. With u = 2**-53, n sections and A the sum
+        of the areas' magnitudes, a left-to-right sum of up to n of the
+        areas (middle_sum, or any area_prefix entry) is within gamma_n * A
+        of its exact value, where gamma_n = n u / (1 - n u) <= 1.02 n u;
+        the prefix difference adds at most u (1 + 2 gamma_n) A. So the
+        difference and the sum lie within 4 (n + 1) u A of each other, and
+        the margin, 8 (n + 1) u A, also covers the rounding of A and of the
+        final addition. A non-finite area makes the ceiling inf or nan,
+        which rules nothing out.
         """
         if right is not None and right == left:
             return None
         start = 0 if right is None else right + 1
         stop = len(self.near_edges) if left is None else left
-        if stop - start < _LONG_MIDDLE:
-            return start, stop, None
         margin = 4.0 * (len(self.near_edges) + 1) * self.abs_area_sum * 2.0**-52
         return start, stop, (self.area_prefix[stop] - self.area_prefix[start]) + margin
 
@@ -279,25 +277,20 @@ def breakpoints(
         if hi - lo <= _ANGLE_MERGE:
             return []
 
-    # of each sorted run only a slice lies within 1e-12 rad of [lo, hi],
-    # and only its ends can need clamping
-    low, high = lo - _ANGLE_MERGE, hi + _ANGLE_MERGE
-    runs = []
-    for values in (sorted_angles, [a - phi for a in sorted_angles]):
-        run = list(values[bisect_right(values, low):bisect_left(values, high)])
-        k = bisect_left(run, lo)
-        run[:k] = [lo] * k
-        k = bisect_right(run, hi)
-        run[k:] = [hi] * (len(run) - k)
-        runs.append(run)
-    # [lo] + rays and rays - phi + [hi] are two ascending runs; the sort
-    # detects them and merges them in one linear pass
+    # the rays and rays - phi are two ascending runs, which the sort finds
+    # and merges in one linear pass; no value below lo rises over lo, the
+    # first one kept, and every value past hi clamps to hi: the values kept
+    # past hi go, and hi closes the list unless the last one is within
+    # 1e-12 rad of it
     out = [lo]
     last = lo
-    for v in sorted([lo, *runs[0], *runs[1], hi]):
+    for v in sorted([*sorted_angles, *[a - phi for a in sorted_angles]]):
         if v - last > _ANGLE_MERGE:
             out.append(v)
             last = v
+    del out[bisect_right(out, hi):]
+    if hi - out[-1] > _ANGLE_MERGE:
+        out.append(hi)
     return out
 
 
@@ -506,22 +499,22 @@ class CellTable(Sequence[RotationCell]):
 
     def visit(self, i: int, floor: float) -> Optional[RotationCell]:
         """Cell i, for 0 <= i < len(self), as a RotationCell, or None when
-        its second bound (_end_values) plus slack falls below floor."""
+        its second bound (_end_values) plus slack falls below floor. The
+        bound takes the middle's O(1) ceiling (SectionPartition.middle),
+        which is at least the exact sum, so a cell that could reach floor
+        is never ruled out; the exact sum is added up only for a cell that
+        is returned."""
         part, phi, slack = self.part, self.opening, self.slack
         lo, hi, r, l = self.locate(i)
         cuts = _end_cuts(part, phi, lo, hi, r, l)
         span = part.middle(r, l)
-        middle = None
-        if span is not None:
-            # a long middle is first bounded from above in O(1): a cell ruled
-            # out with that in place of the exact sum is ruled out by it too
-            if span[2] is not None and _end_values(cuts, span[2], hi - lo)[2] + slack < floor:
-                return None
-            middle = part.middle_sum(span[0], span[1])
-        f_lo, f_hi, top = _end_values(cuts, middle, hi - lo)
+        f_lo, f_hi, top = _end_values(cuts, None if span is None else span[2], hi - lo)
         if top + slack < floor:
             return None
-        middle = 0.0 if middle is None else middle
+        middle = 0.0
+        if span is not None:
+            middle = part.middle_sum(span[0], span[1])
+            f_lo, f_hi, _ = _end_values(cuts, middle, hi - lo)
         return RotationCell((lo, hi), r, l, self.bound[i], part, phi, middle, (f_lo, f_hi))
 
     def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int]]:

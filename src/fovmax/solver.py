@@ -35,7 +35,6 @@ The results are named tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -58,25 +57,14 @@ _MIN_WIDTH = 1e-12
 _MAX_ITER = 200  # a backstop for _bracketed_newton
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Requested direction accuracy: |returned - optimal| < 10**-digits."""
-
-    digits: float
-
-    def __post_init__(self):
-        if not (1.0 < self.digits < math.inf):
-            raise InvalidInputError("precision digits must be finite and exceed 1")
-
-    @property
-    def xtol(self) -> float:
-        return 10.0 ** (-self.digits)
-
-
-def _as_precision(prec) -> Precision:
-    if isinstance(prec, Precision):
-        return prec
-    return Precision(float(prec))
+def _xtol(prec) -> float:
+    """10**-digits for prec, the requested direction accuracy
+    |returned - optimal| < 10**-digits; the digits must be finite and
+    exceed 1."""
+    digits = float(prec)
+    if not 1.0 < digits < math.inf:
+        raise InvalidInputError("precision digits must be finite and exceed 1")
+    return 10.0 ** -digits
 
 
 class SolveResult(NamedTuple):
@@ -181,7 +169,7 @@ def safeguarded_root(
         raise InvalidInputError("invalid bracket: lo must be smaller than hi")
     # without gprime every slope reads 0, so every step bisects
     res = _bracketed_newton(
-        lambda x: (g(x), 0.0 if gprime is None else gprime(x)), lo, hi, _as_precision(prec).xtol
+        lambda x: (g(x), 0.0 if gprime is None else gprime(x)), lo, hi, _xtol(prec)
     )
     return None if res is None else res[0]
 
@@ -330,7 +318,7 @@ def maximize_cell(cell: RotationCell, prec=8.0) -> CellBest:
     if cell.left_section is None and cell.right_section is None:
         return CellBest(lo, cell.middle_area, 1, 0.0)  # constant containment cell
     f_lo, f_hi = cell.ends
-    roots = _maxima(_slope_terms(cell), lo, hi, _as_precision(prec).xtol)
+    roots = _maxima(_slope_terms(cell), lo, hi, _xtol(prec))
     best = (hi, f_hi, 0.0) if f_hi > f_lo else (lo, f_lo, 0.0)
     for theta, bracket in roots:
         area = cell_objective(cell, theta)
@@ -370,7 +358,7 @@ def solve_scene(
     domain: Optional[Tuple[float, float]] = None,
 ) -> Tuple[SolveResult, SceneDetails]:
     """maximize_global plus the partition diagnostics the CLI reports."""
-    precision = _as_precision(prec)
+    xtol = _xtol(prec)
     check_opening(phi)
     part = vertex_partition(poly, apex)
     dom = direction_domain(part, phi, domain)
@@ -407,7 +395,7 @@ def solve_scene(
     # incumbent by more than the tie tolerance can neither win nor tie, and
     # neither can any cell after it in descending bound order; visit rules
     # out a cell whose second bound falls below it the same way
-    tie_tol = precision.xtol * poly.area
+    tie_tol = xtol * poly.area
     results = {}
     best_area = floor = -math.inf  # floor: best_area less the tie tolerance
     bounds, slack, visit = cells.bound, cells.slack, cells.visit
@@ -416,7 +404,7 @@ def solve_scene(
             break
         cell = visit(i, floor)
         if cell is not None:
-            results[i] = maximize_cell(cell, precision)
+            results[i] = maximize_cell(cell, prec)
             best_area = max(best_area, results[i].area)
             floor = best_area - tie_tol
 

@@ -1,9 +1,11 @@
-"""The O(1) upper bound on a long middle area (the third value of
-`SectionPartition.middle`) and the gate in `CellTable.visit` that tries
-it before the exact sum (`SectionPartition.middle_sum`).
+"""The O(1) ceiling on a cell's middle area (the third value of
+`SectionPartition.middle`) and the one test in `CellTable.visit` that
+rules a cell out with it; the exact middle (`SectionPartition.middle_sum`)
+is summed only for a cell that `visit` returns.
 
-The gate may only save work: every answer, `candidates_evaluated`
-included, must be the one the exact sums give.
+The ceiling is at least the exact sum, so it may only save work: every
+answer must be the one a visit that tests on the exact sum gives,
+`candidates_evaluated` included.
 """
 
 import math
@@ -14,12 +16,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovmax import cells
 from fovmax.cells import SectionPartition, vertex_partition
 from fovmax.solver import solve_scene
 from conftest import external_apex, random_convex_polygon
 from test_solver import _cell_bits, _cell_end_values, _near_line_scene, _span_scene
 from test_solver_reference import _scene_cells
+
+_MIDDLE = SectionPartition.middle
+
+
+def _exact_middle(part, right, left):
+    """middle with the exact sum in place of the ceiling: visit then tests
+    on the exact middle, as the reference solve does."""
+    span = _MIDDLE(part, right, left)
+    return None if span is None else (span[0], span[1], part.middle_sum(span[0], span[1]))
+
+
+def _unmargined_middle(part, right, left):
+    """middle with the prefix difference alone as the ceiling, a mutation."""
+    span = _MIDDLE(part, right, left)
+    if span is None:
+        return None
+    start, stop = span[:2]
+    return start, stop, part.area_prefix[stop] - part.area_prefix[start]
 
 
 def _partition(areas):
@@ -39,9 +58,31 @@ def _partition(areas):
     )
 
 
-def _ceiling(cell):
-    span = cell.part.middle(cell.right_section, cell.left_section)
-    return None if span is None else span[2]
+def _check_ceiling(part, start, stop):
+    """The middle of sections start to stop - 1 is theirs, and its ceiling
+    is at least their left-to-right sum."""
+    n = part.num_sections
+    right, left = None if start == 0 else start - 1, None if stop == n else stop
+    span = part.middle(right, left)
+    assert span[:2] == (start, stop)
+    assert span[2] >= part.middle_sum(start, stop)
+
+
+def _check_visit(table):
+    """For every cell: a floor above its second bound with the middle's
+    ceiling (from the unpatched SectionPartition.middle) plus the slack
+    rules it out, and one at or below that bound plus the slack, or at or
+    below the bound with the exact middle plus the slack, gives the cell
+    that indexing gives, bit for bit."""
+    for i, cell in enumerate(table):
+        span = _MIDDLE(cell.part, cell.right_section, cell.left_section)
+        exact = _cell_end_values(cell)[2] + table.slack
+        reach = exact if span is None else _cell_end_values(cell, span[2])[2] + table.slack
+        for floor in (math.nextafter(exact, -math.inf), exact, reach):
+            got = table.visit(i, floor)
+            assert got is not None and _cell_bits(got) == _cell_bits(cell)
+        if math.isfinite(reach):
+            assert table.visit(i, math.nextafter(reach, math.inf)) is None
 
 
 _areas = st.floats(-1e3, 1e3) | st.floats(0.0, 1e-8) | st.floats(1e6, 1e8) | st.floats(-1e8, -1e6)
@@ -52,20 +93,9 @@ _areas = st.floats(-1e3, 1e3) | st.floats(0.0, 1e-8) | st.floats(1e6, 1e8) | st.
 def test_middle_ceiling_bounds_the_middle_area(areas, data):
     # signed areas and magnitudes eight orders apart: prefix differences
     # that cancel badly still stay above the left-to-right sum
-    n = len(areas)
-    start = data.draw(st.integers(0, n - 1))
-    stop = data.draw(st.integers(start + 1, n))
-    part = _partition(areas)
-    right, left = None if start == 0 else start - 1, None if stop == n else stop
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cells, "_LONG_MIDDLE", 0)
-        span = part.middle(right, left)
-    assert span[:2] == (start, stop)
-    assert span[2] >= part.middle_sum(start, stop)
-
-
-def _long_middles_only(mp, on):
-    mp.setattr(cells, "_LONG_MIDDLE", 0 if on else math.inf)
+    start = data.draw(st.integers(0, len(areas) - 1))
+    stop = data.draw(st.integers(start + 1, len(areas)))
+    _check_ceiling(_partition(areas), start, stop)
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,14 +105,9 @@ def _long_middles_only(mp, on):
     kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
 )
 def test_middle_ceiling_bounds_every_cell(seed, n, kind):
-    ceilings = []
-    with pytest.MonkeyPatch.context() as mp:
-        _long_middles_only(mp, True)
-        table = _scene_cells(seed, n, kind)
-        for cell in table:
-            ceilings.append((cell, _ceiling(cell)))
-    for cell, ceiling in ceilings:
-        assert ceiling is None or ceiling >= cell.middle_area
+    for cell in _scene_cells(seed, n, kind):
+        span = cell.part.middle(cell.right_section, cell.left_section)
+        assert span is None or span[2] >= cell.middle_area
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,21 +115,25 @@ def test_middle_ceiling_bounds_every_cell(seed, n, kind):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 60),
     kind=st.sampled_from(["plain", "inner", "outer", "domain"]),
-    on=st.booleans(),
 )
-def test_visit_rules_out_exactly_what_the_second_bound_does(seed, n, kind, on):
-    # a floor just above a cell's second bound plus the slack rules it out,
-    # and one at or just below it gives the cell indexing gives, with the
-    # ceiling tried first on every middle or on none
-    with pytest.MonkeyPatch.context() as mp:
-        _long_middles_only(mp, on)
-        table = _scene_cells(seed, n, kind)
-        for i, cell in enumerate(table):
-            reach = _cell_end_values(cell)[2] + table.slack
-            for floor in (math.nextafter(reach, -math.inf), reach):
-                assert _cell_bits(table.visit(i, floor)) == _cell_bits(cell)
-            if math.isfinite(reach):
-                assert table.visit(i, math.nextafter(reach, math.inf)) is None
+def test_visit_rules_out_exactly_what_the_second_bound_does(seed, n, kind):
+    _check_visit(_scene_cells(seed, n, kind))
+
+
+def test_checks_catch_a_missing_margin_and_a_test_on_the_exact_sum(monkeypatch):
+    # 1e16 + 1.0 rounds to 1e16, so the prefix difference over the middle
+    # section reads 0.0 against its area of 1.0; and on a plain scene the
+    # ceiling's bound lies above the exact one for some cell
+    part = _partition([1e16, 1.0, 1e16])
+    table = _scene_cells(1, 40, "plain")
+    _check_ceiling(part, 1, 2)
+    _check_visit(table)
+    monkeypatch.setattr(SectionPartition, "middle", _unmargined_middle)
+    with pytest.raises(AssertionError):
+        _check_ceiling(part, 1, 2)
+    monkeypatch.setattr(SectionPartition, "middle", _exact_middle)
+    with pytest.raises(AssertionError):
+        _check_visit(table)
 
 
 def _scene(seed, n, kind):
@@ -137,14 +166,12 @@ def _result_bits(res):
     prec=st.sampled_from([8, 10]),
 )
 def test_gate_keeps_every_answer(seed, n, kind, prec):
-    # the gate on every cell with a middle against the gate on none
+    # the solve against a reference whose visit tests on the exact middle
     poly, apex, phi, domain = _scene(seed, n, kind)
-    got = []
-    for on in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            _long_middles_only(mp, on)
-            got.append(_result_bits(solve_scene(poly, apex, phi, prec, domain)[0]))
-    assert got[0] == got[1]
+    got = _result_bits(solve_scene(poly, apex, phi, prec, domain)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SectionPartition, "middle", _exact_middle)
+        assert got == _result_bits(solve_scene(poly, apex, phi, prec, domain)[0])
 
 
 def test_gate_skips_most_long_sums(monkeypatch):
@@ -164,11 +191,12 @@ def test_gate_skips_most_long_sums(monkeypatch):
     first, last = vertex_partition(poly, apex).span()
     phi = 0.6 * (last - first)
     counts, answers = [], []
-    for on in (False, True):
-        monkeypatch.setattr(cells, "_LONG_MIDDLE", 32 if on else math.inf)
+    for middle in (_exact_middle, _MIDDLE):
+        monkeypatch.setattr(SectionPartition, "middle", middle)
         summed[0] = 0
         answers.append(_result_bits(solve_scene(poly, apex, phi, 10)[0]))
         counts.append(summed[0])
-    # 35,301 sections summed without the gate, 1,990 with it
+    # 37,291 sections summed by the reference (35,301 in its test, then
+    # 1,990 again for the cells it returns), 1,990 by visit
     assert answers[0] == answers[1]
     assert counts[1] < counts[0] / 10

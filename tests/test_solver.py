@@ -14,10 +14,10 @@ from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
 from fovmax import solver
 from fovmax.solver import (
     CellBest,
-    Precision,
     SceneDetails,
     SolveResult,
     _bracketed_newton,
+    _xtol,
     cell_objective,
     maximize_cell,
     maximize_global,
@@ -34,10 +34,10 @@ TALL_SQUARE = ConvexPolygon([(-1, 1), (1, 1), (1, 3), (-1, 3)])
 
 
 def test_precision_xtol():
-    assert Precision(8).xtol == pytest.approx(1e-8)
+    assert _xtol(8) == pytest.approx(1e-8)
     for digits in (1.0, math.inf, math.nan):
-        with pytest.raises(InvalidInputError):
-            Precision(digits)
+        with pytest.raises(InvalidInputError, match="precision digits must be finite and exceed 1"):
+            _xtol(digits)
     with pytest.raises(InvalidInputError):
         maximize_global(SMALL_SQUARE, ORIGIN, 0.1, prec=0.5)
 
@@ -257,7 +257,7 @@ def _exhaustive_solve(poly, apex, phi, prec, domain=None):
     cells = build_cells(poly, apex, part, phi, bps)
     results = [maximize_cell(c, prec) for c in cells]
     best = max(r.area for r in results)
-    tie_tol = Precision(prec).xtol * poly.area
+    tie_tol = _xtol(prec) * poly.area
     win = min(
         (i for i, r in enumerate(results) if r.area >= best - tie_tol),
         key=lambda i: (results[i].theta, i),
@@ -328,7 +328,7 @@ def _prefix_bound_candidates(poly, apex, phi, prec=8):
     alone: solve_scene's loop without the second bound (_end_values)."""
     part = vertex_partition(poly, apex)
     cells = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
-    tie_tol = Precision(prec).xtol * poly.area
+    tie_tol = _xtol(prec) * poly.area
     best, total = -math.inf, 0
     for i in sorted(range(len(cells)), key=cells.bound.__getitem__, reverse=True):
         if cells.bound[i] + cells.slack < best - tie_tol:

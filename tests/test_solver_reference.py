@@ -7,11 +7,10 @@ middle area. They must match bit for bit.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovmax import cells, solver
+from fovmax import solver
 from fovmax.cells import breakpoints, build_cells, vertex_partition
 from fovmax.solver import maximize_global
 from conftest import external_apex, random_convex_polygon, random_scene
@@ -72,16 +71,13 @@ def _end_bound_reference(cell, middle=None):
 
 def _check_end_bounds(table):
     """The end values and bound with the middle ceiling and with the exact
-    middle against the reference, on fresh copies of every cell. Every
-    cell with a middle gets a ceiling here."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cells, "_LONG_MIDDLE", 0)
-        for i in range(len(table)):
-            cell, ref = table[i], table[i]
-            span = cell.part.middle(cell.right_section, cell.left_section)
-            middles = [None if span is None else span[2], None]
-            got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
-            assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
+    middle against the reference, on fresh copies of every cell."""
+    for i in range(len(table)):
+        cell, ref = table[i], table[i]
+        span = cell.part.middle(cell.right_section, cell.left_section)
+        middles = [None if span is None else span[2], None]
+        got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
+        assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
 
 
 @settings(max_examples=120, deadline=None)

@@ -5,6 +5,7 @@ import importlib.util
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import fovmax.solver
 
@@ -40,6 +41,34 @@ def test_stage_times_compares_two_trees(monkeypatch, capsys):
     assert len(rows["stage"]) == 2
     for row in (*tool.STAGES, "scenes_per_s", "solve_ms_p50", "solve_ms_p90"):
         assert len(rows[row]) == 2 and all(math.isfinite(float(v)) for v in rows[row]), row
+
+
+def test_stage_times_skips_the_stages_a_plateau_skips(monkeypatch):
+    # from the origin the unit square (1..2)**2 spans about 0.64 rad: an
+    # opening of 1.0 covers it, and that solve returns the containment
+    # plateau before it builds breakpoints or cells, so the tool neither
+    # calls those two stages nor subtracts them from the visit loop
+    tool = _tool("stage_times")
+    calls = []
+    for name in ("breakpoints", "build_cells"):
+        real = getattr(fovmax.solver, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fovmax.solver, name, counted)
+    square = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
+    plateau = SimpleNamespace(vertices=square, apex=(0.0, 0.0), phi=1.0, domain=None)
+    times = tool._scene_times([fovmax.solver], plateau, 8.0, 2)[0]
+    assert calls == []
+    assert times["breakpoints"] == times["build_cells"] == 0.0
+    assert set(times) == set(tool.STAGES)
+    # an opening of 0.3 does not cover it: both stages run and count
+    narrow = SimpleNamespace(vertices=square, apex=(0.0, 0.0), phi=0.3, domain=None)
+    times = tool._scene_times([fovmax.solver], narrow, 8.0, 2)[0]
+    assert set(calls) == {"breakpoints", "build_cells"}
+    assert times["breakpoints"] > 0.0 and times["build_cells"] > 0.0
 
 
 def test_answer_digest_is_repeatable(monkeypatch):

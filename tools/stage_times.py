@@ -10,8 +10,11 @@ repetition of a scene the trees take turns, and each stage's best of
 ConvexPolygon constructor, vertex_partition, breakpoints, build_cells,
 maximize_cell (one call for each cell that the scene's solve passes to
 it, timed together) and the visit loop (solve_scene less the four stages
-before it); whole is the benchmark's operation, the constructor and
-maximize_global in one call. Times are in ms, summed over the scenes.
+before it). On a containment plateau (an opening that covers the
+polygon's angular span) the solve builds no breakpoints or cells, so
+those two stages count 0 there and are not subtracted. whole is the
+benchmark's operation, the constructor and maximize_global in one call.
+Times are in ms, summed over the scenes.
 Below them come each tree's scenes_per_s, solve_ms_p50 and solve_ms_p90,
 computed from the scenes' best whole times as perfbench/run.py computes
 them from its own (percentiles interpolated linearly).
@@ -53,8 +56,9 @@ def _load(src: Path):
         sys.modules.update(saved)
 
 
-def _solved_cells(solver, poly, apex, phi, prec: float, domain) -> list:
-    """(cell, precision) for each maximize_cell call of one solve_scene."""
+def _solved_cells(solver, poly, apex, phi, prec: float, domain) -> tuple:
+    """(cell, precision) for each maximize_cell call of one solve_scene,
+    and its SceneDetails."""
     real, calls = solver.maximize_cell, []
 
     def record(cell, precision):
@@ -63,42 +67,44 @@ def _solved_cells(solver, poly, apex, phi, prec: float, domain) -> list:
 
     solver.maximize_cell = record
     try:
-        solver.solve_scene(poly, apex, phi, prec, domain)
+        details = solver.solve_scene(poly, apex, phi, prec, domain)[1]
     finally:
         solver.maximize_cell = real
-    return calls
+    return calls, details
 
 
 def _stages(solver, scene, prec: float) -> dict:
-    """One call per stage of a solve of the scene, each ready to time."""
+    """One call per stage that a solve of the scene runs, each ready to time."""
     poly_t = solver.ConvexPolygon
     vs, apex, phi, domain = scene.vertices, scene.apex, scene.phi, scene.domain
     poly = poly_t(vs)
     part = solver.vertex_partition(poly, apex)
-    dom = solver.direction_domain(part, phi, domain)
-    bps = solver.breakpoints(part.sorted_angles, phi, domain=dom)
-    solved = _solved_cells(solver, poly, apex, phi, prec, domain)
+    solved, details = _solved_cells(solver, poly, apex, phi, prec, domain)
 
     def maximize_cells():
         for cell, precision in solved:
             solver.maximize_cell(cell, precision)
 
-    return {
+    stages = {
         "ConvexPolygon": lambda: poly_t(vs),
         "vertex_partition": lambda: solver.vertex_partition(poly, apex),
-        "breakpoints": lambda: solver.breakpoints(part.sorted_angles, phi, domain=dom),
-        "build_cells": lambda: solver.build_cells(poly, apex, part, phi, bps),
         "maximize_cell": maximize_cells,
         "solve_scene": lambda: solver.solve_scene(poly, apex, phi, prec, domain),
         "whole": lambda: solver.maximize_global(poly_t(vs), apex, phi, prec, domain),
     }
+    if details.num_cells:  # not a containment plateau
+        dom = details.domain
+        bps = solver.breakpoints(part.sorted_angles, phi, domain=dom)
+        stages["breakpoints"] = lambda: solver.breakpoints(part.sorted_angles, phi, domain=dom)
+        stages["build_cells"] = lambda: solver.build_cells(poly, apex, part, phi, bps)
+    return stages
 
 
 def _scene_times(solvers, scene, prec: float, repeat: int) -> list:
     """Each stage's best time in ms per tree; the trees take turns within
     every repetition, so a slow spell of the machine hits them alike."""
     calls = [_stages(solver, scene, prec) for solver in solvers]
-    best = [dict.fromkeys(calls[0], float("inf")) for _ in solvers]
+    best = [dict.fromkeys(stages, float("inf")) for stages in calls]
     for _ in range(repeat):
         for stages, out in zip(calls, best):
             for stage, fn in stages.items():
@@ -107,6 +113,8 @@ def _scene_times(solvers, scene, prec: float, repeat: int) -> list:
                 out[stage] = min(out[stage], 1e3 * (time.perf_counter() - t))
     for out in best:
         solve = out.pop("solve_scene")
+        out.setdefault("breakpoints", 0.0)
+        out.setdefault("build_cells", 0.0)
         out["visit"] = solve - sum(
             out[stage] for stage in ("vertex_partition", "breakpoints", "build_cells", "maximize_cell")
         )
