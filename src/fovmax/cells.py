@@ -24,10 +24,10 @@ ray. One pass over the polygon's edges then gives every section its near
 and far edge: an edge whose rays rise is a far edge of the sections
 between them, one whose rays fall a near edge. The breakpoints are one
 sort of the rays and the rays shifted by -phi, two sorted runs that it
-merges in linear time, then one pass that clamps them to the direction
-domain and drops any within 1e-12 rad of the last one kept. In
-build_cells two pointers over the rays give every cell's bound;
-CellTable.locate bisects for its sections.
+merges in linear time, then one pass over those that two bisections
+keep inside the direction domain, which drops any within 1e-12 rad of
+the last one kept. In build_cells two pointers over the rays give every
+cell's bound; CellTable.locate bisects for its sections.
 
 Every area comes from one closed form, wedge._cut: an edge line at
 distance d from the apex, whose perpendicular points at angle psi, cuts
@@ -45,7 +45,8 @@ cell. It reads the row (locate: the cell's interval and boundary
 sections), takes the boundary cuts at both cell ends and a lower bound
 on f'' from the edge tables (_end_cuts), in the operations of the cell's
 closed form (cell_objective, _slope_terms), and adds the middle area
-(_end_values). The larger end value plus a curvature term bounds the
+(_end_values): every cell is one sum, the middle plus the right cut
+plus the left. The larger end value plus a curvature term bounds the
 cell's area. visit takes that bound with the middle's O(1) ceiling from
 two prefix sums (SectionPartition.middle) in place of the middle area, in
 one test: a cell it rules out never becomes an object, and only a cell
@@ -196,29 +197,34 @@ class SectionPartition(NamedTuple):
         f, n = self.far_edges[j], self.near_edges[j]
         return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
 
-    def middle(self, right: Optional[int], left: Optional[int]) -> Optional[tuple]:
+    @property
+    def margin(self) -> float:
+        """The rounding any sum of the section areas may carry (see middle):
+        the middle ceiling's margin, and solve_scene's tie tolerance."""
+        return 4.0 * (len(self.near_edges) + 1) * self.abs_area_sum * 2.0**-52
+
+    def middle(self, right: Optional[int], left: Optional[int]) -> Tuple[int, int, float]:
         """(start, stop, ceiling) for a cell's middle, the sections start to
-        stop - 1 strictly between its boundary rays (see RotationCell), or
-        None for a single-section cell, which has none.
+        stop - 1 strictly between its boundary rays (see RotationCell); a
+        single-section cell's is the empty range just past its section.
 
         ceiling bounds their left-to-right sum (middle_sum) from above in
-        O(1), by two prefix sums plus a rounding margin; CellTable.visit
-        rules a cell out with it. With u = 2**-53, n sections and A the sum
-        of the areas' magnitudes, a left-to-right sum of up to n of the
-        areas (middle_sum, or any area_prefix entry) is within gamma_n * A
-        of its exact value, where gamma_n = n u / (1 - n u) <= 1.02 n u;
-        the prefix difference adds at most u (1 + 2 gamma_n) A. So the
+        O(1), by two prefix sums plus the margin; CellTable.visit rules a
+        cell out with it. With u = 2**-53, n sections and A the sum of the
+        areas' magnitudes, a left-to-right sum of up to n of the areas
+        (middle_sum, or any area_prefix entry) is within gamma_n * A of its
+        exact value, where gamma_n = n u / (1 - n u) <= 1.02 n u; the
+        prefix difference adds at most u (1 + 2 gamma_n) A. So the
         difference and the sum lie within 4 (n + 1) u A of each other, and
         the margin, 8 (n + 1) u A, also covers the rounding of A and of the
         final addition. A non-finite area makes the ceiling inf or nan,
         which rules nothing out.
         """
-        if right is not None and right == left:
-            return None
         start = 0 if right is None else right + 1
         stop = len(self.near_edges) if left is None else left
-        margin = 4.0 * (len(self.near_edges) + 1) * self.abs_area_sum * 2.0**-52
-        return start, stop, (self.area_prefix[stop] - self.area_prefix[start]) + margin
+        if stop < start:  # max(left, start), spelled out
+            stop = start
+        return start, stop, (self.area_prefix[stop] - self.area_prefix[start]) + self.margin
 
     def middle_sum(self, start: int, stop: int) -> float:
         """Sections start to stop - 1 summed left to right, which sum() is not from 3.12 on."""
@@ -278,17 +284,18 @@ def breakpoints(
             return []
 
     # the rays and rays - phi are two ascending runs, which the sort finds
-    # and merges in one linear pass; no value below lo rises over lo, the
-    # first one kept, and every value past hi clamps to hi: the values kept
-    # past hi go, and hi closes the list unless the last one is within
-    # 1e-12 rad of it
+    # and merges in linear time; lo opens the list and hi closes it unless
+    # the last value kept is within 1e-12 rad, so only values in (lo, hi]
+    # count: two bisections trim the rest in place (faster than a slice)
+    values = sorted([*sorted_angles, *[a - phi for a in sorted_angles]])
+    del values[bisect_right(values, hi):]
+    del values[:bisect_right(values, lo)]
     out = [lo]
     last = lo
-    for v in sorted([*sorted_angles, *[a - phi for a in sorted_angles]]):
+    for v in values:
         if v - last > _ANGLE_MERGE:
             out.append(v)
             last = v
-    del out[bisect_right(out, hi):]
     if hi - out[-1] > _ANGLE_MERGE:
         out.append(hi)
     return out
@@ -307,17 +314,17 @@ def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> Static
 def cell_objective(cell: RotationCell, theta: float) -> float:
     """Objective inside a cell: the middle area plus the closed-form
     parts of the boundary sections the sector's rays cut, each from the
-    ray to its section's fixed end ray."""
+    ray to its section's fixed end ray and 0.0 for a ray that does not
+    move; a single-section cell's right cut runs from ray to ray, and its
+    left cut is 0.0."""
     part, phi = cell.part, cell.opening
     r, l = cell.right_section, cell.left_section
-    if r is not None and r == l:
-        return part.cut(r, theta, theta + phi)
-    total = cell.middle_area
+    right = left = 0.0
     if r is not None:
-        total += part.cut(r, theta, part.sorted_angles[r + 1])
-    if l is not None:
-        total += part.cut(l, part.sorted_angles[l], theta + phi)
-    return total
+        right = part.cut(r, theta, theta + phi if r == l else part.sorted_angles[r + 1])
+    if l is not None and l != r:
+        left = part.cut(l, part.sorted_angles[l], theta + phi)
+    return cell.middle_area + right + left
 
 
 def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
@@ -347,13 +354,13 @@ def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
 def _end_cuts(
     part: SectionPartition, phi: float, lo: float, hi: float, right: Optional[int],
     left: Optional[int]
-) -> Tuple[Optional[float], ...]:
+) -> Tuple[float, ...]:
     """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
     for the cell [lo, hi] with the given boundary sections: each cut is
-    part.cut of a boundary section as cell_objective takes it, None for a
-    ray that does not move, and m is the sum of _slope_terms at their
-    ends, in their order (see _end_values). A single-section cell's right
-    cuts are its whole objective, and its left ones None. Straight from
+    the one cell_objective takes, 0.0 for a ray that does not move, and
+    m is the sum of _slope_terms at their ends, in their order (see
+    _end_values). A single-section cell's right cuts are its whole
+    area, and its left ones 0.0. Straight from
     the flat edge tables, with every operation in the order _cut and
     _slope_terms use, so the values are theirs bit for bit; a cut from a
     section's fixed end ray shares that ray's cosine.
@@ -361,7 +368,7 @@ def _end_cuts(
     c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
     sin, cos, tan = math.sin, math.cos, math.tan
     m = 0.0
-    r_lo = r_hi = l_lo = l_hi = None
+    r_lo = r_hi = l_lo = l_hi = 0.0
     # each (w, beta) of _slope_terms adds its f'' term 2 w tan(x) / cos(x)**2,
     # x = theta + beta, at the end theta where that term is smallest
     if right is not None:
@@ -404,10 +411,11 @@ def _end_cuts(
     return r_lo, r_hi, l_lo, l_hi, m
 
 
-def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[float, float, float]:
+def _end_values(cuts: tuple, middle: float, width: float) -> Tuple[float, float, float]:
     """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
-    middle area (None without one, see SectionPartition.middle) and width;
-    all three never fall when the middle rises.
+    middle area and width, each end value summed in cell_objective's
+    order (middle, right cut, left cut); all three never fall when the
+    middle rises.
 
     f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
     cos(x) keeps its sign across a cell, since every line is cut at a
@@ -421,17 +429,8 @@ def _end_values(cuts: tuple, middle: Optional[float], width: float) -> Tuple[flo
     bound on f'' in its place, with the chord, would not bound f.
     """
     r_lo, r_hi, l_lo, l_hi, m = cuts
-    if middle is None:
-        f_lo, f_hi = r_lo, r_hi
-    else:
-        # cell_objective's order: the middle, then the right cut, then the left
-        f_lo = f_hi = middle
-        if r_lo is not None:
-            f_lo += r_lo
-            f_hi += r_hi
-        if l_lo is not None:
-            f_lo += l_lo
-            f_hi += l_hi
+    f_lo = middle + r_lo + l_lo
+    f_hi = middle + r_hi + l_hi
     if not math.isfinite(m):
         return f_lo, f_hi, math.inf
     # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
@@ -445,10 +444,11 @@ class RotationCell:
     right_section / left_section give the section holding the right/left
     boundary ray for interior directions (None when that ray is outside
     the polygon's angular span, so the boundary is not moving). Equal
-    indices mean the whole intersection lives in one section. middle_area
-    is the constant area of fully covered sections (see
-    SectionPartition.middle), 0.0 for a single-section cell, and ends the
-    objective at the cell's two ends (_end_values). bound is an upper bound
+    indices mean the whole intersection lives in one section. The area is
+    one sum (cell_objective): middle_area, the constant area of fully
+    covered sections (SectionPartition.middle; 0.0 for a single-section
+    cell), plus the right ray's cut plus the left ray's. ends is that sum
+    at the cell's two ends (_end_values). bound is an upper bound
     on the cell's area: the intersection never leaves the sections the
     cell touches. The cell carries the scene's partition and the opening,
     so it can be solved standalone. build_cells builds no empty cell, so
@@ -507,14 +507,11 @@ class CellTable(Sequence[RotationCell]):
         part, phi, slack = self.part, self.opening, self.slack
         lo, hi, r, l = self.locate(i)
         cuts = _end_cuts(part, phi, lo, hi, r, l)
-        span = part.middle(r, l)
-        f_lo, f_hi, top = _end_values(cuts, None if span is None else span[2], hi - lo)
-        if top + slack < floor:
+        start, stop, ceiling = part.middle(r, l)
+        if _end_values(cuts, ceiling, hi - lo)[2] + slack < floor:
             return None
-        middle = 0.0
-        if span is not None:
-            middle = part.middle_sum(span[0], span[1])
-            f_lo, f_hi, _ = _end_values(cuts, middle, hi - lo)
+        middle = part.middle_sum(start, stop)
+        f_lo, f_hi, _ = _end_values(cuts, middle, hi - lo)
         return RotationCell((lo, hi), r, l, self.bound[i], part, phi, middle, (f_lo, f_hi))
 
     def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int]]:

@@ -24,11 +24,13 @@ Roots are polished to 10**-digits, or to float resolution when that
 comes first; minima are not polished.
 Cells are visited best first by an upper bound on their area from
 prefix sums of the section areas, and the search stops once no
-remaining cell can come within the tie tolerance (10**-digits times the
-polygon area) of the best area found. Each visited cell goes through
+remaining cell can come within the tie tolerance, the partition's
+rounding margin (SectionPartition.margin), of the best area found;
+prec sets the polish alone. Each visited cell goes through
 CellTable.visit, which rules it out on a second bound (see cells) or
 returns it for maximize_cell. The global maximum is the best cell
-result; ties within the tolerance resolve to the smallest direction.
+result; ties within the tolerance resolve to the smallest direction,
+then the lowest cell index.
 The results are named tuples.
 """
 
@@ -49,11 +51,10 @@ from .geometry import (
     sector_clip,
 )
 from .cells import RotationCell, SectionPartition, _slope_terms, breakpoints, build_cells
-from .cells import cell_objective, vertex_partition
+from .cells import _ANGLE_MERGE, cell_objective, vertex_partition
 # not used here: perfbench/spans.py wraps these names in traced runs
 from .wedge import opening_extrema, rotation_pieces  # noqa: F401
 
-_MIN_WIDTH = 1e-12
 _MAX_ITER = 200  # a backstop for _bracketed_newton
 
 
@@ -358,7 +359,7 @@ def solve_scene(
     domain: Optional[Tuple[float, float]] = None,
 ) -> Tuple[SolveResult, SceneDetails]:
     """maximize_global plus the partition diagnostics the CLI reports."""
-    xtol = _xtol(prec)
+    _xtol(prec)  # check the digits before any work
     check_opening(phi)
     part = vertex_partition(poly, apex)
     dom = direction_domain(part, phi, domain)
@@ -373,7 +374,7 @@ def solve_scene(
         p_lo, p_hi = last - phi, first
         lo = max(p_lo, dom[0])
         hi = min(p_hi, dom[1])
-        if hi >= lo - _MIN_WIDTH:
+        if hi >= lo - _ANGLE_MERGE:
             result = SolveResult(
                 theta_star=normalize_angle(lo),
                 area=poly.area,
@@ -395,7 +396,7 @@ def solve_scene(
     # incumbent by more than the tie tolerance can neither win nor tie, and
     # neither can any cell after it in descending bound order; visit rules
     # out a cell whose second bound falls below it the same way
-    tie_tol = xtol * poly.area
+    tie_tol = part.margin
     results = {}
     best_area = floor = -math.inf  # floor: best_area less the tie tolerance
     bounds, slack, visit = cells.bound, cells.slack, cells.visit
@@ -408,8 +409,8 @@ def solve_scene(
             best_area = max(best_area, results[i].area)
             floor = best_area - tie_tol
 
-    # deterministic reduction: max area, ties within 10^-digits of the best
-    # resolve to the smallest direction (then lowest cell index)
+    # deterministic reduction: max area, ties within the rounding margin of
+    # the best resolve to the smallest direction (then lowest cell index)
     winner_idx = min((res.theta, i) for i, res in results.items() if res.area >= floor)[1]
     win = results[winner_idx]
     result = SolveResult(

@@ -299,6 +299,45 @@ def test_cell_descriptor_straddle_is_constant(square_partition):
     assert const[0].middle_area == pytest.approx(SMALL_SQUARE.area, rel=1e-12)
 
 
+def test_single_section_middle_is_empty(square_partition):
+    # a single-section cell's middle is the empty range just past its
+    # section, and its ceiling is at least the empty sum
+    for r in range(square_partition.num_sections):
+        start, stop, ceiling = square_partition.middle(r, r)
+        assert start == stop == r + 1
+        assert square_partition.middle_sum(start, stop) == 0.0 <= ceiling
+
+
+def test_every_row_shape_ends_are_its_objective():
+    # single-section, right ray only, left ray only, both rays and the
+    # containment row: a visited cell's ends are cell_objective at its
+    # ends, bit for bit
+    rng = np.random.default_rng(5)
+    shapes = set()
+    for _ in range(20):
+        poly = random_convex_polygon(rng, int(rng.integers(3, 9)), rx=2.0)
+        apex = external_apex(rng, poly)
+        part = vertex_partition(poly, apex)
+        first, last = part.span()
+        for frac in (0.1, 0.6, 1.2):
+            phi = min(frac * (last - first), 3.0)
+            table = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
+            for i in range(len(table)):
+                cell = table.visit(i, -math.inf)
+                r, l = cell.right_section, cell.left_section
+                shapes.add((r is None, l is None, r == l))
+                lo, hi = cell.interval
+                ends = (cells.cell_objective(cell, lo), cells.cell_objective(cell, hi))
+                assert [v.hex() for v in cell.ends] == [v.hex() for v in ends]
+    assert shapes == {
+        (False, False, True),
+        (False, True, False),
+        (True, False, False),
+        (False, False, False),
+        (True, True, True),
+    }
+
+
 def test_cells_tile_admissible_domain(square_partition):
     angles = square_partition.sorted_angles
     for phi in (0.1, 0.3, 0.5):

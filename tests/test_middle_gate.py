@@ -28,16 +28,13 @@ _MIDDLE = SectionPartition.middle
 def _exact_middle(part, right, left):
     """middle with the exact sum in place of the ceiling: visit then tests
     on the exact middle, as the reference solve does."""
-    span = _MIDDLE(part, right, left)
-    return None if span is None else (span[0], span[1], part.middle_sum(span[0], span[1]))
+    start, stop, _ = _MIDDLE(part, right, left)
+    return start, stop, part.middle_sum(start, stop)
 
 
 def _unmargined_middle(part, right, left):
     """middle with the prefix difference alone as the ceiling, a mutation."""
-    span = _MIDDLE(part, right, left)
-    if span is None:
-        return None
-    start, stop = span[:2]
+    start, stop, _ = _MIDDLE(part, right, left)
     return start, stop, part.area_prefix[stop] - part.area_prefix[start]
 
 
@@ -75,9 +72,9 @@ def _check_visit(table):
     below the bound with the exact middle plus the slack, gives the cell
     that indexing gives, bit for bit."""
     for i, cell in enumerate(table):
-        span = _MIDDLE(cell.part, cell.right_section, cell.left_section)
+        ceiling = _MIDDLE(cell.part, cell.right_section, cell.left_section)[2]
         exact = _cell_end_values(cell)[2] + table.slack
-        reach = exact if span is None else _cell_end_values(cell, span[2])[2] + table.slack
+        reach = _cell_end_values(cell, ceiling)[2] + table.slack
         for floor in (math.nextafter(exact, -math.inf), exact, reach):
             got = table.visit(i, floor)
             assert got is not None and _cell_bits(got) == _cell_bits(cell)
@@ -106,8 +103,7 @@ def test_middle_ceiling_bounds_the_middle_area(areas, data):
 )
 def test_middle_ceiling_bounds_every_cell(seed, n, kind):
     for cell in _scene_cells(seed, n, kind):
-        span = cell.part.middle(cell.right_section, cell.left_section)
-        assert span is None or span[2] >= cell.middle_area
+        assert cell.part.middle(cell.right_section, cell.left_section)[2] >= cell.middle_area
 
 
 @settings(max_examples=60, deadline=None)

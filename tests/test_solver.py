@@ -250,16 +250,16 @@ def test_bad_opening_raises():
 
 def _exhaustive_solve(poly, apex, phi, prec, domain=None):
     """Reference for the best-first search: every cell of the scene solved,
-    then solve_scene's reduction rule (max area, ties within 10**-prec to
-    the smallest direction, then the lowest cell index)."""
+    then solve_scene's reduction rule (max area, ties within the
+    partition's rounding margin to the smallest direction, then the lowest
+    cell index)."""
     part = vertex_partition(poly, apex)
     bps = breakpoints(part.sorted_angles, phi, domain)
     cells = build_cells(poly, apex, part, phi, bps)
     results = [maximize_cell(c, prec) for c in cells]
     best = max(r.area for r in results)
-    tie_tol = _xtol(prec) * poly.area
     win = min(
-        (i for i, r in enumerate(results) if r.area >= best - tie_tol),
+        (i for i, r in enumerate(results) if r.area >= best - part.margin),
         key=lambda i: (results[i].theta, i),
     )
     return win, cells, results
@@ -328,10 +328,9 @@ def _prefix_bound_candidates(poly, apex, phi, prec=8):
     alone: solve_scene's loop without the second bound (_end_values)."""
     part = vertex_partition(poly, apex)
     cells = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
-    tie_tol = _xtol(prec) * poly.area
     best, total = -math.inf, 0
     for i in sorted(range(len(cells)), key=cells.bound.__getitem__, reverse=True):
-        if cells.bound[i] + cells.slack < best - tie_tol:
+        if cells.bound[i] + cells.slack < best - part.margin:
             break
         r = maximize_cell(cells[i], prec)
         total += r.candidates_evaluated
@@ -351,14 +350,10 @@ def test_end_bound_cuts_candidates_at_n1024(frac):
 def _cell_end_values(cell, middle=None):
     """A table cell's (f(lo), f(hi), bound) as solve_scene takes them:
     _end_values of its _end_cuts with the given middle area in place of
-    middle_area, and None for a cell without a middle."""
+    middle_area."""
     lo, hi = cell.interval
-    r, l = cell.right_section, cell.left_section
-    if cell.part.middle(r, l) is None:
-        middle = None
-    elif middle is None:
-        middle = cell.middle_area
-    return _end_values(_end_cuts(cell.part, cell.opening, lo, hi, r, l), middle, hi - lo)
+    cuts = _end_cuts(cell.part, cell.opening, lo, hi, cell.right_section, cell.left_section)
+    return _end_values(cuts, cell.middle_area if middle is None else middle, hi - lo)
 
 
 def _cell_bits(cell):
@@ -849,6 +844,22 @@ def test_tie_tolerance_scales_with_area(scale):
     assert res.theta_star == pytest.approx(0.735398, abs=1e-6)
     unit = maximize_global(SMALL_SQUARE, ORIGIN, 0.1, 8)
     assert res.theta_star == pytest.approx(unit.theta_star, abs=1e-8)
+
+
+@pytest.mark.parametrize("phi", [1e-9, 1e-11])
+def test_prec_does_not_set_the_tie_tolerance(phi):
+    # the best area, 3.2e-9 at phi = 1e-9, lies below 1e-8 of the polygon
+    # area (1.376): a tie tolerance of 10**-prec times that area let every
+    # cell tie, and the smallest direction, 0.476 rad away with 5.4e-18,
+    # won at prec 8
+    rng = np.random.default_rng(3)
+    poly = random_convex_polygon(rng, 16)
+    apex = external_apex(rng, poly)
+    res = maximize_global(poly, apex, phi, 8)
+    exact = maximize_global(poly, apex, phi, 13)
+    assert res.theta_star == pytest.approx(1.2615375, abs=1e-7)
+    assert res.theta_star == pytest.approx(exact.theta_star, abs=1e-8)
+    assert res.area == pytest.approx(exact.area, rel=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -46,9 +46,9 @@ def _cell_objective_reference(cell, theta, middle=None):
         return 0.0
     part, phi = cell.part, cell.opening
     r, l = cell.right_section, cell.left_section
-    if r is not None and r == l:
-        return part.cut(r, theta, theta + phi)
     total = cell.middle_area if middle is None else middle
+    if r is not None and r == l:
+        return total + part.cut(r, theta, theta + phi)
     if r is not None:
         total += part.cut(r, theta, part.sorted_angles[r + 1])
     if l is not None:
@@ -74,8 +74,7 @@ def _check_end_bounds(table):
     middle against the reference, on fresh copies of every cell."""
     for i in range(len(table)):
         cell, ref = table[i], table[i]
-        span = cell.part.middle(cell.right_section, cell.left_section)
-        middles = [None if span is None else span[2], None]
+        middles = [cell.part.middle(cell.right_section, cell.left_section)[2], None]
         got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
         assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
 
