@@ -29,11 +29,13 @@ keep inside the direction domain, which drops any within 1e-12 rad of
 the last one kept. In build_cells two pointers over the rays give every
 cell's bound; CellTable.locate bisects for its sections.
 
-Every area comes from one closed form, wedge._cut: an edge line at
-distance d from the apex, whose perpendicular points at angle psi, cuts
-the area d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at
-angles a < b. A section, or the part of it a boundary ray cuts off, is
-its far line's cut minus its near line's.
+Every area comes from one closed form: an edge line at distance d from
+the apex, whose perpendicular points at angle psi, cuts the area
+d**2/2 * (tan(b - psi) - tan(a - psi)) between the rays at angles a < b.
+A section, or the part of it a boundary ray cuts off, is its far line's
+cut minus its near line's. Three places spell it, in the same
+operations: wedge._cut for the wedge API, vertex_partition's loop for
+the section areas, and _end_cuts for every cell value.
 
 The per-scene tables are flat sequences of floats and ints, so a scene
 of n vertices leaves a few dozen container objects, not one per edge or
@@ -43,15 +45,16 @@ that keeps one float per cell, its area bound, the one value the solver
 reads for every cell. CellTable.visit is the one path from a row to a
 cell. It reads the row (locate: the cell's interval and boundary
 sections), takes the boundary cuts at both cell ends and a lower bound
-on f'' from the edge tables (_end_cuts), in the operations of the cell's
-closed form (cell_objective, _slope_terms), and adds the middle area
-(_end_values): every cell is one sum, the middle plus the right cut
-plus the left. The larger end value plus a curvature term bounds the
-cell's area. visit takes that bound with the middle's O(1) ceiling from
-two prefix sums (SectionPartition.middle) in place of the middle area, in
-one test: a cell it rules out never becomes an object, and only a cell
-it returns has its middle summed section by section. Indexing the table
-is visit with no floor, so a cell is the same however it is reached.
+on f'' from the edge tables (_end_cuts, its f'' terms _slope_terms'),
+and adds the middle area (_end_values): every cell is one sum, the
+middle plus the right cut plus the left, and cell_objective is that sum
+on the one-point interval [theta, theta]. The larger end value plus a
+curvature term bounds the cell's area. visit takes that bound with the
+middle's O(1) ceiling from two prefix sums (SectionPartition.middle) in
+place of the middle area, in one test: a cell it rules out never becomes
+an object, and only a cell it returns has its middle summed section by
+section. Indexing the table is visit with no floor, so a cell is the
+same however it is reached.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -69,13 +72,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .geometry import (
     ConvexPolygon,
     InvalidInputError,
-    Line,
     Point,
     UnsupportedSceneError,
     _apex_walk,
     check_opening,
 )
-from .wedge import StaticWedge, _cut, wedge_from_lines
+# not used here: perfbench/spans.py wraps this name in traced runs
+from .wedge import wedge_from_lines  # noqa: F401
 
 _ANGLE_MERGE = 1e-12
 _BOUND_SLACK = 1e-9  # relative to the polygon area: rounding in a cell's area
@@ -191,12 +194,6 @@ class SectionPartition(NamedTuple):
     def span(self) -> Tuple[float, float]:
         return self.sorted_angles[0], self.sorted_angles[-1]
 
-    def cut(self, j: int, a: float, b: float) -> float:
-        """Area of section j between the rays at angles a and b."""
-        c, psi = self.edge_c, self.edge_psi
-        f, n = self.far_edges[j], self.near_edges[j]
-        return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
-
     @property
     def margin(self) -> float:
         """The rounding any sum of the section areas may carry (see middle):
@@ -301,30 +298,12 @@ def breakpoints(
     return out
 
 
-def section_wedge(poly: ConvexPolygon, part: SectionPartition, j: int) -> StaticWedge:
-    """StaticWedge backed by section j's near and far edge lines: the
-    paper's A_theta(phi) for the section. The solve path does not use it."""
-    return wedge_from_lines(
-        part.apex,
-        Line.from_points(*poly.edge(part.far_edges[j])),
-        Line.from_points(*poly.edge(part.near_edges[j])),
-    )
-
-
 def cell_objective(cell: RotationCell, theta: float) -> float:
-    """Objective inside a cell: the middle area plus the closed-form
-    parts of the boundary sections the sector's rays cut, each from the
-    ray to its section's fixed end ray and 0.0 for a ray that does not
-    move; a single-section cell's right cut runs from ray to ray, and its
-    left cut is 0.0."""
-    part, phi = cell.part, cell.opening
-    r, l = cell.right_section, cell.left_section
-    right = left = 0.0
-    if r is not None:
-        right = part.cut(r, theta, theta + phi if r == l else part.sorted_angles[r + 1])
-    if l is not None and l != r:
-        left = part.cut(l, part.sorted_angles[l], theta + phi)
-    return cell.middle_area + right + left
+    """Objective inside a cell: its value on the one-point interval
+    [theta, theta], so a direction inside the cell and the cell's ends
+    take one path (_end_cuts, _end_values)."""
+    cuts = _end_cuts(cell.part, cell.opening, theta, theta, cell.right_section, cell.left_section)
+    return _end_values(cuts, cell.middle_area, 0.0)[0]
 
 
 def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
@@ -357,13 +336,16 @@ def _end_cuts(
 ) -> Tuple[float, ...]:
     """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
     for the cell [lo, hi] with the given boundary sections: each cut is
-    the one cell_objective takes, 0.0 for a ray that does not move, and
-    m is the sum of _slope_terms at their ends, in their order (see
-    _end_values). A single-section cell's right cuts are its whole
-    area, and its left ones 0.0. Straight from
-    the flat edge tables, with every operation in the order _cut and
-    _slope_terms use, so the values are theirs bit for bit; a cut from a
-    section's fixed end ray shares that ray's cosine.
+    the boundary section's part from the ray to the section's fixed end
+    ray, 0.0 for a ray that does not move, and m is the sum of
+    _slope_terms at their ends, in their order (see _end_values). A
+    single-section cell's right cuts run from ray to ray, its whole area,
+    and its left ones are 0.0. Every cell value comes from here: the
+    ends for CellTable.visit, and a direction inside the cell for
+    cell_objective, with lo == hi. Straight from the flat edge tables,
+    with every operation in the order wedge._cut and _slope_terms use, so
+    the values are theirs bit for bit; a cut from a section's fixed end
+    ray shares that ray's cosine.
     """
     c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
     sin, cos, tan = math.sin, math.cos, math.tan
@@ -413,9 +395,8 @@ def _end_cuts(
 
 def _end_values(cuts: tuple, middle: float, width: float) -> Tuple[float, float, float]:
     """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
-    middle area and width, each end value summed in cell_objective's
-    order (middle, right cut, left cut); all three never fall when the
-    middle rises.
+    middle area and width, each end value summed as the middle plus the
+    right cut plus the left; all three never fall when the middle rises.
 
     f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
     cos(x) keeps its sign across a cell, since every line is cut at a

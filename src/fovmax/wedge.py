@@ -7,10 +7,11 @@ distance from the apex and psi the direction of the perpendicular from
 the apex to it. The ray at angle gamma meets the line at distance
 d / cos(gamma - psi), ahead of the apex when cos(gamma - psi) > 0, and
 the line cuts d**2 / 2 * (tan(b - psi) - tan(a - psi)) from the sector
-between the rays at angles a < b (_cut, the one area formula of the
-package; the partition in cells uses it too). A sector's area in the
-wedge is the far line's cut minus the near line's. No frame is needed,
-and lines of one direction are not a special case.
+between the rays at angles a < b (_cut; cells spells the same
+operations in vertex_partition's loop, for the section areas, and in
+_end_cuts, for every cell value). A sector's area in the wedge is the
+far line's cut minus the near line's. No frame is needed, and lines of
+one direction are not a special case.
 
 The direction window is where three open half-circles of directions
 meet, centred at psi_near and psi_far (the ray meets that line ahead of

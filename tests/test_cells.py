@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 from fovmax.geometry import (
     ConvexPolygon,
     InvalidInputError,
+    Line,
     UnsupportedSceneError,
 )
 from fovmax import cells
 from fovmax.cells import (
     _apex_walk,
+    _end_cuts,
     angular_order,
     breakpoints,
     build_cells,
     section_edges,
-    section_wedge,
     vertex_partition,
 )
 from fovmax.oracle import clip_area_at
-from fovmax.wedge import _area_raw, two_sector_area
+from fovmax.wedge import _area_raw, two_sector_area, wedge_from_lines
 from conftest import external_apex, random_convex_polygon, random_scene
 from test_solver import _cell_bits
 
@@ -366,9 +367,19 @@ def test_cell_table_index_edges(rng):
     assert len(list(table)) == n
 
 
+def section_wedge(poly, part, j):
+    """The wedge of section j's far and near edge lines: the paper's
+    A_theta(phi) for the section."""
+    return wedge_from_lines(
+        part.apex,
+        Line.from_points(*poly.edge(part.far_edges[j])),
+        Line.from_points(*poly.edge(part.near_edges[j])),
+    )
+
+
 def _moving_area(poly, part, cell, theta):
-    # the boundary sections' parts from the wedge closed form, the same
-    # _cut the cells and the solver use; the clip area is the independent
+    # the boundary sections' parts from the wedge closed form, the one the
+    # cells spell out in _end_cuts; the clip area is the independent
     # reference
     phi = cell.opening
     r, l = cell.right_section, cell.left_section
@@ -384,8 +395,9 @@ def _moving_area(poly, part, cell, theta):
 
 
 def test_section_wedge_matches_cut(rng):
-    # a section's wedge and the partition's cut are one closed form; they
-    # differ only in how each builds the edge lines
+    # a section's wedge and a single-section cell's cut (_end_cuts at
+    # lo == hi == a, opening b - a) are one closed form; they differ only
+    # in how each builds the edge lines
     checked = 0
     for _ in range(40):
         poly, apex, _ = random_scene(rng)
@@ -398,7 +410,8 @@ def test_section_wedge_matches_cut(rng):
             if not b > a:
                 continue
             area = two_sector_area(section_wedge(poly, part, j), a, b - a)
-            assert area == pytest.approx(part.cut(j, a, b), rel=0.0, abs=1e-12 * poly.area)
+            cut = _end_cuts(part, b - a, a, a, j, j)[0]
+            assert area == pytest.approx(cut, rel=0.0, abs=1e-12 * poly.area)
             checked += 1
     assert checked > 200
 

@@ -27,7 +27,6 @@ import pytest
 
 from fovmax.cells import (
     _ANGLE_MERGE,
-    _cut,
     angular_order,
     breakpoints,
     build_cells,
@@ -43,6 +42,7 @@ from fovmax.geometry import (
     angular_span,
     normalize_angle,
 )
+from fovmax.wedge import _cut
 from conftest import external_apex, random_convex_polygon
 
 

@@ -1,7 +1,8 @@
 """The per-cell kernel of `solver` against test-only copies of the code it
 replaced: `_end_values` of `_end_cuts`, the curvature bound from
-`_slope_terms` and the end values from `cell_objective` with a given
-middle area. They must match bit for bit.
+`_slope_terms`, the end values with a given middle area and
+`cell_objective` inside the cell, each cut built from `wedge._cut`. They
+must match bit for bit.
 """
 
 import math
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from fovmax import solver
 from fovmax.cells import breakpoints, build_cells, vertex_partition
-from fovmax.solver import maximize_global
+from fovmax.solver import cell_objective, maximize_global
+from fovmax.wedge import _cut
 from conftest import external_apex, random_convex_polygon, random_scene
 from test_solver import _cell_end_values, _near_line_scene, _span_scene
 
@@ -39,6 +41,13 @@ def _scene_cells(seed, n, kind):
     return build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi, domain))
 
 
+def _section_cut(part, j, a, b):
+    """Area of section j between the rays at angles a and b."""
+    c, psi = part.edge_c, part.edge_psi
+    f, n = part.far_edges[j], part.near_edges[j]
+    return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
+
+
 def _cell_objective_reference(cell, theta, middle=None):
     """cell_objective with the given middle area in place of
     cell.middle_area, as it took one before _end_values added the middle."""
@@ -48,11 +57,11 @@ def _cell_objective_reference(cell, theta, middle=None):
     r, l = cell.right_section, cell.left_section
     total = cell.middle_area if middle is None else middle
     if r is not None and r == l:
-        return total + part.cut(r, theta, theta + phi)
+        return total + _section_cut(part, r, theta, theta + phi)
     if r is not None:
-        total += part.cut(r, theta, part.sorted_angles[r + 1])
+        total += _section_cut(part, r, theta, part.sorted_angles[r + 1])
     if l is not None:
-        total += part.cut(l, part.sorted_angles[l], theta + phi)
+        total += _section_cut(part, l, part.sorted_angles[l], theta + phi)
     return total
 
 
@@ -71,12 +80,17 @@ def _end_bound_reference(cell, middle=None):
 
 def _check_end_bounds(table):
     """The end values and bound with the middle ceiling and with the exact
-    middle against the reference, on fresh copies of every cell."""
+    middle, and cell_objective at seven directions inside the cell, against
+    the reference, on fresh copies of every cell."""
     for i in range(len(table)):
         cell, ref = table[i], table[i]
         middles = [cell.part.middle(cell.right_section, cell.left_section)[2], None]
         got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
         assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
+        lo, hi = cell.interval
+        inside = [lo + k * (hi - lo) / 8 for k in range(1, 8)]
+        got = _hex(cell_objective(cell, t) for t in inside)
+        assert got == _hex(_cell_objective_reference(ref, t) for t in inside)
 
 
 @settings(max_examples=120, deadline=None)

@@ -120,3 +120,22 @@ def test_answer_digest_lists_what_moved(monkeypatch):
         " candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec, largest"
         " area loss 0 x polygon area"
     )
+
+
+def test_answer_digest_exit_status(monkeypatch, capsys):
+    # 0 when every later tree's records equal the first tree's, 1 when
+    # one differs, so the tool can gate a script
+    tool = _tool("answer_digest")
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import scenes
+
+    runs = [(scene, scenes.SMALL_PREC) for scene in scenes.small_scenes(1, 20)[:3]]
+    monkeypatch.setattr(tool, "corpus", lambda scenes: runs)
+    src = str(ROOT / "src")
+    assert tool.main([src, src]) == 0
+    assert "0 of 3 records differ" in capsys.readouterr().out
+    old = tool.records(ROOT / "src", runs)
+    trees = iter([old, [*old[:2], "ValueError: moved"]])
+    monkeypatch.setattr(tool, "records", lambda src, runs: next(trees))
+    assert tool.main([src, src]) == 1
+    assert "1 of 3 records differ" in capsys.readouterr().out

@@ -19,7 +19,12 @@ followed by one summary line per later tree: how many records differ,
 how many of those moved theta_star, area or cell_index and how many
 changed only candidates_evaluated or achieved_bracket, the largest
 |delta theta| (mod 2 pi) in units of 10**-prec, and the largest area
-loss as a share of the polygon area.
+loss as a share of the polygon area. The exit status is 1 when a later
+tree's records differ from the first tree's and 0 otherwise, so
+
+    python tools/answer_digest.py OLD/src src
+
+gates a script on bit-identical answers.
 """
 
 from __future__ import annotations
@@ -140,7 +145,7 @@ def main(argv=None) -> int:
         print("%s against %s:" % (src, args.src[0]))
         for line in moves(runs, trees[0], recs, lambda scene: ConvexPolygon(scene.vertices).area):
             print(line)
-    return 0
+    return int(any(recs != trees[0] for recs in trees[1:]))
 
 
 if __name__ == "__main__":
