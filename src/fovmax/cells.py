@@ -48,13 +48,13 @@ sections), takes the boundary cuts at both cell ends and a lower bound
 on f'' from the edge tables (_end_cuts, its f'' terms _slope_terms'),
 and adds the middle area (_end_values): every cell is one sum, the
 middle plus the right cut plus the left, and cell_objective is that sum
-on the one-point interval [theta, theta]. The larger end value plus a
-curvature term bounds the cell's area. visit takes that bound with the
-middle's O(1) ceiling from two prefix sums (SectionPartition.middle) in
-place of the middle area, in one test: a cell it rules out never becomes
-an object, and only a cell it returns has its middle summed section by
-section. Indexing the table is visit with no floor, so a cell is the
-same however it is reached.
+on the one-point interval [theta, theta]. The middle is a difference of
+two prefix sums of the section areas (SectionPartition.middle), the
+same prefix sums the cell bounds read, in O(1) for every cell. The
+larger end value plus a curvature term bounds the cell's area, and
+visit rules a cell out on that bound in one test: a cell it rules out
+never becomes an object. Indexing the table is visit with no floor, so
+a cell is the same however it is reached.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -171,10 +171,10 @@ class SectionPartition(NamedTuple):
 
     Edge k's line has c = edge_c[k] = d**2 / 2 and perpendicular direction
     psi = edge_psi[k] (see _apex_walk), kept as two flat float tuples.
-    area_prefix[j] is the sum of the first j section areas; it serves the
-    cell bounds only, since its differences round differently from a
-    left-to-right sum over the same sections. abs_area_sum is the sum of
-    the areas' magnitudes, the scale of the rounding in either sum.
+    area_prefix[j] is the left-to-right sum of the first j section areas;
+    every cell bound and every cell's middle is a difference of two of
+    its entries. abs_area_sum is the sum of the areas' magnitudes, the
+    scale of their rounding (margin).
     """
 
     sorted_angles: Tuple[float, ...]
@@ -196,39 +196,30 @@ class SectionPartition(NamedTuple):
 
     @property
     def margin(self) -> float:
-        """The rounding any sum of the section areas may carry (see middle):
-        the middle ceiling's margin, and solve_scene's tie tolerance."""
+        """8 (n + 1) u A, with u = 2**-53, n sections and A the sum of the
+        areas' magnitudes: solve_scene's tie tolerance.
+
+        Every area_prefix entry is a left-to-right sum of up to n of the
+        areas, so it lies within gamma_n * A of its exact value, where
+        gamma_n = n u / (1 - n u) <= 1.02 n u (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, section 4.2); the
+        difference of two adds at most u (1 + 2 gamma_n) A. So every middle
+        lies within 4 (n + 1) u A, half the margin, of its exact value, and
+        two cells' middles differ from their exact difference by less than
+        the margin, which also covers the rounding of A itself.
+        """
         return 4.0 * (len(self.near_edges) + 1) * self.abs_area_sum * 2.0**-52
 
-    def middle(self, right: Optional[int], left: Optional[int]) -> Tuple[int, int, float]:
-        """(start, stop, ceiling) for a cell's middle, the sections start to
-        stop - 1 strictly between its boundary rays (see RotationCell); a
-        single-section cell's is the empty range just past its section.
-
-        ceiling bounds their left-to-right sum (middle_sum) from above in
-        O(1), by two prefix sums plus the margin; CellTable.visit rules a
-        cell out with it. With u = 2**-53, n sections and A the sum of the
-        areas' magnitudes, a left-to-right sum of up to n of the areas
-        (middle_sum, or any area_prefix entry) is within gamma_n * A of its
-        exact value, where gamma_n = n u / (1 - n u) <= 1.02 n u; the
-        prefix difference adds at most u (1 + 2 gamma_n) A. So the
-        difference and the sum lie within 4 (n + 1) u A of each other, and
-        the margin, 8 (n + 1) u A, also covers the rounding of A and of the
-        final addition. A non-finite area makes the ceiling inf or nan,
-        which rules nothing out.
-        """
+    def middle(self, right: Optional[int], left: Optional[int]) -> float:
+        """The area of a cell's middle, the sections start to stop - 1
+        strictly between its boundary rays (see RotationCell), as the
+        difference of two prefix sums; a single-section cell's is the empty
+        range just past its section, whose area is exactly 0.0."""
         start = 0 if right is None else right + 1
         stop = len(self.near_edges) if left is None else left
         if stop < start:  # max(left, start), spelled out
             stop = start
-        return start, stop, (self.area_prefix[stop] - self.area_prefix[start]) + self.margin
-
-    def middle_sum(self, start: int, stop: int) -> float:
-        """Sections start to stop - 1 summed left to right, which sum() is not from 3.12 on."""
-        total = 0.0
-        for a in self.section_areas[start:stop]:
-            total += a
-        return total
+        return self.area_prefix[stop] - self.area_prefix[start]
 
 
 def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
@@ -253,7 +244,7 @@ def vertex_partition(poly: ConvexPolygon, apex: Point) -> SectionPartition:
         edge_psi=psi,
         section_areas=tuple(areas),
         area_prefix=tuple(accumulate(areas, initial=0.0)),
-        # a scale only: the ceiling's margin in middle() covers how it rounds
+        # a scale only: margin covers how it rounds
         abs_area_sum=sum(map(abs, areas)),
         apex=(float(apex[0]), float(apex[1])),
     )
@@ -396,7 +387,7 @@ def _end_cuts(
 def _end_values(cuts: tuple, middle: float, width: float) -> Tuple[float, float, float]:
     """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
     middle area and width, each end value summed as the middle plus the
-    right cut plus the left; all three never fall when the middle rises.
+    right cut plus the left.
 
     f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
     cos(x) keeps its sign across a cell, since every line is cut at a
@@ -427,8 +418,9 @@ class RotationCell:
     the polygon's angular span, so the boundary is not moving). Equal
     indices mean the whole intersection lives in one section. The area is
     one sum (cell_objective): middle_area, the constant area of fully
-    covered sections (SectionPartition.middle; 0.0 for a single-section
-    cell), plus the right ray's cut plus the left ray's. ends is that sum
+    covered sections as a difference of two prefix sums
+    (SectionPartition.middle; 0.0 for a single-section cell), plus the
+    right ray's cut plus the left ray's. ends is that sum
     at the cell's two ends (_end_values). bound is an upper bound
     on the cell's area: the intersection never leaves the sections the
     cell touches. The cell carries the scene's partition and the opening,
@@ -481,18 +473,15 @@ class CellTable(Sequence[RotationCell]):
     def visit(self, i: int, floor: float) -> Optional[RotationCell]:
         """Cell i, for 0 <= i < len(self), as a RotationCell, or None when
         its second bound (_end_values) plus slack falls below floor. The
-        bound takes the middle's O(1) ceiling (SectionPartition.middle),
-        which is at least the exact sum, so a cell that could reach floor
-        is never ruled out; the exact sum is added up only for a cell that
-        is returned."""
-        part, phi, slack = self.part, self.opening, self.slack
+        bound and the end values take one middle (SectionPartition.middle),
+        so visit rules a cell out on the bound of the values it would
+        return."""
+        part, phi = self.part, self.opening
         lo, hi, r, l = self.locate(i)
-        cuts = _end_cuts(part, phi, lo, hi, r, l)
-        start, stop, ceiling = part.middle(r, l)
-        if _end_values(cuts, ceiling, hi - lo)[2] + slack < floor:
+        middle = part.middle(r, l)
+        f_lo, f_hi, top = _end_values(_end_cuts(part, phi, lo, hi, r, l), middle, hi - lo)
+        if top + self.slack < floor:
             return None
-        middle = part.middle_sum(start, stop)
-        f_lo, f_hi, _ = _end_values(cuts, middle, hi - lo)
         return RotationCell((lo, hi), r, l, self.bound[i], part, phi, middle, (f_lo, f_hi))
 
     def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int]]:

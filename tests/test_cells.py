@@ -302,11 +302,9 @@ def test_cell_descriptor_straddle_is_constant(square_partition):
 
 def test_single_section_middle_is_empty(square_partition):
     # a single-section cell's middle is the empty range just past its
-    # section, and its ceiling is at least the empty sum
+    # section: a prefix sum less itself, exactly 0.0
     for r in range(square_partition.num_sections):
-        start, stop, ceiling = square_partition.middle(r, r)
-        assert start == stop == r + 1
-        assert square_partition.middle_sum(start, stop) == 0.0 <= ceiling
+        assert square_partition.middle(r, r) == 0.0
 
 
 def test_every_row_shape_ends_are_its_objective():

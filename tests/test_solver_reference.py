@@ -1,8 +1,7 @@
 """The per-cell kernel of `solver` against test-only copies of the code it
 replaced: `_end_values` of `_end_cuts`, the curvature bound from
-`_slope_terms`, the end values with a given middle area and
-`cell_objective` inside the cell, each cut built from `wedge._cut`. They
-must match bit for bit.
+`_slope_terms`, the end values and `cell_objective` inside the cell,
+each cut built from `wedge._cut`. They must match bit for bit.
 """
 
 import math
@@ -48,14 +47,13 @@ def _section_cut(part, j, a, b):
     return _cut(c[f], psi[f], a, b) - _cut(c[n], psi[n], a, b)
 
 
-def _cell_objective_reference(cell, theta, middle=None):
-    """cell_objective with the given middle area in place of
-    cell.middle_area, as it took one before _end_values added the middle."""
+def _cell_objective_reference(cell, theta):
+    """cell_objective as it was before _end_values added the middle."""
     if cell.empty:
         return 0.0
     part, phi = cell.part, cell.opening
     r, l = cell.right_section, cell.left_section
-    total = cell.middle_area if middle is None else middle
+    total = cell.middle_area
     if r is not None and r == l:
         return total + _section_cut(part, r, theta, theta + phi)
     if r is not None:
@@ -65,28 +63,26 @@ def _cell_objective_reference(cell, theta, middle=None):
     return total
 
 
-def _end_bound_reference(cell, middle=None):
+def _end_bound_reference(cell):
     lo, hi = cell.interval
     m = 0.0
     for w, beta in solver._slope_terms(cell):
         x = (lo if w > 0.0 else hi) + beta
         m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
-    f_lo = _cell_objective_reference(cell, lo, middle)
-    f_hi = _cell_objective_reference(cell, hi, middle)
+    f_lo = _cell_objective_reference(cell, lo)
+    f_hi = _cell_objective_reference(cell, hi)
     if not math.isfinite(m):
         return f_lo, f_hi, math.inf
     return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
 
 
 def _check_end_bounds(table):
-    """The end values and bound with the middle ceiling and with the exact
-    middle, and cell_objective at seven directions inside the cell, against
-    the reference, on fresh copies of every cell."""
+    """The end values and bound, and cell_objective at seven directions
+    inside the cell, against the reference, on fresh copies of every
+    cell."""
     for i in range(len(table)):
         cell, ref = table[i], table[i]
-        middles = [cell.part.middle(cell.right_section, cell.left_section)[2], None]
-        got = [_hex(_cell_end_values(cell, middle)) for middle in middles]
-        assert got == [_hex(_end_bound_reference(ref, middle)) for middle in middles]
+        assert _hex(_cell_end_values(cell)) == _hex(_end_bound_reference(ref))
         lo, hi = cell.interval
         inside = [lo + k * (hi - lo) / 8 for k in range(1, 8)]
         got = _hex(cell_objective(cell, t) for t in inside)

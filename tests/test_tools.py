@@ -8,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import fovmax.solver
+from fovmax.geometry import ConvexPolygon
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,9 +93,9 @@ def test_answer_digest_lists_what_moved(monkeypatch):
     runs = [(scene, scenes.SMALL_PREC) for scene in scenes.small_scenes(1, 20)[:3]]
     old = tool.records(ROOT / "src", runs)
     assert tool.moves(runs, old, old, lambda scene: 1.0) == [
-        "0 of 3 records differ (0 moved theta_star, area or cell_index, 0 changed only"
-        " candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec, largest"
-        " area loss 0 x polygon area"
+        "0 of 3 records differ (0 moved theta_star or cell_index, 0 moved area alone, 0 changed"
+        " only candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec,"
+        " largest area loss 0 and gain 0 x polygon area"
     ]
     # one record moved by a quarter of 10**-prec and lost 1e-3 of its area
     fields = old[1].split()
@@ -105,9 +106,9 @@ def test_answer_digest_lists_what_moved(monkeypatch):
     assert len(lines) == 3 and lines[0].splitlines()[1:] == ["  - " + old[1], "  + " + new[1]]
     assert lines[1].endswith("+ ValueError: moved")
     assert lines[2] == (
-        "2 of 3 records differ (1 moved theta_star, area or cell_index, 0 changed only"
-        " candidates_evaluated or achieved_bracket); largest |dtheta| 0.25 x 10**-prec,"
-        " largest area loss 0.001 x polygon area"
+        "2 of 3 records differ (1 moved theta_star or cell_index, 0 moved area alone, 0 changed"
+        " only candidates_evaluated or achieved_bracket); largest |dtheta| 0.25 x 10**-prec,"
+        " largest area loss 0.001 and gain 0 x polygon area"
     )
     # one record changed only its candidate count and bracket, one its cell index
     counted, moved = old[0].split(), old[2].split()
@@ -116,9 +117,37 @@ def test_answer_digest_lists_what_moved(monkeypatch):
     moved[3] = str(int(moved[3]) + 1)
     new = [" ".join(counted), old[1], " ".join(moved)]
     assert tool.moves(runs, old, new, lambda scene: 1.0)[-1] == (
-        "2 of 3 records differ (1 moved theta_star, area or cell_index, 1 changed only"
-        " candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec, largest"
-        " area loss 0 x polygon area"
+        "2 of 3 records differ (1 moved theta_star or cell_index, 0 moved area alone, 1 changed"
+        " only candidates_evaluated or achieved_bracket); largest |dtheta| 0 x 10**-prec,"
+        " largest area loss 0 and gain 0 x polygon area"
+    )
+
+
+def test_answer_digest_counts_each_kind_of_move(monkeypatch, capsys):
+    # one record moves theta_star and loses area, one moves area alone and
+    # gains it, one changes only its candidate count; areas are shares of
+    # each scene's polygon area, as main divides them
+    tool = _tool("answer_digest")
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import scenes
+
+    runs = [(scene, scenes.SMALL_PREC) for scene in scenes.small_scenes(1, 20)[:3]]
+    monkeypatch.setattr(tool, "corpus", lambda scenes: runs)
+    old = tool.records(ROOT / "src", runs)
+    new = [rec.split() for rec in old]
+    poly_area = [ConvexPolygon(scene.vertices).area for scene, _ in runs]
+    theta, area = float.fromhex(new[0][0]), float.fromhex(new[0][1])
+    new[0][:2] = [(theta + 0.5 * 10.0**-scenes.SMALL_PREC).hex(), (area - 2e-3 * poly_area[0]).hex()]
+    new[1][1] = (float.fromhex(new[1][1]) + 5e-4 * poly_area[1]).hex()
+    new[2][4] = str(int(new[2][4]) + 1)
+    trees = iter([old, [" ".join(fields) for fields in new]])
+    monkeypatch.setattr(tool, "records", lambda src, runs: next(trees))
+    src = str(ROOT / "src")
+    assert tool.main([src, src]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "3 of 3 records differ (1 moved theta_star or cell_index, 1 moved area alone, 1 changed"
+        " only candidates_evaluated or achieved_bracket); largest |dtheta| 0.5 x 10**-prec,"
+        " largest area loss 0.002 and gain 0.0005 x polygon area"
     )
 
 

@@ -16,10 +16,11 @@ the number of solves and the SHA-256 of the records, so equal digests
 mean bit-identical answers. With two trees or more, every record of a
 later tree that differs from the first tree's is printed, old and new,
 followed by one summary line per later tree: how many records differ,
-how many of those moved theta_star, area or cell_index and how many
-changed only candidates_evaluated or achieved_bracket, the largest
-|delta theta| (mod 2 pi) in units of 10**-prec, and the largest area
-loss as a share of the polygon area. The exit status is 1 when a later
+how many of those moved theta_star or cell_index, how many moved area
+alone (not theta_star or cell_index) and how many changed only
+candidates_evaluated or achieved_bracket, the largest |delta theta|
+(mod 2 pi) in units of 10**-prec, and the largest area loss and gain as
+shares of the polygon area. The exit status is 1 when a later
 tree's records differ from the first tree's and 0 otherwise, so
 
     python tools/answer_digest.py OLD/src src
@@ -97,11 +98,11 @@ def digest(src: Path, runs) -> Tuple[int, str]:
 
 def moves(runs, old: List[str], new: List[str], polygon_area) -> List[str]:
     """One entry per solve whose record differs between old and new, then
-    a summary line. polygon_area(scene) gives the area that the area loss
-    is divided by; a record of a raised error moves no number."""
+    a summary line. polygon_area(scene) gives the area that an area loss
+    or gain is divided by; a record of a raised error moves no number."""
     out = []
-    dtheta = loss = 0.0
-    moved = counts_only = 0
+    dtheta = loss = gain = 0.0
+    moved = area_only = counts_only = 0
     for (scene, prec), a, b in zip(runs, old, new):
         if a == b:
             continue
@@ -112,17 +113,20 @@ def moves(runs, old: List[str], new: List[str], polygon_area) -> List[str]:
         except ValueError:
             continue
         # theta_star, area, achieved_bracket, cell_index, candidates_evaluated, ...
-        if fa[:2] != fb[:2] or fa[3] != fb[3]:
+        if fa[0] != fb[0] or fa[3] != fb[3]:
             moved += 1
+        elif fa[1] != fb[1]:
+            area_only += 1
         elif fa[5:] == fb[5:]:
             counts_only += 1
         dtheta = max(dtheta, abs(math.remainder(tb - ta, 2.0 * math.pi)) * 10.0**prec)
-        loss = max(loss, (aa - ab) / polygon_area(scene))
+        darea = (ab - aa) / polygon_area(scene)
+        loss, gain = max(loss, -darea), max(gain, darea)
     out.append(
-        "%d of %d records differ (%d moved theta_star, area or cell_index, %d changed only"
-        " candidates_evaluated or achieved_bracket); largest |dtheta| %.3g x 10**-prec,"
-        " largest area loss %.3g x polygon area"
-        % (len(out), len(runs), moved, counts_only, dtheta, loss)
+        "%d of %d records differ (%d moved theta_star or cell_index, %d moved area alone,"
+        " %d changed only candidates_evaluated or achieved_bracket); largest |dtheta| %.3g"
+        " x 10**-prec, largest area loss %.3g and gain %.3g x polygon area"
+        % (len(out), len(runs), moved, area_only, counts_only, dtheta, loss, gain)
     )
     return out
 
