@@ -27,7 +27,7 @@ sort of the rays and the rays shifted by -phi, two sorted runs that it
 merges in linear time, then one pass over those that two bisections
 keep inside the direction domain, which drops any within 1e-12 rad of
 the last one kept. In build_cells two pointers over the rays give every
-cell's bound; CellTable.locate bisects for its sections.
+cell's bound; CellTable.visit bisects for a visited cell's sections.
 
 Every area comes from one closed form: an edge line at distance d from
 the apex, whose perpendicular points at angle psi, cuts the area
@@ -42,19 +42,19 @@ of n vertices leaves a few dozen container objects, not one per edge or
 per cell: the partition, a named tuple, keeps every edge line's d**2/2
 and psi in two tuples, and build_cells returns the cells as a CellTable
 that keeps one float per cell, its area bound, the one value the solver
-reads for every cell. CellTable.visit is the one path from a row to a
-cell. It reads the row (locate: the cell's interval and boundary
-sections), takes the boundary cuts at both cell ends and a lower bound
-on f'' from the edge tables (_end_cuts, its f'' terms _slope_terms'),
-and adds the middle area (_end_values): every cell is one sum, the
+reads for every cell. CellTable.visit is the one function from a row
+to a cell. It takes the cell's interval and boundary sections from the
+row, the boundary cuts at both cell ends from the edge tables
+(_end_cuts), and adds the middle area: every cell is one sum, the
 middle plus the right cut plus the left, and cell_objective is that sum
 on the one-point interval [theta, theta]. The middle is a difference of
 two prefix sums of the section areas (SectionPartition.middle), the
 same prefix sums the cell bounds read, in O(1) for every cell. The
-larger end value plus a curvature term bounds the cell's area, and
-visit rules a cell out on that bound in one test: a cell it rules out
-never becomes an object. Indexing the table is visit with no floor, so
-a cell is the same however it is reached.
+larger end value plus a curvature term, from a lower bound on f'' that
+only visit computes, bounds the cell's area, and visit rules a cell out
+on that bound in one test: a cell it rules out never becomes an object.
+Indexing the table is visit with no floor, so a cell is the same
+however it is reached.
 
 All per-scene angles live on a continuous unwrapped axis anchored at the
 apex-to-centroid direction, so polygons straddling the 0/2pi seam need no
@@ -290,11 +290,14 @@ def breakpoints(
 
 
 def cell_objective(cell: RotationCell, theta: float) -> float:
-    """Objective inside a cell: its value on the one-point interval
-    [theta, theta], so a direction inside the cell and the cell's ends
-    take one path (_end_cuts, _end_values)."""
-    cuts = _end_cuts(cell.part, cell.opening, theta, theta, cell.right_section, cell.left_section)
-    return _end_values(cuts, cell.middle_area, 0.0)[0]
+    """Objective inside a cell: the middle plus the right cut plus the
+    left, from _end_cuts on the one-point interval [theta, theta], so a
+    direction inside the cell and the cell's ends (CellTable.visit) take
+    one path."""
+    right, _, left, _ = _end_cuts(
+        cell.part, cell.opening, theta, theta, cell.right_section, cell.left_section
+    )
+    return cell.middle_area + right + left
 
 
 def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
@@ -324,33 +327,24 @@ def _slope_terms(cell: RotationCell) -> List[Tuple[float, float]]:
 def _end_cuts(
     part: SectionPartition, phi: float, lo: float, hi: float, right: Optional[int],
     left: Optional[int]
-) -> Tuple[float, ...]:
-    """(right cut at lo, right cut at hi, left cut at lo, left cut at hi, m)
+) -> Tuple[float, float, float, float]:
+    """(right cut at lo, right cut at hi, left cut at lo, left cut at hi)
     for the cell [lo, hi] with the given boundary sections: each cut is
     the boundary section's part from the ray to the section's fixed end
-    ray, 0.0 for a ray that does not move, and m is the sum of
-    _slope_terms at their ends, in their order (see _end_values). A
-    single-section cell's right cuts run from ray to ray, its whole area,
-    and its left ones are 0.0. Every cell value comes from here: the
-    ends for CellTable.visit, and a direction inside the cell for
-    cell_objective, with lo == hi. Straight from the flat edge tables,
-    with every operation in the order wedge._cut and _slope_terms use, so
-    the values are theirs bit for bit; a cut from a section's fixed end
-    ray shares that ray's cosine.
+    ray, 0.0 for a ray that does not move. A single-section cell's right
+    cuts run from ray to ray, its whole area, and its left ones are 0.0.
+    Every cell value comes from here: the ends for CellTable.visit, and a
+    direction inside the cell for cell_objective, with lo == hi. Straight
+    from the flat edge tables, with every operation in the order
+    wedge._cut uses, so the cuts are its own bit for bit; a cut from a
+    section's fixed end ray shares that ray's cosine.
     """
     c, psi, rays = part.edge_c, part.edge_psi, part.sorted_angles
-    sin, cos, tan = math.sin, math.cos, math.tan
-    m = 0.0
+    sin, cos = math.sin, math.cos
     r_lo = r_hi = l_lo = l_hi = 0.0
-    # each (w, beta) of _slope_terms adds its f'' term 2 w tan(x) / cos(x)**2,
-    # x = theta + beta, at the end theta where that term is smallest
     if right is not None:
         f, n = part.far_edges[right], part.near_edges[right]
         cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
-        x = (lo if -cf > 0.0 else hi) + (0.0 - pf)
-        m += 2.0 * -cf * tan(x) / cos(x) ** 2
-        x = (lo if cn > 0.0 else hi) + (0.0 - pn)
-        m += 2.0 * cn * tan(x) / cos(x) ** 2
         if right == left:
             b = lo + phi
             s = sin(b - lo)
@@ -368,10 +362,6 @@ def _end_cuts(
     if left is not None:
         f, n = part.far_edges[left], part.near_edges[left]
         cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
-        x = (lo if cf > 0.0 else hi) + (phi - pf)
-        m += 2.0 * cf * tan(x) / cos(x) ** 2
-        x = (lo if -cn > 0.0 else hi) + (phi - pn)
-        m += 2.0 * -cn * tan(x) / cos(x) ** 2
         if right != left:
             a = rays[left]
             af, an = cos(a - pf), cos(a - pn)
@@ -381,32 +371,7 @@ def _end_cuts(
             b = hi + phi
             s = sin(b - a)
             l_hi = cf * s / (af * cos(b - pf)) - cn * s / (an * cos(b - pn))
-    return r_lo, r_hi, l_lo, l_hi, m
-
-
-def _end_values(cuts: tuple, middle: float, width: float) -> Tuple[float, float, float]:
-    """(f(lo), f(hi), an upper bound on f over the cell) from its _end_cuts,
-    middle area and width, each end value summed as the middle plus the
-    right cut plus the left.
-
-    f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with x = theta + beta_k.
-    cos(x) keeps its sign across a cell, since every line is cut at a
-    finite distance there, and tan(x) / cos(x)**2 increases with x on such
-    a branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
-    sum with each term taken at lo when w_k > 0 and at hi otherwise, is a
-    lower bound on f''. Then f - m/2 (theta - lo)(theta - hi) is convex,
-    so f never exceeds the larger end value plus max(-m, 0) * width**2 / 8
-    (Breiman and Cutler, A deterministic algorithm for global
-    optimization, 1993). The bound is inf when m is not finite. The upper
-    bound on f'' in its place, with the chord, would not bound f.
-    """
-    r_lo, r_hi, l_lo, l_hi, m = cuts
-    f_lo = middle + r_lo + l_lo
-    f_hi = middle + r_hi + l_hi
-    if not math.isfinite(m):
-        return f_lo, f_hi, math.inf
-    # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
-    return f_lo, f_hi, (f_hi if f_hi > f_lo else f_lo) + (0.0 if 0.0 > -m else -m) * width**2 / 8.0
+    return r_lo, r_hi, l_lo, l_hi
 
 
 @dataclass(eq=False, slots=True)
@@ -421,7 +386,7 @@ class RotationCell:
     covered sections as a difference of two prefix sums
     (SectionPartition.middle; 0.0 for a single-section cell), plus the
     right ray's cut plus the left ray's. ends is that sum
-    at the cell's two ends (_end_values). bound is an upper bound
+    at the cell's two ends (CellTable.visit). bound is an upper bound
     on the cell's area: the intersection never leaves the sections the
     cell touches. The cell carries the scene's partition and the opening,
     so it can be solved standalone. build_cells builds no empty cell, so
@@ -444,9 +409,9 @@ class CellTable(Sequence[RotationCell]):
     """The cells of one scene, one per breakpoint pair, in order: cell i
     spans bps[i] to bps[i + 1]. bound[i] is cell i's area bound, the one
     value the solver reads for every cell, and slack (_BOUND_SLACK times
-    the polygon area) the rounding any bound may hide. locate(i) gives
-    cell i's row as plain values, visit(i, floor) its RotationCell, and
-    indexing and iteration are visit with no floor."""
+    the polygon area) the rounding any bound may hide. visit(i, floor)
+    gives cell i's RotationCell, and indexing and iteration are visit
+    with no floor."""
 
     def __init__(self, part: SectionPartition, opening: float, bps: Sequence[float], slack: float):
         self.part = part
@@ -465,44 +430,73 @@ class CellTable(Sequence[RotationCell]):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         n = len(self.bound)
-        # locate(-1) would read bps[-1] and bps[0], a pair that is no cell
+        # visit(-1) would read bps[-1] and bps[0], a pair that is no cell
         if not -n <= i < n:
             raise IndexError("cell index out of range")
         return self.visit(i + n if i < 0 else i, -math.inf)
 
     def visit(self, i: int, floor: float) -> Optional[RotationCell]:
         """Cell i, for 0 <= i < len(self), as a RotationCell, or None when
-        its second bound (_end_values) plus slack falls below floor. The
-        bound and the end values take one middle (SectionPartition.middle),
-        so visit rules a cell out on the bound of the values it would
-        return."""
+        its second bound plus slack falls below floor.
+
+        The cell's interval is its breakpoint pair. Each end value is the
+        middle plus the right cut plus the left (_end_cuts), and the bound
+        and the end values take one middle (SectionPartition.middle), so
+        visit rules a cell out on the bound of the values it would return.
+
+        The second bound: f''(theta) = sum_k 2 w_k tan(x) / cos(x)**2 with
+        x = theta + beta_k over the (w, beta) of _slope_terms. cos(x) keeps
+        its sign across a cell, since every line is cut at a finite
+        distance there, and tan(x) / cos(x)**2 increases with x on such a
+        branch (its derivative is (1 + 3 tan(x)**2) / cos(x)**2). So m, the
+        sum in _slope_terms' order with each term taken at lo when w_k > 0
+        and at hi otherwise, is a lower bound on f''. Then
+        f - m/2 (theta - lo)(theta - hi) is convex, so f never exceeds the
+        larger end value plus max(-m, 0) * width**2 / 8 (Breiman and
+        Cutler, A deterministic algorithm for global optimization, 1993).
+        The bound is inf when m is not finite. The upper bound on f'' in
+        its place, with the chord, would not bound f.
+        """
         part, phi = self.part, self.opening
-        lo, hi, r, l = self.locate(i)
+        lo, hi = self.bps[i], self.bps[i + 1]
+        angles, last = part.sorted_angles, len(part.sorted_angles) - 1
+        probe = 0.5 * (lo + hi)
+        left_probe = probe + phi
+        # a boundary section, bisected at the interval's midpoint as
+        # build_cells' walk counts it: one less than the rays at or below
+        # the ray, counted from 1 to last, which clamps to the first and the
+        # last section; None for a ray outside the span
+        r = l = None
+        if self._low <= probe <= self._high:
+            r = bisect_right(angles, probe, 1, last) - 1
+        if self._low <= left_probe <= self._high:
+            l = bisect_right(angles, left_probe, 1, last) - 1
         middle = part.middle(r, l)
-        f_lo, f_hi, top = _end_values(_end_cuts(part, phi, lo, hi, r, l), middle, hi - lo)
-        if top + self.slack < floor:
+        r_lo, r_hi, l_lo, l_hi = _end_cuts(part, phi, lo, hi, r, l)
+        f_lo, f_hi = middle + r_lo + l_lo, middle + r_hi + l_hi
+        c, psi, tan, cos = part.edge_c, part.edge_psi, math.tan, math.cos
+        m = 0.0
+        # each (w, beta) of _slope_terms adds its f'' term 2 w tan(x) / cos(x)**2,
+        # x = theta + beta, at the end theta where that term is smallest
+        if r is not None:
+            f, n = part.far_edges[r], part.near_edges[r]
+            cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
+            x = (lo if -cf > 0.0 else hi) + (0.0 - pf)
+            m += 2.0 * -cf * tan(x) / cos(x) ** 2
+            x = (lo if cn > 0.0 else hi) + (0.0 - pn)
+            m += 2.0 * cn * tan(x) / cos(x) ** 2
+        if l is not None:
+            f, n = part.far_edges[l], part.near_edges[l]
+            cf, pf, cn, pn = c[f], psi[f], c[n], psi[n]
+            x = (lo if cf > 0.0 else hi) + (phi - pf)
+            m += 2.0 * cf * tan(x) / cos(x) ** 2
+            x = (lo if -cn > 0.0 else hi) + (phi - pn)
+            m += 2.0 * -cn * tan(x) / cos(x) ** 2
+        # max(f_lo, f_hi) + max(-m, 0.0) * width**2 / 8, each max() spelled out
+        top = (f_hi if f_hi > f_lo else f_lo) + (0.0 if 0.0 > -m else -m) * (hi - lo) ** 2 / 8.0
+        if (top if math.isfinite(m) else math.inf) + self.slack < floor:
             return None
         return RotationCell((lo, hi), r, l, self.bound[i], part, phi, middle, (f_lo, f_hi))
-
-    def locate(self, i: int) -> Tuple[float, float, Optional[int], Optional[int]]:
-        """(lo, hi, right_section, left_section) of cell i, for
-        0 <= i < len(self): its interval is its breakpoint pair, and its
-        boundary sections are found by bisection at the interval's midpoint,
-        which counts the rays at or below it as build_cells' walk does."""
-        lo, hi = self.bps[i], self.bps[i + 1]
-        angles = self.part.sorted_angles
-        low, high, last = self._low, self._high, len(angles) - 1
-        probe = 0.5 * (lo + hi)
-        left_probe = probe + self.opening
-        # the section whose closed range holds the ray: one less than the
-        # rays at or below it, counted from 1 to last, which clamps to the
-        # first and the last section; None for a ray outside the span
-        rs = ls = None
-        if low <= probe <= high:
-            rs = bisect_right(angles, probe, 1, last) - 1
-        if low <= left_probe <= high:
-            ls = bisect_right(angles, left_probe, 1, last) - 1
-        return lo, hi, rs, ls
 
 
 def build_cells(

@@ -202,8 +202,11 @@ def run_render(args) -> int:
         show_breakpoints=not args.no_breakpoints,
         profile_samples=args.samples if args.profile == "sweep" else None,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise InvalidInputError("output file not writable: %s" % (exc,))
     return 0
 
 

@@ -11,7 +11,7 @@ f'(theta) = sum_k w_k / cos(theta + beta_k)**2 with at most four terms,
 and f'' is the sum of the terms 2 w_k tan(x) / cos(x)**2, x = theta +
 beta_k, each rising across the cell, so taking each at one end of an
 interval or the other bounds f'' there (the curvature bound of Breiman
-and Cutler, see cells._end_values). Two evaluators read the terms:
+and Cutler, see cells.CellTable.visit). Two evaluators read the terms:
 _on_piece gives f' at a piece's ends and its f'' bounds in one pass,
 and _at_point gives f' and f'' at one direction for a Newton step. One
 rule finds a cell's maxima (_maxima): a piece of the cell, the whole
@@ -187,11 +187,11 @@ def _on_piece(terms: List[Tuple[float, float]], a: float, b: float) -> tuple:
     and sa and sb are the sums of the magnitudes of the terms of f'(a) and
     f'(b), which bound the rounding of f' (see _maxima).
 
-    Each f'' term 2 w tan(x) / cos(x)**2, x = theta + beta, rises across a
-    cell (see cells._end_values), so it is smallest at the piece's left end
-    when w > 0 and at its right end otherwise, and largest at the other;
-    rounding theta + beta is monotone in theta, so every x evaluated
-    inside the piece lies between those at its ends. Each computed term
+    Each f'' term 2 w tan(x) / cos(x)**2, x = theta + beta, rises across
+    a cell (see cells.CellTable.visit), so it is smallest at the piece's
+    left end when w > 0 and at its right end otherwise, and largest at
+    the other; rounding theta + beta is monotone in theta, so every x
+    evaluated inside the piece lies between those at its ends. Each computed term
     is within 10 * 2**-53 of its exact value at the same float x (tan and
     cos within an ulp each, then the square, the product and the
     quotient), and the left-to-right sum of at most four adds at most

@@ -52,13 +52,13 @@ def test_partition_and_cells_leave_few_tracked_objects():
 
 
 def test_only_solved_cells_build_slope_terms(monkeypatch):
-    # the visit loop locates every visited cell once, from the table's rows
+    # the visit loop visits every cell it reaches once, from the table's rows
     visited, solved, built = [], [], []
-    real_locate, real_solve, real_terms = CellTable.locate, solver.maximize_cell, solver._slope_terms
+    real_visit, real_solve, real_terms = CellTable.visit, solver.maximize_cell, solver._slope_terms
 
-    def locate(table, i):
+    def visit(table, i, floor):
         visited.append(i)
-        return real_locate(table, i)
+        return real_visit(table, i, floor)
 
     def solve(cell, *args):
         solved.append(cell)
@@ -68,7 +68,7 @@ def test_only_solved_cells_build_slope_terms(monkeypatch):
         built.append(cell)
         return real_terms(cell)
 
-    monkeypatch.setattr(CellTable, "locate", locate)
+    monkeypatch.setattr(CellTable, "visit", visit)
     monkeypatch.setattr(solver, "maximize_cell", solve)
     monkeypatch.setattr(solver, "_slope_terms", terms)
     poly, apex, phi, _ = _span_scene(1024, 1024, 0.1)

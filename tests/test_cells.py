@@ -18,6 +18,7 @@ from fovmax.cells import (
     angular_order,
     breakpoints,
     build_cells,
+    cell_objective,
     section_edges,
     vertex_partition,
 )
@@ -412,6 +413,29 @@ def test_section_wedge_matches_cut(rng):
             assert area == pytest.approx(cut, rel=0.0, abs=1e-12 * poly.area)
             checked += 1
     assert checked > 200
+
+
+def test_cell_objective_takes_no_tangent(monkeypatch, square_partition):
+    # a cell's value is its middle plus two cuts: the lower bound on f''
+    # (one tan per f'' term) is CellTable.visit's alone
+    bps = breakpoints(square_partition.sorted_angles, 0.1)
+    table = build_cells(SMALL_SQUARE, ORIGIN, square_partition, 0.1, bps)
+    rows = [(c.right_section, c.left_section) for c in table]
+    two, one = rows.index((0, 1)), rows.index((0, 0))
+    real_tan, calls = math.tan, []
+
+    def tan(x):
+        calls.append(x)
+        return real_tan(x)
+
+    monkeypatch.setattr(math, "tan", tan)
+    for i in (two, one):
+        cell = table.visit(i, -math.inf)
+        assert len(calls) == 4  # the counter sees visit's four terms
+        calls.clear()
+        lo, hi = cell.interval
+        cell_objective(cell, 0.5 * (lo + hi))
+        assert calls == []
 
 
 def test_middle_area_constant_per_cell(rng):

@@ -360,6 +360,15 @@ def test_render_profile_rejects_fewer_than_two_samples(tmp_path, capsys, samples
     assert run_main(capsys, ["render", path, str(out_path), "--samples", samples])[0] == 0
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_render_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    path = write_scenario(tmp_path)
+    out_path = tmp_path / "nope" / "o.svg" if where == "missing directory" else tmp_path
+    code, _, err = run_main(capsys, ["render", path, str(out_path)])
+    assert code == 2
+    assert "output file not writable" in err
+
+
 def test_render_deterministic(tmp_path, capsys):
     path = write_scenario(tmp_path)
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovmax.geometry import ConvexPolygon, InvalidInputError, normalize_angle
-from fovmax.cells import SectionPartition, _end_cuts, _end_values, breakpoints, build_cells
+from fovmax.cells import SectionPartition, _end_cuts, _slope_terms, breakpoints, build_cells
 from fovmax.cells import vertex_partition
 from fovmax.oracle import clip_area_at, grid_scan_max, sweep_areas
 from fovmax import solver
@@ -325,7 +325,7 @@ def test_best_first_solves_a_fraction_of_cells_at_n1024(frac):
 
 def _prefix_bound_candidates(poly, apex, phi, prec=8):
     """Candidates evaluated by best-first solving on the prefix-sum bounds
-    alone: solve_scene's loop without the second bound (_end_values)."""
+    alone: solve_scene's loop without the second bound (CellTable.visit)."""
     part = vertex_partition(poly, apex)
     cells = build_cells(poly, apex, part, phi, breakpoints(part.sorted_angles, phi))
     best, total = -math.inf, 0
@@ -348,12 +348,23 @@ def test_end_bound_cuts_candidates_at_n1024(frac):
 
 
 def _cell_end_values(cell, middle=None):
-    """A table cell's (f(lo), f(hi), bound) as solve_scene takes them:
-    _end_values of its _end_cuts with the given middle area in place of
-    middle_area."""
+    """A table cell's (f(lo), f(hi), second bound) as CellTable.visit takes
+    them, with the given middle area in place of middle_area: each end
+    value the middle plus the cuts of _end_cuts, and m, the lower bound
+    on f'', summed over _slope_terms."""
     lo, hi = cell.interval
-    cuts = _end_cuts(cell.part, cell.opening, lo, hi, cell.right_section, cell.left_section)
-    return _end_values(cuts, cell.middle_area if middle is None else middle, hi - lo)
+    middle = cell.middle_area if middle is None else middle
+    r_lo, r_hi, l_lo, l_hi = _end_cuts(
+        cell.part, cell.opening, lo, hi, cell.right_section, cell.left_section
+    )
+    f_lo, f_hi = middle + r_lo + l_lo, middle + r_hi + l_hi
+    m = 0.0
+    for w, beta in _slope_terms(cell):
+        x = (lo if w > 0.0 else hi) + beta
+        m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
+    if not math.isfinite(m):
+        return f_lo, f_hi, math.inf
+    return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
 
 
 def _cell_bits(cell):

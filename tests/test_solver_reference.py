@@ -1,21 +1,19 @@
 """The per-cell kernel of `solver` against test-only copies of the code it
-replaced: `_end_values` of `_end_cuts`, the curvature bound from
-`_slope_terms`, the end values and `cell_objective` inside the cell,
-each cut built from `wedge._cut`. They must match bit for bit.
+replaced: a cell's end values and `cell_objective` inside the cell, each
+cut built from `wedge._cut`. They must match bit for bit. The second
+bound that `CellTable.visit` takes from the end values is pinned against
+`test_solver._cell_end_values` by `test_middle_gate._check_visit`.
 """
-
-import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovmax import solver
 from fovmax.cells import breakpoints, build_cells, vertex_partition
 from fovmax.solver import cell_objective, maximize_global
 from fovmax.wedge import _cut
 from conftest import external_apex, random_convex_polygon, random_scene
-from test_solver import _cell_end_values, _near_line_scene, _span_scene
+from test_solver import _near_line_scene, _span_scene
 
 
 def _hex(values):
@@ -63,27 +61,13 @@ def _cell_objective_reference(cell, theta):
     return total
 
 
-def _end_bound_reference(cell):
-    lo, hi = cell.interval
-    m = 0.0
-    for w, beta in solver._slope_terms(cell):
-        x = (lo if w > 0.0 else hi) + beta
-        m += 2.0 * w * math.tan(x) / math.cos(x) ** 2
-    f_lo = _cell_objective_reference(cell, lo)
-    f_hi = _cell_objective_reference(cell, hi)
-    if not math.isfinite(m):
-        return f_lo, f_hi, math.inf
-    return f_lo, f_hi, max(f_lo, f_hi) + max(-m, 0.0) * (hi - lo) ** 2 / 8.0
-
-
 def _check_end_bounds(table):
-    """The end values and bound, and cell_objective at seven directions
-    inside the cell, against the reference, on fresh copies of every
-    cell."""
+    """The end values (ends) and cell_objective at seven directions inside
+    the cell against the reference, on fresh copies of every cell."""
     for i in range(len(table)):
         cell, ref = table[i], table[i]
-        assert _hex(_cell_end_values(cell)) == _hex(_end_bound_reference(ref))
         lo, hi = cell.interval
+        assert _hex(cell.ends) == _hex(_cell_objective_reference(ref, t) for t in (lo, hi))
         inside = [lo + k * (hi - lo) / 8 for k in range(1, 8)]
         got = _hex(cell_objective(cell, t) for t in inside)
         assert got == _hex(_cell_objective_reference(ref, t) for t in inside)

@@ -42,6 +42,11 @@ def test_stage_times_compares_two_trees(monkeypatch, capsys):
     assert len(rows["stage"]) == 2
     for row in (*tool.STAGES, "scenes_per_s", "solve_ms_p50", "solve_ms_p90"):
         assert len(rows[row]) == 2 and all(math.isfinite(float(v)) for v in rows[row]), row
+    # the counts are integers, the same for one tree twice, and a solve
+    # solves only cells it visited
+    visited, solved = ([int(v) for v in rows[row]] for row in tool.COUNTS)
+    assert visited[0] == visited[1] and solved[0] == solved[1]
+    assert 0 < solved[0] <= visited[0]
 
 
 def test_stage_times_skips_the_stages_a_plateau_skips(monkeypatch):

@@ -14,7 +14,9 @@ before it). On a containment plateau (an opening that covers the
 polygon's angular span) the solve builds no breakpoints or cells, so
 those two stages count 0 there and are not subtracted. whole is the
 benchmark's operation, the constructor and maximize_global in one call.
-Times are in ms, summed over the scenes.
+Times are in ms, summed over the scenes. Then come two counts, summed
+over the scenes: visited, the CellTable.visit calls of one solve_scene
+per scene, and solved, its maximize_cell calls.
 Below them come each tree's scenes_per_s, solve_ms_p50 and solve_ms_p90,
 computed from the scenes' best whole times as perfbench/run.py computes
 them from its own (percentiles interpolated linearly).
@@ -34,6 +36,7 @@ STAGES = (
     "ConvexPolygon", "vertex_partition", "breakpoints", "build_cells", "maximize_cell",
     "visit", "whole",
 )
+COUNTS = ("visited", "solved")
 
 
 def _fovmax_modules() -> dict:
@@ -58,19 +61,38 @@ def _load(src: Path):
 
 def _solved_cells(solver, poly, apex, phi, prec: float, domain) -> tuple:
     """(cell, precision) for each maximize_cell call of one solve_scene,
-    and its SceneDetails."""
-    real, calls = solver.maximize_cell, []
+    the number of its CellTable.visit calls, and its SceneDetails."""
+    real_solve, real_build = solver.maximize_cell, solver.build_cells
+    calls, visited = [], []
 
     def record(cell, precision):
         calls.append((cell, precision))
-        return real(cell, precision)
+        return real_solve(cell, precision)
 
-    solver.maximize_cell = record
+    def build(*args):
+        table = real_build(*args)
+        visit = table.visit  # the solve reads it from the table it built
+
+        def count(i, floor):
+            visited.append(i)
+            return visit(i, floor)
+
+        table.visit = count
+        return table
+
+    solver.maximize_cell, solver.build_cells = record, build
     try:
         details = solver.solve_scene(poly, apex, phi, prec, domain)[1]
     finally:
-        solver.maximize_cell = real
-    return calls, details
+        solver.maximize_cell, solver.build_cells = real_solve, real_build
+    return calls, len(visited), details
+
+
+def _counts(solver, scene, prec: float) -> dict:
+    """The COUNTS of one solve_scene of the scene."""
+    poly = solver.ConvexPolygon(scene.vertices)
+    solved, visited, _ = _solved_cells(solver, poly, scene.apex, scene.phi, prec, scene.domain)
+    return {"visited": visited, "solved": len(solved)}
 
 
 def _stages(solver, scene, prec: float) -> dict:
@@ -79,7 +101,7 @@ def _stages(solver, scene, prec: float) -> dict:
     vs, apex, phi, domain = scene.vertices, scene.apex, scene.phi, scene.domain
     poly = poly_t(vs)
     part = solver.vertex_partition(poly, apex)
-    solved, details = _solved_cells(solver, poly, apex, phi, prec, domain)
+    solved, _, details = _solved_cells(solver, poly, apex, phi, prec, domain)
 
     def maximize_cells():
         for cell, precision in solved:
@@ -143,17 +165,22 @@ def main(argv=None) -> int:
     else:
         scene_list, prec = scenes.large_polygons(args.seed), scenes.LARGE_PREC
     solvers = [_load(src.resolve()) for src in args.src]
-    totals = [dict.fromkeys(STAGES, 0.0) for _ in solvers]
+    totals = [dict.fromkeys(STAGES + COUNTS, 0) for _ in solvers]
     wholes = [[] for _ in solvers]
     for scene in scene_list:
         for total, whole, times in zip(totals, wholes, _scene_times(solvers, scene, prec, args.repeat)):
             for stage, ms in times.items():
                 total[stage] += ms
             whole.append(times["whole"])
+        for total, solver in zip(totals, solvers):
+            for count, value in _counts(solver, scene, prec).items():
+                total[count] += value
 
     print("%-18s" % "stage" + "".join("%14s" % src.resolve().parent.name for src in args.src))
     for stage in STAGES:
         print("%-18s" % stage + "".join("%14.2f" % total[stage] for total in totals))
+    for count in COUNTS:
+        print("%-18s" % count + "".join("%14d" % total[count] for total in totals))
     print("%-18s" % "scenes_per_s" + "".join("%14.1f" % (1e3 * len(w) / sum(w)) for w in wholes))
     print("%-18s" % "solve_ms_p50" + "".join("%14.4f" % _percentile(w, 4) for w in wholes))
     print("%-18s" % "solve_ms_p90" + "".join("%14.4f" % _percentile(w, 8) for w in wholes))
